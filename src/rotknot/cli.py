@@ -60,15 +60,29 @@ EXIT_UNDETERMINED = 20
 # flag parsing helpers
 
 
+def parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_anchor(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"anchor must be 're,im' with rational parts, got {text!r}")
-    return point_xy(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    return point_xy(parse_fraction(parts[0]), parse_fraction(parts[1]))
 
 
 def parse_turn(text: str) -> Turn:
-    return Turn(Fraction(text.strip()))
+    return Turn(parse_fraction(text))
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _spec_from_args(args) -> TrochoidSpec:
@@ -79,7 +93,7 @@ def _spec_from_args(args) -> TrochoidSpec:
         args.l,
         parse_anchor(args.anchor),
         parse_turn(args.direction),
-        Fraction(args.side),
+        parse_fraction(args.side),
         args.chirality,
     )
 
@@ -280,8 +294,8 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_appendix(args) -> list[tuple[str, bool, str]]:
-    levels = [args.level] if args.level else [3, 4, 5, 6, 8, 12]
-    bound = args.bound or 2
+    levels = [3, 4, 5, 6, 8, 12] if args.level is None else [args.level]
+    bound = 2 if args.bound is None else args.bound
     checks = []
     for n in levels:
         units = enumerate_unit_elements(n, bound)
@@ -320,7 +334,7 @@ def _suite_orbit(args) -> list[tuple[str, bool, str]]:
         )
     )
     s = TrochoidSpec(2, 3, 1, 1)
-    depth = args.depth or 4
+    depth = 4 if args.depth is None else args.depth
     words_ok = all(
         same_trochoid(replay_spec(word, s), spec)
         for spec, word in orbit_bfs(s, depth)
@@ -395,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a built-in property suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--bound", type=int)
+    sp.add_argument("--level", type=positive_int)
+    sp.add_argument("--bound", type=positive_int)
     sp.add_argument("--grid", choices=("small", "full"), default="small")
-    sp.add_argument("--depth", type=int)
+    sp.add_argument("--depth", type=positive_int)
     sp.add_argument("--out")
 
     sp = sub.add_parser("render", help="write an SVG of the trochoid diagram")
@@ -430,7 +444,7 @@ def main(argv=None) -> int:
                 args.b_l if args.b_l is not None else args.l,
                 parse_anchor(args.b_anchor or args.anchor),
                 parse_turn(args.b_direction or args.direction),
-                Fraction(args.b_side or args.side),
+                parse_fraction(args.b_side or args.side),
                 args.b_chirality if args.b_chirality is not None else args.chirality,
             )
             data, code = cmd_classify(spec_a, spec_b)

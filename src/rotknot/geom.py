@@ -212,12 +212,3 @@ def polygon_area(spec: PolygonSpec) -> AreaValue:
     """Signed area swept by the closed edge walk (counterclockwise > 0)."""
     return signed_area_polygon(polygon_vertices(spec), spec.anchor)
 
-
-def polygon_to_json(spec: PolygonSpec) -> dict:
-    return {
-        "m": spec.m,
-        "k": spec.k,
-        "anchor": point_to_json(spec.anchor),
-        "direction": f"{spec.direction.numerator}/{spec.direction.denominator}",
-        "side": str(spec.side),
-    }

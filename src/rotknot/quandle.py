@@ -9,7 +9,6 @@ needs; the rotation quandle is infinite and never enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactnum import Turn, turn_from_json, turn_to_json
 from .geom import AreaValue, Point, point_from_json, point_to_json, rotate, signed_area_tri
@@ -85,14 +84,6 @@ class RotQuandle:
 
 
 ROT = RotQuandle()
-
-
-def op_word(x: RotElem, ys: list[RotElem]) -> RotElem:
-    """((x * y_0) * y_1) * ... for a list of operands."""
-    out = x
-    for y in ys:
-        out = ROT.op(out, y)
-    return out
 
 
 def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> AreaValue:

@@ -533,31 +533,13 @@ def _bfs_key(spec: TrochoidSpec, level: int):
     return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.lift(level).coeffs)
 
 
-def _in_region(spec: TrochoidSpec, region: tuple[float, float, float, float] | None) -> bool:
-    if region is None:
-        return True
-    z = spec.resolved()[0].embed()
-    x0, x1, y0, y1 = region
-    eps = 1e-9
-    return x0 - eps <= z.real <= x1 + eps and y0 - eps <= z.imag <= y1 + eps
-
-
-def orbit_bfs(
-    spec: TrochoidSpec,
-    max_moves: int,
-    region: tuple[float, float, float, float] | None = None,
-    *,
-    node_budget: int = 100_000,
-) -> list[tuple[TrochoidSpec, MoveSeq]]:
-    """Breadth-first closure of a trochoid under shift and switch.
-
-    Expands every state (both diagram sides) whose resolved anchor stays
-    inside `region`, deduplicating exactly, and returns the states that
-    live on the original diagram (even switch count), each with one
-    shortest move word, sorted canonically.
-    """
-    base_level = session_level(spec)
-    visited: dict = {_bfs_key(spec, base_level): (spec, MoveSeq())}
+def _bfs(spec: TrochoidSpec, max_moves: int, level: int):
+    """Yield (key, state, word) for every state within max_moves moves of
+    spec, on both diagram sides, once each and in breadth-first order, so
+    every word is a shortest one."""
+    key = _bfs_key(spec, level)
+    seen = {key}
+    yield key, spec, ()
     queue = deque([(spec, ())])
     while queue:
         cur, word = queue.popleft()
@@ -565,24 +547,33 @@ def orbit_bfs(
             continue
         for name in ("shift", "switch"):
             nxt = apply_move(cur, name)
-            key = _bfs_key(nxt, base_level)
-            if key in visited:
-                continue
-            if not _in_region(nxt, region):
-                continue
-            if len(visited) >= node_budget:
-                raise BudgetError(
-                    f"orbit search exceeded {node_budget} states "
-                    f"(frontier size {len(queue)})"
-                )
-            seq = word + (name,)
-            visited[key] = (nxt, MoveSeq(seq))
-            queue.append((nxt, seq))
-    same_side = [
-        (s, mv)
-        for (s, mv) in visited.values()
-        if (s.p, s.q) == (spec.p, spec.q)
-    ]
+            key = _bfs_key(nxt, level)
+            if key not in seen:
+                seen.add(key)
+                seq = word + (name,)
+                yield key, nxt, seq
+                queue.append((nxt, seq))
+
+
+def orbit_bfs(
+    spec: TrochoidSpec, max_moves: int, *, node_budget: int = 100_000
+) -> list[tuple[TrochoidSpec, MoveSeq]]:
+    """Breadth-first closure of a trochoid under shift and switch.
+
+    Expands every state (both diagram sides) within max_moves moves,
+    deduplicating exactly, and returns the states that live on the
+    original diagram (even switch count), each with one shortest move
+    word, sorted canonically.
+    """
+    same_side = []
+    states = _bfs(spec, max_moves, session_level(spec))
+    for count, (_, state, word) in enumerate(states):
+        if count >= node_budget:
+            raise BudgetError(
+                f"orbit search exceeded {node_budget} states at {len(word)} moves"
+            )
+        if (state.p, state.q) == (spec.p, spec.q):
+            same_side.append((state, MoveSeq(word)))
     same_side.sort(key=lambda pair: pair[0].canonical_key())
     return same_side
 
@@ -612,49 +603,61 @@ class ClassificationResult:
         return out
 
 
-def _search_witness(
-    a: TrochoidSpec,
-    b: TrochoidSpec,
-    attempts: list[tuple[int, float, int]],
-) -> MoveSeq | None:
-    """Escalating bounded search for a move word carrying a to b."""
+def _bfs_witness(a: TrochoidSpec, b: TrochoidSpec, max_moves: int) -> MoveSeq | None:
+    """A shortest word of at most max_moves moves carrying a to b, or None."""
     level = lcm(session_level(a), session_level(b))
     target = _bfs_key(b, level)
-    za = a.resolved()[0].embed()
-    zb = b.resolved()[0].embed()
-    for max_moves, pad, budget in attempts:
-        margin = pad * float(a.side)
-        region = (
-            min(za.real, zb.real) - margin,
-            max(za.real, zb.real) + margin,
-            min(za.imag, zb.imag) - margin,
-            max(za.imag, zb.imag) + margin,
-        )
-        visited: dict = {_bfs_key(a, level): ()}
-        if _bfs_key(a, level) == target:
-            return MoveSeq()
-        queue = deque([(a, ())])
-        exhausted = False
-        while queue:
-            cur, word = queue.popleft()
-            if len(word) >= max_moves:
-                continue
-            for name in ("shift", "switch"):
-                nxt = apply_move(cur, name)
-                key = _bfs_key(nxt, level)
-                if key == target:
-                    return MoveSeq(word + (name,))
-                if key in visited or not _in_region(nxt, region):
-                    continue
-                if len(visited) >= budget:
-                    exhausted = True
-                    queue.clear()
-                    break
-                visited[key] = None
-                queue.append((nxt, word + (name,)))
-            if exhausted:
-                break
+    for key, _, word in _bfs(a, max_moves, level):
+        if key == target:
+            return MoveSeq(word)
     return None
+
+
+# the word of fundamental_deformation, which acts as the pure rotation (0, theta)
+_FD = ("switch", "shift", "switch", "shift")
+
+
+def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
+    """A move word carrying a to b, built from the move group, or None
+    when b lies outside the group orbit of a.
+
+    A word acts on the resolved (anchor, direction) as a pair (x, r):
+    the anchor gains side * u(d) * x and the direction gains r, and
+    (x1, r1)(x2, r2) = (x1 + u(r1) x2, r1 + r2).  Shift is (1, l/|q|),
+    switch is (1, 1/2), and the fundamental deformation is F = (0, theta)
+    with theta of order N = p'q'.  For m with m theta = l/|q|, the words
+    step = shift F^(N-m) and back = F^m shift^(q'-1) are the translations
+    (1, 0) and (-1, 0), so the group is Z[zeta_N] x| <F>.  Writing
+    x = sum_i c_i u(i theta), the Horner word
+    step^c_0 F step^c_1 F ... step^c_last reaches b's anchor, and a final
+    power of F turns to b's direction.
+    """
+    n = a.p_prime * a.q_prime
+    a0, d0 = a.resolved()
+    b0, d1 = b.resolved()
+    turns = (d1 - d0).fraction * n
+    x = (b0 - a0) * turn_to_root(d0).conj() / a.side
+    if turns.denominator != 1 or not x.is_integral():
+        return None
+    level, coeffs = x.min_form()
+    if n % level:
+        return None
+    # u(i theta) = zeta_N^(i j0): the coefficient of zeta_N^e goes to slot e / j0
+    inv = pow(int(a.theta.fraction * n), -1, n)
+    m = a.l_prime * (n // a.q_prime) * inv % n
+    step = ("shift",) + _FD * (n - m)
+    back = _FD * m + ("shift",) * (a.q_prime - 1)
+    slots = [0] * n
+    for e, c in enumerate(Cyc(level, coeffs).lift(n).coeffs):
+        slots[e * inv % n] = int(c)
+    last = max((i for i, c in enumerate(slots) if c), default=0)
+    word: list[str] = []
+    for i in range(last + 1):
+        if i:
+            word += _FD
+        word += (step if slots[i] > 0 else back) * abs(slots[i])
+    word += _FD * ((int(turns) * inv - last) % n)
+    return MoveSeq(tuple(word))
 
 
 def classify(
@@ -663,11 +666,13 @@ def classify(
     """Decide whether the colorings of a and b are R-equivalent.
 
     Necessary conditions first: same (k, l) and same side length.  When
-    p'q' is even the anchor-lattice and direction test decides the
-    question, and an Equivalent verdict always carries a move word that
-    is replayed against the actual colorings before being returned.
-    When p'q' is odd only a bounded search is attempted; failure to find
-    a word is reported as Undetermined, never as NotEquivalent.
+    p'q' is even, membership in the move group decides the question
+    (it coincides with the anchor-lattice and direction test); the word
+    is a shortest one when one of at most 4 moves exists, and the
+    group-built word otherwise.  When p'q' is odd only a breadth-first
+    search of at most 12 moves runs; failure to find a word is reported
+    as Undetermined, never as NotEquivalent.  Every Equivalent verdict's
+    word is replayed against the actual colorings before being returned.
     """
     if (a.p, a.q) != (b.p, b.q):
         raise ValueError("classification needs two colorings of one diagram")
@@ -677,48 +682,26 @@ def classify(
         return ClassificationResult("NotEquivalent", reason=SIDE_MISMATCH)
 
     pq = a.p_prime * a.q_prime
-    lat = lattice_for(a)
-    anchor_b, dir_b = b.resolved()
-    dir_diff = (dir_b - lat.base_direction).fraction * lat.level
-    lattice_ok = lattice_contains(lat, anchor_b) and dir_diff.denominator == 1
-
     if pq % 2 == 0:
-        if not lattice_ok:
+        group_word = _group_witness(a, b)
+        if group_word is None:
             return ClassificationResult("NotEquivalent", reason=LATTICE_MISMATCH)
-        witness = _search_witness(
-            a,
-            b,
-            [
-                (4, 2.5, 3_000),
-                (2 * pq, 3.5, 30_000),
-                (6 * pq, 5.0, 150_000),
-            ],
-        )
+        witness = _bfs_witness(a, b, 4)
         if witness is None:
-            raise BudgetError(
-                "trochoids are equivalent but the witness search exhausted "
-                "its budget; raise the search limits"
+            witness = group_word
+    else:
+        witness = _bfs_witness(a, b, 12)
+        if witness is None:
+            v_sigma, v_tau = v_sets_sigma_tau(a)
+            note = (
+                f"p'q' = {pq} is odd: bounded search found no move word; "
+                "the theory leaves this case open. "
+                f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
             )
-        if verify_witness:
-            got = replay(witness, derive_coloring(a))
-            if got != derive_coloring(b):
-                raise ContradictionError("witness replay failed")
-        return ClassificationResult("Equivalent", witness=witness)
-
-    witness = _search_witness(a, b, [(4, 2.5, 2_000), (12, 3.0, 10_000)])
-    if witness is not None:
-        if verify_witness:
-            got = replay(witness, derive_coloring(a))
-            if got != derive_coloring(b):
-                raise ContradictionError("witness replay failed")
-        return ClassificationResult("Equivalent", witness=witness)
-    v_sigma, v_tau = v_sets_sigma_tau(a)
-    note = (
-        f"p'q' = {pq} is odd: bounded search found no move word; "
-        "the theory leaves this case open. "
-        f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
-    )
-    return ClassificationResult("Undetermined", note=note)
+            return ClassificationResult("Undetermined", note=note)
+    if verify_witness and replay(witness, derive_coloring(a)) != derive_coloring(b):
+        raise ContradictionError("witness replay failed")
+    return ClassificationResult("Equivalent", witness=witness)
 
 
 # ---------------------------------------------------------------------------

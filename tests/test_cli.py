@@ -71,8 +71,14 @@ class TestEnumerate:
         assert len(lines) == 3
 
     def test_invalid_parameters_exit_2(self, capsys):
-        assert main(["enumerate", "--p", "2", "--q", "4"]) == 2
-        assert "error:" in capsys.readouterr().err
+        for argv in (
+            ["enumerate", "--p", "2", "--q", "4"],
+            ["classify", "--p", "3", "--q", "2", "--b-anchor", "1/0,0"],
+            ["classify", "--p", "3", "--q", "2", "--b-direction", "1/0"],
+            ["classify", "--p", "3", "--q", "2", "--b-side", "2/0"],
+        ):
+            assert main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -124,6 +130,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS appendix.N=4" in out
         assert "N=12" not in out
+
+    def test_non_positive_flags_exit_2(self, capsys):
+        for argv in (
+            ["verify", "orbit", "--depth", "0"],
+            ["verify", "orbit", "--depth", "-1"],
+            ["verify", "appendix", "--level", "0"],
+            ["verify", "appendix", "--bound", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "error:" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

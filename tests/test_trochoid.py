@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotknot.diagram import (
     closed_form_weight,
@@ -21,6 +22,7 @@ from rotknot.exactnum import (
 )
 from rotknot.geom import ORIGIN, point_xy, polygon_vertices, rotate
 from rotknot.trochoid import (
+    _group_witness,
     ClassificationResult,
     KL_MISMATCH,
     LATTICE_MISMATCH,
@@ -435,13 +437,6 @@ class TestOrbitBFS:
         b = [(sp.canonical_key(), tuple(mv)) for sp, mv in orbit_bfs(s, 5)]
         assert a == b
 
-    def test_region_pruning(self):
-        s = TrochoidSpec(2, 3, 1, 1)
-        region = (-1.2, 1.2, -1.2, 1.2)
-        for spec, _ in orbit_bfs(s, 6, region):
-            z = spec.resolved()[0].embed()
-            assert -1.21 <= z.real <= 1.21 and -1.21 <= z.imag <= 1.21
-
     def test_budget_error(self):
         s = TrochoidSpec(2, 3, 1, 1)
         with pytest.raises(BudgetError):
@@ -517,6 +512,71 @@ class TestClassify:
         r = classify(s, shift(shift(s)))
         assert r.verdict == "Equivalent"
         assert len(r.witness) == 2
+
+
+class TestClassifyByGroup:
+    """Even p'q' is decided by membership in the move group, whose
+    words are built directly; these cases used to exhaust a search budget."""
+
+    @pytest.mark.parametrize(
+        "anchor, direction, params",
+        [
+            ((6, 0), 0, (3, 2, 1, 1)),
+            ((-3, 0), Fraction(1, 2), (3, 2, 1, 1)),
+            ((2, 0), 0, (5, 4, 1, 1)),
+        ],
+    )
+    def test_far_targets_equivalent(self, anchor, direction, params):
+        a = TrochoidSpec(*params)
+        b = TrochoidSpec(*params, point_xy(*anchor), Turn(direction))
+        r = classify(a, b)
+        assert r.verdict == "Equivalent"
+        assert replay(r.witness, derive_coloring(a)) == derive_coloring(b)
+
+    def test_orbit_states_equivalent(self):
+        base = dict(anchor=point_xy(Fraction(1, 2), -1), direction=Turn(1, 4),
+                    side=Fraction(3, 2), chirality=-1)
+        for (p, q) in [(2, 3), (3, 2), (3, 4), (4, 3), (3, 5)]:
+            for k in range(1, p):
+                for l in range(1, q):
+                    s = TrochoidSpec(p, q, k, l, **base)
+                    for state, word in orbit_bfs(s, 4):
+                        r = classify(s, state, verify_witness=False)
+                        assert r.verdict == "Equivalent" and r.witness == word
+                        group_word = _group_witness(s, state)
+                        assert same_trochoid(replay_spec(group_word, s), state)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_even_verdict_is_lattice_membership(self, data):
+        a = data.draw(st.sampled_from(
+            [s for s in grid_specs() if s.p_prime * s.q_prime % 2 == 0]
+        ))
+        a = TrochoidSpec(
+            a.p, a.q, a.k, a.l,
+            point_xy(data.draw(st.fractions(-2, 2, max_denominator=3)), 1),
+            Turn(data.draw(st.integers(0, 11)), 12),
+            data.draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)])),
+            data.draw(st.sampled_from([1, -1])),
+        )
+        lat = lattice_for(a)
+        gens = lattice_generators(lat)
+        terms = data.draw(st.lists(
+            st.tuples(st.integers(0, lat.level - 1), st.integers(-2, 2)), max_size=2
+        ))
+        step = sum((gens[s] * c for s, c in terms), Cyc.zero())
+        if data.draw(st.booleans()):
+            step = step + gens[0] / 2
+        anchor = lat.base_point + step * lat.side
+        offset = Turn(data.draw(st.integers(0, 2 * lat.level - 1)), 2 * lat.level)
+        b = TrochoidSpec(a.p, a.q, a.k, a.l, anchor, lat.base_direction + offset, a.side)
+        r = classify(a, b, verify_witness=False)
+        in_lattice = lattice_contains(lat, anchor) and offset.fraction * lat.level % 1 == 0
+        assert (r.verdict == "Equivalent") == in_lattice
+        if in_lattice:
+            assert same_trochoid(replay_spec(r.witness, a), b)
+        else:
+            assert r.reason == LATTICE_MISMATCH
 
 
 class TestSerialization:
