@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -37,7 +38,7 @@ from .exactnum import (
 )
 from .geom import ORIGIN, fmt12, point_xy
 from .quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
-from .render import RenderConfig, render_trochoid_svg
+from .render import render_trochoid_svg
 from .trochoid import (
     TrochoidSpec,
     classify,
@@ -85,16 +86,24 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _spec_from_args(args) -> TrochoidSpec:
+def _spec_from_args(args, prefix: str) -> TrochoidSpec:
+    """The spec of the flags whose names start with prefix: "" for spec a,
+    "b_" for the `--b-*` flags of spec b, each of which, when absent,
+    takes spec a's value."""
+
+    def flag(name: str):
+        value = getattr(args, prefix + name)
+        return getattr(args, name) if value is None else value
+
     return TrochoidSpec(
         args.p,
         args.q,
-        args.k,
-        args.l,
-        parse_anchor(args.anchor),
-        parse_turn(args.direction),
-        parse_fraction(args.side),
-        args.chirality,
+        flag("k"),
+        flag("l"),
+        parse_anchor(flag("anchor")),
+        parse_turn(flag("direction")),
+        parse_fraction(flag("side")),
+        flag("chirality"),
     )
 
 
@@ -116,6 +125,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_enumerate(p: int, q: int) -> dict:
     """One row per (k, l): turn, reduced types, parity, and both weights."""
+    build_diagram(p, q)
     rows = []
     for k in range(1, abs(p)):
         for l in range(1, abs(q)):
@@ -194,38 +204,16 @@ def _random_rot(rng: random.Random) -> RotElem:
     return RotElem(center, Turn(rng.randrange(1, den), den))
 
 
-def _suite_axioms(args) -> list[tuple[str, bool, str]]:
-    checks = []
-    for n in (3, 5, 7):
-        quandle = DihedralQuandle(n)
-        elems = quandle.elements()
-        ok1 = all(quandle.op(x, x) == x for x in elems)
-        ok2 = all(
-            quandle.op(quandle.inv_op(x, y), y) == x
-            and quandle.inv_op(quandle.op(x, y), y) == x
-            for x in elems
-            for y in elems
-        )
-        ok3 = all(
-            quandle.op(quandle.op(x, y), z)
-            == quandle.op(quandle.op(x, z), quandle.op(y, z))
-            for x in elems
-            for y in elems
-            for z in elems
-        )
-        checks.append((f"axioms.dihedral-{n}.Q1", ok1, "x*x != x"))
-        checks.append((f"axioms.dihedral-{n}.Q2", ok2, "inverse operation failed"))
-        checks.append((f"axioms.dihedral-{n}.Q3", ok3, "self-distributivity failed"))
-    rng = random.Random(20240822)
-    triples = [
-        (_random_rot(rng), _random_rot(rng), _random_rot(rng)) for _ in range(500)
-    ]
-    bad1 = next((x for (x, _, _) in triples if ROT.op(x, x) != x), None)
+def _axiom_checks(name: str, quandle, triples) -> list[tuple[str, bool, str]]:
+    """Quandle axioms Q1-Q3 over the given (x, y, z) triples, each with
+    its first counterexample."""
+    op, inv = quandle.op, quandle.inv_op
+    bad1 = next((x for (x, _, _) in triples if op(x, x) != x), None)
     bad2 = next(
         (
             (x, y)
             for (x, y, _) in triples
-            if ROT.op(ROT.inv_op(x, y), y) != x or ROT.inv_op(ROT.op(x, y), y) != x
+            if op(inv(x, y), y) != x or inv(op(x, y), y) != x
         ),
         None,
     )
@@ -233,14 +221,27 @@ def _suite_axioms(args) -> list[tuple[str, bool, str]]:
         (
             (x, y, z)
             for (x, y, z) in triples
-            if ROT.op(ROT.op(x, y), z) != ROT.op(ROT.op(x, z), ROT.op(y, z))
+            if op(op(x, y), z) != op(op(x, z), op(y, z))
         ),
         None,
     )
-    checks.append(("axioms.rot.Q1", bad1 is None, f"counterexample {bad1}"))
-    checks.append(("axioms.rot.Q2", bad2 is None, f"counterexample {bad2}"))
-    checks.append(("axioms.rot.Q3", bad3 is None, f"counterexample {bad3}"))
-    return checks
+    return [
+        (f"axioms.{name}.Q{i}", bad is None, f"counterexample {bad}")
+        for i, bad in enumerate((bad1, bad2, bad3), 1)
+    ]
+
+
+def _suite_axioms(args) -> list[tuple[str, bool, str]]:
+    checks = []
+    for n in (3, 5, 7):
+        quandle = DihedralQuandle(n)
+        triples = list(itertools.product(quandle.elements(), repeat=3))
+        checks += _axiom_checks(f"dihedral-{n}", quandle, triples)
+    rng = random.Random(20240822)
+    triples = [
+        (_random_rot(rng), _random_rot(rng), _random_rot(rng)) for _ in range(500)
+    ]
+    return checks + _axiom_checks("rot", ROT, triples)
 
 
 def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
@@ -418,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("render", help="write an SVG of the trochoid diagram")
     add_spec_flags(sp)
     sp.add_argument("--format", choices=("svg",), default="svg")
-    sp.add_argument("--size", type=int, default=640, help="canvas width in pixels")
+    sp.add_argument(
+        "--size", type=positive_int, default=640, help="canvas width in pixels"
+    )
     sp.add_argument("--out")
 
     return parser
@@ -436,17 +439,8 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return 0
         if args.command == "classify":
-            spec_a = _spec_from_args(args)
-            spec_b = TrochoidSpec(
-                args.p,
-                args.q,
-                args.b_k if args.b_k is not None else args.k,
-                args.b_l if args.b_l is not None else args.l,
-                parse_anchor(args.b_anchor or args.anchor),
-                parse_turn(args.b_direction or args.direction),
-                parse_fraction(args.b_side or args.side),
-                args.b_chirality if args.b_chirality is not None else args.chirality,
-            )
+            spec_a = _spec_from_args(args, "")
+            spec_b = _spec_from_args(args, "b_")
             data, code = cmd_classify(spec_a, spec_b)
             _write_output(_dump_json(data), args.out)
             return code
@@ -455,13 +449,11 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return code
         if args.command == "render":
-            spec = _spec_from_args(args)
-            config = RenderConfig(size=args.size)
-            svg = render_trochoid_svg(spec, config)
+            svg = render_trochoid_svg(_spec_from_args(args, ""), args.size)
             _write_output(svg, args.out)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, LevelError, BudgetError, OSError) as exc:
+    except (ValueError, OverflowError, LevelError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

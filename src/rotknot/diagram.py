@@ -49,10 +49,6 @@ class Crossing:
     def under_out(self) -> Arc:
         return self.arc_xy if self.sign > 0 else self.arc_x
 
-    @property
-    def over(self) -> Arc:
-        return self.arc_over
-
 
 @dataclass(frozen=True)
 class TorusDiagram:
@@ -306,12 +302,15 @@ def switch_generic(c: Coloring) -> Coloring:
     return Coloring(nd, c.quandle, new_colors)
 
 
-def coloring_orbit(c: Coloring, node_budget: int = 10_000) -> list[Coloring]:
+ORBIT_BUDGET = 10_000
+
+
+def coloring_orbit(c: Coloring) -> list[Coloring]:
     """Closure of a coloring under shift and switch, in discovery order.
 
     Explores both diagram sides but returns only the colorings living on
     the starting diagram, i.e. those reached by an even number of
-    switches.  Finite for finite quandles; guarded by node_budget.
+    switches.  Finite for finite quandles; guarded by ORBIT_BUDGET.
     """
     start_side = (c.diagram.p, c.diagram.q)
     seen: dict[Coloring, None] = {c: None}
@@ -322,8 +321,8 @@ def coloring_orbit(c: Coloring, node_budget: int = 10_000) -> list[Coloring]:
             nxt = move(cur)
             if nxt in seen:
                 continue
-            if len(seen) >= node_budget:
-                raise BudgetError(f"coloring orbit exceeded {node_budget} states")
+            if len(seen) >= ORBIT_BUDGET:
+                raise BudgetError(f"coloring orbit exceeded {ORBIT_BUDGET} states")
             seen[nxt] = None
             queue.append(nxt)
     return [x for x in seen if (x.diagram.p, x.diagram.q) == start_side]

@@ -626,14 +626,12 @@ def turn_to_root(turn: Turn, level: int | None = None) -> Cyc:
 # exhaustive unit scan (desk-scale check of the root-of-unity proposition)
 
 
-def enumerate_unit_elements(
-    level: int,
-    bound: int,
-    *,
-    max_level: int = 12,
-    max_bound: int = 3,
-    max_boxsize: int = 5_000_000,
-) -> list[Cyc]:
+UNIT_MAX_LEVEL = 12
+UNIT_MAX_BOUND = 3
+UNIT_MAX_BOX = 5_000_000
+
+
+def enumerate_unit_elements(level: int, bound: int) -> list[Cyc]:
     """All algebraic integers with |a|^2 = 1 reachable from coefficient
     tuples (c_0, ..., c_{level-1}) with |c_e| <= bound.
 
@@ -645,10 +643,10 @@ def enumerate_unit_elements(
     """
     if level < 1 or bound < 1:
         raise ValueError("level and bound must be positive")
-    if level > max_level or bound > max_bound:
+    if level > UNIT_MAX_LEVEL or bound > UNIT_MAX_BOUND:
         raise BudgetError(
             f"enumerate_unit_elements(level={level}, bound={bound}) exceeds "
-            f"budget (max_level={max_level}, max_bound={max_bound})"
+            f"budget (max_level={UNIT_MAX_LEVEL}, max_bound={UNIT_MAX_BOUND})"
         )
     d = _phi(level)
     table = _power_table(level)
@@ -656,9 +654,9 @@ def enumerate_unit_elements(
     size = 1
     for r in radii:
         size *= 2 * r + 1
-    if size > max_boxsize:
+    if size > UNIT_MAX_BOX:
         raise BudgetError(
-            f"canonical scan box has {size} tuples, over the {max_boxsize} cap"
+            f"canonical scan box has {size} tuples, over the {UNIT_MAX_BOX} cap"
         )
     # |a|^2 in coordinates: sum over basis pairs of c_i c_j zeta^(i-j)
     delta_rows = [table[(i) % level] for i in range(-(d - 1), d)]

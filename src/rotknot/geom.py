@@ -48,9 +48,9 @@ def point_from_json(data: dict) -> Point:
     return cyc_from_json(data["value"])
 
 
-def rotate(z: Point, center: Point, t: Turn, level: int | None = None) -> Point:
+def rotate(z: Point, center: Point, t: Turn) -> Point:
     """Exact image of z under rotation about center by the turn t."""
-    return (z - center) * turn_to_root(t, level) + center
+    return (z - center) * turn_to_root(t) + center
 
 
 @dataclass(frozen=True)
@@ -111,32 +111,18 @@ def signed_area_tri(x: Point, y: Point, z: Point) -> AreaValue:
     return AreaValue(a.conj() * b - a * b.conj())
 
 
-def signed_area_polygon(
-    vertices: list[Point], o: Point | None = None, *, debug: bool = False
-) -> AreaValue:
+def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> AreaValue:
     """Sum of triangle areas fanned from o over the closed vertex cycle.
 
-    The value does not depend on o; with debug=True this is verified by
-    recomputing from a second base point.
+    The value does not depend on o.
     """
     if len(vertices) < 2:
         raise ValueError("polygon needs at least 2 vertices")
-    if o is None:
-        o = ORIGIN
-
-    def fan(base: Point) -> AreaValue:
-        total = AREA_ZERO
-        m = len(vertices)
-        for i in range(m):
-            total = total + signed_area_tri(base, vertices[i], vertices[(i + 1) % m])
-        return total
-
-    out = fan(o)
-    if debug:
-        alt = fan(o + 1 + Cyc.imag_unit())
-        if alt != out:
-            raise AssertionError("fan sum depends on the base point")
-    return out
+    total = AREA_ZERO
+    m = len(vertices)
+    for i in range(m):
+        total = total + signed_area_tri(o, vertices[i], vertices[(i + 1) % m])
+    return total
 
 
 def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> AreaValue:
@@ -179,9 +165,6 @@ class PolygonSpec:
         from math import gcd
 
         return self.m // gcd(self.m, self.k)
-
-    def vertex(self, j: int) -> Point:
-        return polygon_vertices(self)[j % self.m]
 
 
 def polygon_vertices(spec: PolygonSpec) -> list[Point]:

@@ -8,8 +8,6 @@ digits and no randomness or system state enters the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geom import fmt12, polygon_vertices
 from .trochoid import TrochoidSpec, build_trochoid
 
@@ -23,18 +21,11 @@ PALETTE = (
     "#7f8c8d",
     "#f39c12",
 )
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """Canvas and styling knobs; defaults draw a readable figure."""
-
-    size: int = 640
-    stroke_base: float = 0.035
-    stroke_moving: float = 0.018
-    base_color: str = "#111111"
-    moving_palette: tuple[str, ...] = PALETTE
-    vertex_radius: float = 0.045
+BASE_COLOR = "#111111"
+# stroke widths and vertex radius, as fractions of the side length
+STROKE_BASE = 0.035
+STROKE_MOVING = 0.018
+VERTEX_RADIUS = 0.045
 
 
 def _corners(points: list[complex]) -> tuple[float, float, float, float]:
@@ -43,15 +34,15 @@ def _corners(points: list[complex]) -> tuple[float, float, float, float]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _poly(points: list[complex], color: str, width: float, extra: str = "") -> str:
+def _poly(points: list[complex], color: str, width: float) -> str:
     coords = " ".join(f"{fmt12(z.real)},{fmt12(z.imag)}" for z in points)
     return (
         f'<polygon points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="{fmt12(width)}" stroke-linejoin="round"{extra}/>'
+        f'stroke-width="{fmt12(width)}" stroke-linejoin="round"/>'
     )
 
 
-def render_trochoid_svg(spec: TrochoidSpec, config: RenderConfig = RenderConfig()) -> str:
+def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
     """The full trochoid diagram as a standalone SVG document string."""
     rows = build_trochoid(spec)
     base = polygon_vertices(spec.polygon_q)
@@ -69,26 +60,23 @@ def render_trochoid_svg(spec: TrochoidSpec, config: RenderConfig = RenderConfig(
     height = y1 - y0 or 1.0
     pad_x, pad_y = 0.05 * width, 0.05 * height
     vb = (x0 - pad_x, y0 - pad_y, width + 2 * pad_x, height + 2 * pad_y)
-    pixel_h = config.size * vb[3] / vb[2]
+    pixel_h = size * vb[3] / vb[2]
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{config.size}" height="{fmt12(pixel_h)}" '
+        f'width="{size}" height="{fmt12(pixel_h)}" '
         f'viewBox="{fmt12(vb[0])} {fmt12(vb[1])} {fmt12(vb[2])} {fmt12(vb[3])}">',
         f"<!-- trochoid p={spec.p} q={spec.q} k={spec.k} l={spec.l} "
         f"chirality={spec.chirality} -->",
     ]
-    palette = config.moving_palette
     for i, row in enumerate(row_pts):
-        color = palette[i % len(palette)]
-        lines.append(_poly(row, color, config.stroke_moving * float(spec.side)))
-    lines.append(
-        _poly(base_pts, config.base_color, config.stroke_base * float(spec.side))
-    )
-    r = fmt12(config.vertex_radius * float(spec.side))
+        color = PALETTE[i % len(PALETTE)]
+        lines.append(_poly(row, color, STROKE_MOVING * float(spec.side)))
+    lines.append(_poly(base_pts, BASE_COLOR, STROKE_BASE * float(spec.side)))
+    r = fmt12(VERTEX_RADIUS * float(spec.side))
     for z in base_pts:
         lines.append(
             f'<circle cx="{fmt12(z.real)}" cy="{fmt12(z.imag)}" r="{r}" '
-            f'fill="{config.base_color}"/>'
+            f'fill="{BASE_COLOR}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -89,10 +89,7 @@ class TrochoidSpec:
     chirality: int = 1
 
     def __post_init__(self):
-        if abs(self.p) < 2 or abs(self.q) < 2:
-            raise ValueError("need |p|, |q| >= 2")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not coprime")
+        build_diagram(self.p, self.q)
         if not 1 <= self.k <= abs(self.p) - 1:
             raise ValueError(f"k={self.k} outside [1, {abs(self.p) - 1}]")
         if not 1 <= self.l <= abs(self.q) - 1:
@@ -184,15 +181,16 @@ def session_level(spec: TrochoidSpec) -> int:
 
     lcm(2 p'q', |p|, |q|, 4) joined with the denominators already present
     in the spec's anchor and direction.  Capped by QT_SESSION_LEVEL_CAP.
+    Read off the stored fields, so the cap is checked before any
+    cyclotomic arithmetic; the 4 covers the half turn of chirality -1.
     """
-    _, d = spec.resolved()
     level = lcm(
         2 * spec.p_prime * spec.q_prime,
         spec.abs_p,
         spec.abs_q,
         4,
         spec.anchor.level,
-        d.denominator,
+        spec.direction.denominator,
     )
     cap = int(os.environ.get("QT_SESSION_LEVEL_CAP", DEFAULT_LEVEL_CAP))
     if level > cap:
@@ -603,9 +601,10 @@ class ClassificationResult:
         return out
 
 
-def _bfs_witness(a: TrochoidSpec, b: TrochoidSpec, max_moves: int) -> MoveSeq | None:
+def _bfs_witness(
+    a: TrochoidSpec, b: TrochoidSpec, max_moves: int, level: int
+) -> MoveSeq | None:
     """A shortest word of at most max_moves moves carrying a to b, or None."""
-    level = lcm(session_level(a), session_level(b))
     target = _bfs_key(b, level)
     for key, _, word in _bfs(a, max_moves, level):
         if key == target:
@@ -633,10 +632,10 @@ def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
     power of F turns to b's direction.
     """
     n = a.p_prime * a.q_prime
-    a0, d0 = a.resolved()
+    lat = lattice_for(a)
     b0, d1 = b.resolved()
-    turns = (d1 - d0).fraction * n
-    x = (b0 - a0) * turn_to_root(d0).conj() / a.side
+    turns = (d1 - lat.base_direction).fraction * n
+    x = _lattice_coordinate(lat, b0)
     if turns.denominator != 1 or not x.is_integral():
         return None
     level, coeffs = x.min_form()
@@ -660,12 +659,11 @@ def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
     return MoveSeq(tuple(word))
 
 
-def classify(
-    a: TrochoidSpec, b: TrochoidSpec, *, verify_witness: bool = True
-) -> ClassificationResult:
+def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
     """Decide whether the colorings of a and b are R-equivalent.
 
-    Necessary conditions first: same (k, l) and same side length.  When
+    Necessary conditions first: same (k, l) and same side length; then
+    both session levels are checked against the cap.  When
     p'q' is even, membership in the move group decides the question
     (it coincides with the anchor-lattice and direction test); the word
     is a shortest one when one of at most 4 moves exists, and the
@@ -681,16 +679,17 @@ def classify(
     if a.side != b.side:
         return ClassificationResult("NotEquivalent", reason=SIDE_MISMATCH)
 
+    level = lcm(session_level(a), session_level(b))
     pq = a.p_prime * a.q_prime
     if pq % 2 == 0:
         group_word = _group_witness(a, b)
         if group_word is None:
             return ClassificationResult("NotEquivalent", reason=LATTICE_MISMATCH)
-        witness = _bfs_witness(a, b, 4)
+        witness = _bfs_witness(a, b, 4, level)
         if witness is None:
             witness = group_word
     else:
-        witness = _bfs_witness(a, b, 12)
+        witness = _bfs_witness(a, b, 12, level)
         if witness is None:
             v_sigma, v_tau = v_sets_sigma_tau(a)
             note = (
@@ -699,7 +698,7 @@ def classify(
                 f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
             )
             return ClassificationResult("Undetermined", note=note)
-    if verify_witness and replay(witness, derive_coloring(a)) != derive_coloring(b):
+    if replay(witness, derive_coloring(a)) != derive_coloring(b):
         raise ContradictionError("witness replay failed")
     return ClassificationResult("Equivalent", witness=witness)
 

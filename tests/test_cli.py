@@ -1,11 +1,15 @@
 """Tests for the command-line front end: outputs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotknot.cli import (
     EXIT_EQUIVALENT,
@@ -76,6 +80,12 @@ class TestEnumerate:
             ["classify", "--p", "3", "--q", "2", "--b-anchor", "1/0,0"],
             ["classify", "--p", "3", "--q", "2", "--b-direction", "1/0"],
             ["classify", "--p", "3", "--q", "2", "--b-side", "2/0"],
+            ["classify", "--p", "3", "--q", "2", "--b-direction", "1/1009"],
+            ["render", "--p", "3", "--q", "2", "--side", "1e400"],
+            ["render", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
+            ["classify", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
+            ["enumerate", "--p", "0", "--q", "3"],
+            ["enumerate", "--p", "1", "--q", "3"],
         ):
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
@@ -110,6 +120,27 @@ class TestClassify:
         assert code == EXIT_EQUIVALENT
         assert data["result"]["witness"] == ["shift"]
 
+    def test_level_cap_checked_before_arithmetic(self, capsys, monkeypatch):
+        from rotknot import exactnum
+
+        real = exactnum._power_table
+
+        def guarded(n):
+            if n > 240:
+                raise AssertionError(f"level-{n} power table built before the cap")
+            return real(n)
+
+        monkeypatch.setattr(exactnum, "_power_table", guarded)
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        for argv in (
+            ["classify", "--p", "3", "--q", "2", "--direction", "1/1009"],
+            ["classify", "--p", "3", "--q", "2", "--b-direction", "1/1009"],
+            ["render", "--p", "3", "--q", "2", "--direction", "1/1009",
+             "--chirality", "-1"],
+        ):
+            assert main(argv) == 2, argv
+            assert "session level 12108 exceeds cap 240" in capsys.readouterr().err
+
     def test_odd_chirality_exit_20(self, capsys):
         code = main(["classify", "--p", "3", "--q", "5", "--b-chirality", "-1"])
         data = json.loads(capsys.readouterr().out)
@@ -137,6 +168,8 @@ class TestVerify:
             ["verify", "orbit", "--depth", "-1"],
             ["verify", "appendix", "--level", "0"],
             ["verify", "appendix", "--bound", "0"],
+            ["render", "--p", "3", "--q", "2", "--size", "0"],
+            ["render", "--p", "3", "--q", "2", "--size", "-5"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -190,3 +223,78 @@ class TestDeterminism:
         a = run_cli(["verify", "axioms"], {"PYTHONHASHSEED": "5"})
         b = run_cli(["verify", "axioms"], {"PYTHONHASHSEED": "6"})
         assert a.stdout == b.stdout
+
+
+def _fraction(dens):
+    return st.builds("{}/{}".format, st.integers(-2, 2), dens)
+
+
+def _anchor(dens):
+    return st.builds("{},{}".format, _fraction(dens), _fraction(dens))
+
+
+_PAIRS = [(3, 2), (2, 3), (4, 3), (-3, 4), (5, 2), (3, -5), (5, 4)]
+# wider ranges, invalid values included; one flag per example uses them
+_WILD = {
+    "p": st.integers(-5, 5),
+    "q": st.integers(-5, 5),
+    "k": st.integers(-1, 6),
+    "l": st.integers(-1, 6),
+    "anchor": _anchor(st.integers(0, 3)),
+    "direction": st.builds("{}/{}".format, st.integers(0, 30), st.integers(0, 30)),
+    "side": st.sampled_from(["0", "-1", "-1/2", "1e400"]),
+    "size": st.integers(-2, 900),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An enumerate, render or classify command line with small valid
+    values, in half of the examples with one flag from a wider range."""
+    command = draw(st.sampled_from(["classify", "render", "enumerate"]))
+    p, q = draw(st.sampled_from(_PAIRS))
+    flags = {"p": p, "q": q}
+    if command != "enumerate":
+        spec = {
+            "k": st.integers(1, abs(p) - 1),
+            "l": st.integers(1, abs(q) - 1),
+            "anchor": _anchor(st.integers(1, 3)),
+            "direction": st.builds(
+                "{}/{}".format, st.integers(0, 11), st.sampled_from([1, 2, 4, 6, 12])
+            ),
+            "side": st.sampled_from(["1", "1/2", "3/2", "1e400"]),
+            "chirality": st.sampled_from([1, -1]),
+        }
+        flags.update({name: draw(values) for name, values in spec.items()})
+        if command == "render":
+            flags["size"] = draw(st.integers(1, 900))
+        else:
+            for name, values in spec.items():
+                if draw(st.booleans()):
+                    flags[f"b-{name}"] = draw(values)
+    if draw(st.booleans()):
+        name = draw(st.sampled_from([name for name in _WILD if name in flags]))
+        flags[name] = draw(_WILD[name])
+    return [command] + [f"--{name}={value}" for name, value in flags.items()]
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cli_argv())
+    def test_exit_codes(self, argv):
+        """Any command line exits 0, 2, 10 or 20; 2 always with an error
+        line, and 0 never with an empty table or canvas."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 10, 20), (argv, err.getvalue())
+        if code == 2:
+            assert "error:" in err.getvalue(), argv
+        text = out.getvalue()
+        if code == 0 and argv[0] == "enumerate":
+            assert text.count("\n") > 1 and '"rows": []' not in text, argv
+        if code == 0 and argv[0] == "render":
+            assert 'width="0"' not in text and 'width="-' not in text, argv

@@ -109,7 +109,7 @@ class TestSignedAreaPolygon:
 
     def test_debug_check_passes(self):
         verts = [ORIGIN, Cyc.one(), Cyc.imag_unit()]
-        assert signed_area_polygon(verts, debug=True) == signed_area_tri(*verts)
+        assert signed_area_polygon(verts) == signed_area_tri(*verts)
 
 
 class TestBoundaryCheck:

@@ -541,7 +541,7 @@ class TestClassifyByGroup:
                 for l in range(1, q):
                     s = TrochoidSpec(p, q, k, l, **base)
                     for state, word in orbit_bfs(s, 4):
-                        r = classify(s, state, verify_witness=False)
+                        r = classify(s, state)
                         assert r.verdict == "Equivalent" and r.witness == word
                         group_word = _group_witness(s, state)
                         assert same_trochoid(replay_spec(group_word, s), state)
@@ -570,7 +570,7 @@ class TestClassifyByGroup:
         anchor = lat.base_point + step * lat.side
         offset = Turn(data.draw(st.integers(0, 2 * lat.level - 1)), 2 * lat.level)
         b = TrochoidSpec(a.p, a.q, a.k, a.l, anchor, lat.base_direction + offset, a.side)
-        r = classify(a, b, verify_witness=False)
+        r = classify(a, b)
         in_lattice = lattice_contains(lat, anchor) and offset.fraction * lat.level % 1 == 0
         assert (r.verdict == "Equivalent") == in_lattice
         if in_lattice:
