@@ -20,6 +20,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .diagram import (
     build_diagram,
@@ -41,6 +42,7 @@ from .quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
 from .render import render_trochoid_svg
 from .trochoid import (
     TrochoidSpec,
+    check_level_cap,
     classify,
     derive_coloring,
     orbit_bfs,
@@ -126,6 +128,7 @@ def _write_output(text: str, out: str | None) -> None:
 def cmd_enumerate(p: int, q: int) -> dict:
     """One row per (k, l): turn, reduced types, parity, and both weights."""
     build_diagram(p, q)
+    check_level_cap(lcm(abs(p), abs(q)))
     rows = []
     for k in range(1, abs(p)):
         for l in range(1, abs(q)):

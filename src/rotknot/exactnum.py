@@ -9,6 +9,10 @@ zeta_N = zeta_L^(L/N).
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
+
+`Cyc.min_form` finds the least level holding a value one prime p | N at
+a time; `Cyc.inverse` divides the product of the other Galois conjugates
+by the rational norm.
 """
 
 from __future__ import annotations
@@ -116,8 +120,7 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
@@ -262,13 +265,16 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the cyclotomic polynomial."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates divided by the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        inv = _poly_modinv(list(self.coeffs), mod)
-        return Cyc._raw(self.level, _reduce(self.level, dict(enumerate(inv))))
+        n = self.level
+        others = _ONE.lift(n)
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                others = others * self.galois(j)
+        return others / (self * others).as_fraction()
 
     def __truediv__(self, other) -> "Cyc":
         if isinstance(other, (int, Fraction)):
@@ -447,106 +453,51 @@ def _reduce(n: int, terms: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _poly_modinv(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo mod in Q[x]; mod is irreducible here."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_(num, den):
-        num = list(num)
-        q = [ZERO] * max(1, len(num) - len(den) + 1)
-        for i in range(len(num) - len(den), -1, -1):
-            c = num[i + len(den) - 1] / den[-1]
-            q[i] = c
-            if c:
-                for j, dj in enumerate(den):
-                    num[i + j] -= c * dj
-        return trim(q), trim(num)
-
-    r0, r1 = list(mod), trim([Fraction(c) for c in a])
-    s0, s1 = [ZERO], [ONE]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        prod = [ZERO] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        new = [
-            (s0[i] if i < len(s0) else ZERO) - (prod[i] if i < len(prod) else ZERO)
-            for i in range(max(len(s0), len(prod), 1))
-        ]
-        s0, s1 = s1, trim(new)
-    if len(r0) != 1:
-        raise ZeroDivisionError("value shares a factor with the modulus")
-    return [c / r0[0] for c in s0]
-
-
 # ---------------------------------------------------------------------------
 # descent to the minimal level
 
 
 def _descend(a: Cyc) -> tuple[int, tuple[Fraction, ...]]:
-    n = a.level
-    support = [e for e, c in enumerate(a.coeffs) if c]
-    if not support:
-        return (1, (ZERO,))
-    if support == [0]:
+    """Walk a down one prime at a time.  The levels holding a value are
+    closed under gcd, so the walk ends at the least one in any order."""
+    if a.is_rational():
         return (1, (a.coeffs[0],))
-    units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
-    for cand in _divisors(n):
-        if cand == n:
-            return (n, a.coeffs)
-        fixed = all(
-            a.galois(j) == a for j in units if j % cand == 1 and j != 1
-        )
-        if fixed:
-            coeffs = _subfield_coords(a, cand)
-            if coeffs is not None:
-                return (cand, coeffs)
-    return (n, a.coeffs)
+    while True:
+        for p in _prime_factors(a.level):
+            down = _drop_prime(a, p)
+            if down is not None:
+                a = down
+                break
+        else:
+            return (a.level, a.coeffs)
 
 
-def _subfield_coords(a: Cyc, sub: int) -> tuple[Fraction, ...] | None:
-    """Coordinates of a in the power basis of level sub, or None."""
-    n, d = a.level, _phi(sub)
-    step = n // sub
-    basis = [
-        _reduce(n, {(t * step) % n: ONE}) for t in range(d)
-    ]
-    # solve sum_t x_t basis[t] = a.coeffs by exact Gaussian elimination
-    rows = _phi(n)
-    mat = [[basis[t][r] for t in range(d)] + [a.coeffs[r]] for r in range(rows)]
-    piv = 0
-    for col in range(d):
-        sel = next((r for r in range(piv, rows) if mat[r][col]), None)
-        if sel is None:
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    return tuple(p for p in _divisors(n)[1:] if all(p % d for d in range(2, p)))
+
+
+def _drop_prime(a: Cyc, p: int) -> Cyc | None:
+    """a at level n/p when it lies in Q(zeta_(n/p)), else None."""
+    n = a.level
+    m = n // p
+    if m % p == 0:
+        # zeta_n^p = zeta_m and Phi_n(x) = Phi_m(x^p)
+        if any(c for e, c in enumerate(a.coeffs) if e % p):
             return None
-        mat[piv], mat[sel] = mat[sel], mat[piv]
-        lead = mat[piv][col]
-        mat[piv] = [v / lead for v in mat[piv]]
-        for r in range(rows):
-            if r != piv and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[piv])]
-        piv += 1
-    sol = [ZERO] * d
-    row = 0
-    for col in range(d):
-        sol[col] = mat[row][d]
-        row += 1
-    for r in range(row, rows):
-        if mat[r][d]:
-            return None
-    # verify (cheap, guards pivot bookkeeping)
-    back = Cyc.from_terms(n, {t * step: c for t, c in enumerate(sol)})
-    if back != a:
+        return Cyc._raw(m, a.coeffs[::p])
+    # zeta_n = zeta_m^u zeta_p^v splits a = sum_r alpha_r zeta_p^r over
+    # Q(zeta_m); as 1, zeta_p, ..., zeta_p^(p-2) are independent there, a
+    # lies in Q(zeta_m) iff alpha_1 = ... = alpha_(p-1)
+    u, v = pow(p, -1, m), pow(m, -1, p)
+    buckets: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    for e, c in enumerate(a.coeffs):
+        if c:
+            buckets[e * v % p][e * u % m] = c
+    alpha = [Cyc.from_terms(m, b) for b in buckets]
+    if any(x.coeffs != alpha[1].coeffs for x in alpha[2:]):
         return None
-    return tuple(sol)
+    return alpha[0] - alpha[-1]
 
 
 # ---------------------------------------------------------------------------

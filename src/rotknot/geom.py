@@ -103,12 +103,11 @@ AREA_ZERO = AreaValue(Cyc.zero())
 def signed_area_tri(x: Point, y: Point, z: Point) -> AreaValue:
     """Signed area of the triangle (x, y, z), positive counterclockwise.
 
-    4i * area = conj(y-x)*(z-x) - (y-x)*conj(z-x); for (0, 1, i) this
+    4i * area = t - conj(t) with t = conj(y-x)*(z-x); for (0, 1, i) this
     gives scaled 2i, area +1/2.  Degenerate triangles give exact zero.
     """
-    a = y - x
-    b = z - x
-    return AreaValue(a.conj() * b - a * b.conj())
+    t = (y - x).conj() * (z - x)
+    return AreaValue(t - t.conj())
 
 
 def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> AreaValue:

@@ -192,6 +192,11 @@ def session_level(spec: TrochoidSpec) -> int:
         spec.anchor.level,
         spec.direction.denominator,
     )
+    return check_level_cap(level)
+
+
+def check_level_cap(level: int) -> int:
+    """The level itself; LevelError when it exceeds QT_SESSION_LEVEL_CAP."""
     cap = int(os.environ.get("QT_SESSION_LEVEL_CAP", DEFAULT_LEVEL_CAP))
     if level > cap:
         raise LevelError(

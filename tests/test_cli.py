@@ -140,6 +140,8 @@ class TestClassify:
         ):
             assert main(argv) == 2, argv
             assert "session level 12108 exceeds cap 240" in capsys.readouterr().err
+        assert main(["enumerate", "--p", "1009", "--q", "1013"]) == 2
+        assert "session level 1022117 exceeds cap 240" in capsys.readouterr().err
 
     def test_odd_chirality_exit_20(self, capsys):
         code = main(["classify", "--p", "3", "--q", "5", "--b-chirality", "-1"])

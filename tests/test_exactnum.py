@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotknot.exactnum import (
     BudgetError,
@@ -94,7 +96,7 @@ class TestArithmetic:
     def test_inverse(self):
         rng = random.Random(20240811)
         for _ in range(60):
-            level = rng.choice([3, 4, 5, 6, 8, 12, 24])
+            level = rng.choice([3, 4, 5, 6, 8, 12, 15, 24, 30, 60])
             a = rand_cyc(rng, level)
             if a.is_zero():
                 continue
@@ -168,6 +170,40 @@ class TestMinimalForm:
         level, _ = s.min_form()
         assert level == 12  # minimal CYCLOTOMIC level is still 12
         assert s.abs_sq() == Cyc.rational(3)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.dictionaries(
+                    st.integers(0, m - 1),
+                    st.fractions(-3, 3, max_denominator=3),
+                    max_size=4,
+                ),
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_min_form_is_least_level(self, drawn, k):
+        m, terms = drawn
+        x = Cyc.from_terms(m, terms)
+        assert x.lift(m * k).min_form() == x.min_form()
+        y = Cyc(*x.min_form())
+        assert y == x
+        # L = y.level is least iff for each prime p | L the group
+        # Gal(Q(zeta_L)/Q(zeta_(L/p))) = {j = 1 mod L/p} moves y
+        least = y.level
+        primes = [
+            p for p in range(2, least + 1)
+            if least % p == 0 and all(p % d for d in range(2, p))
+        ]
+        for p in primes:
+            assert any(
+                y.galois(j) != y
+                for j in range(1, least, least // p)
+                if math.gcd(j, least) == 1
+            ), (least, p)
 
 
 class TestEmbed:
