@@ -10,6 +10,13 @@ zeta_N = zeta_L^(L/N).
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
 
+A `Cyc` stores its coordinates as integer numerators `num` over one
+positive denominator `den` with gcd(den, *num) == 1; zero has `den`
+1.  So `den` is the least positive integer taking the value into
+Z[zeta], equal values at one level have identical `(num, den)`, and
+lifting or a Galois action leaves `den` unchanged.  `Fraction` is
+used only where values enter or leave (`coeffs`, `min_form`, JSON).
+
 `Cyc.min_form` finds the least level holding a value one prime p | N at
 a time; `Cyc.inverse` divides the product of the other Galois conjugates
 by the rational norm.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,10 +57,6 @@ class ContradictionError(RuntimeError):
     unity within its guaranteed order bound.  Reaching this is a bug
     (or a disproof), never a data error.
     """
-
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,33 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (slot, coefficient) pairs of zeta_n^e for
+    phi(n) <= e < max(n, 2 phi(n) - 1): the exponents below n, and those
+    of a product of two canonical values."""
+    table = _power_table(n)
+    d = _phi(n)
+    return tuple(
+        tuple((i, t) for i, t in enumerate(table[e % n]) if t)
+        for e in range(d, max(n, 2 * d - 1))
+    )
+
+
+def _fold(n: int, acc: list[int]) -> list[int]:
+    """Reduce acc (acc[e] the coefficient of zeta_n^e) in place to its
+    phi(n) canonical coordinates."""
+    d = _phi(n)
+    rows = _fold_rows(n)
+    for e in range(d, len(acc)):
+        c = acc[e]
+        if c:
+            for i, t in rows[e - d]:
+                acc[i] += c * t
+    del acc[d:]
+    return acc
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -139,9 +170,16 @@ class Cyc:
     Construct from a coefficient sequence for powers zeta^0, zeta^1, ...
     (any length up to the level; exponents are taken mod the level) or
     via the helpers `cyc_root`, `Cyc.rational`, `Cyc.imag_unit`.
+
+    The coordinates are the integers `num` over the positive integer
+    `den`, with gcd(den, *num) == 1 and zero stored with den == 1:
+
+    >>> x = Cyc(3, [Fraction(1, 2), Fraction(-2, 3)])
+    >>> x.num, x.den
+    ((3, -4), 6)
     """
 
-    __slots__ = ("level", "coeffs", "_minform")
+    __slots__ = ("level", "num", "den", "_minform")
 
     def __init__(self, level: int, coeffs: Iterable[Fraction | int]):
         if level < 1:
@@ -149,8 +187,10 @@ class Cyc:
         vals = [Fraction(c) for c in coeffs]
         if len(vals) > level:
             raise ValueError("more coefficients than the level allows")
+        num, den = _from_fractions(level, enumerate(vals))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", _reduce(level, dict(enumerate(vals))))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_minform", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -159,10 +199,11 @@ class Cyc:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _raw(level: int, canonical: tuple[Fraction, ...]) -> "Cyc":
+    def _raw(level: int, num: tuple[int, ...], den: int) -> "Cyc":
         out = object.__new__(Cyc)
         object.__setattr__(out, "level", level)
-        object.__setattr__(out, "coeffs", canonical)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
         object.__setattr__(out, "_minform", None)
         return out
 
@@ -170,12 +211,14 @@ class Cyc:
     def from_terms(level: int, terms: Mapping[int, Fraction | int]) -> "Cyc":
         """Build from a sparse {exponent: coefficient} mapping."""
         return Cyc._raw(
-            level, _reduce(level, {e: Fraction(c) for e, c in terms.items()})
+            level,
+            *_from_fractions(level, ((e, Fraction(c)) for e, c in terms.items())),
         )
 
     @staticmethod
     def rational(value: Fraction | int) -> "Cyc":
-        return Cyc._raw(1, (Fraction(value),))
+        f = Fraction(value)
+        return Cyc._raw(1, (f.numerator,), f.denominator)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -189,6 +232,12 @@ class Cyc:
     def imag_unit() -> "Cyc":
         return _I
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The canonical coordinates as fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     # -- level handling ------------------------------------------------------
 
     def lift(self, level: int) -> "Cyc":
@@ -201,9 +250,12 @@ class Cyc:
                 required_level=lcm(level, self.level),
             )
         step = level // self.level
-        return Cyc.from_terms(
-            level, {e * step: c for e, c in enumerate(self.coeffs) if c}
-        )
+        acc = [0] * level
+        for e, c in enumerate(self.num):
+            acc[e * step] = c
+        # Z[zeta_level] meets Q(zeta_self.level) in Z[zeta_self.level], so
+        # the least denominator stays the same
+        return Cyc._raw(level, tuple(_fold(level, acc)), self.den)
 
     def _pair(self, other: "Cyc") -> tuple["Cyc", "Cyc"]:
         if self.level == other.level:
@@ -217,20 +269,18 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        return Cyc._raw(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(self, other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc._raw(self.level, tuple(-c for c in self.coeffs))
+        return Cyc._raw(self.level, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "Cyc":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        return Cyc._raw(a.level, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(self, other, operator.sub)
 
     def __rsub__(self, other) -> "Cyc":
         other = _coerce(other)
@@ -240,27 +290,21 @@ class Cyc:
 
     def __mul__(self, other) -> "Cyc":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyc._raw(self.level, tuple(c * f for c in self.coeffs))
+            return _scale(self, Fraction(other))
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        sa = [(e, c) for e, c in enumerate(a.coeffs) if c]
-        sb = [(e, c) for e, c in enumerate(b.coeffs) if c]
-        if not sa or not sb:
-            return Cyc._raw(a.level, (ZERO,) * _phi(a.level))
-        if len(sb) < len(sa):
-            sa, sb = sb, sa
-        acc: dict[int, Fraction] = {}
         n = a.level
+        sa = [(e, c) for e, c in enumerate(a.num) if c]
+        sb = [(e, c) for e, c in enumerate(b.num) if c]
+        if not sa or not sb:
+            return Cyc._raw(n, (0,) * len(a.num), 1)
+        acc = [0] * (2 * len(a.num) - 1)
         for ea, ca in sa:
             for eb, cb in sb:
-                e = ea + eb
-                if e >= n:
-                    e -= n
-                acc[e] = acc.get(e, ZERO) + ca * cb
-        return Cyc._raw(n, _reduce(n, acc))
+                acc[ea + eb] += ca * cb
+        return Cyc._raw(n, *_normal(_fold(n, acc), a.den * b.den))
 
     __rmul__ = __mul__
 
@@ -281,7 +325,7 @@ class Cyc:
             f = Fraction(other)
             if f == 0:
                 raise ZeroDivisionError("division by zero")
-            return Cyc._raw(self.level, tuple(c / f for c in self.coeffs))
+            return _scale(self, 1 / f)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -312,39 +356,30 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugate (the Galois action zeta -> zeta^-1)."""
-        n = self.level
-        return Cyc._raw(
-            n,
-            _reduce(
-                n, {(n - e) % n: c for e, c in enumerate(self.coeffs) if c}
-            ),
-        )
+        return _permute(self, -1)
 
     def galois(self, j: int) -> "Cyc":
         """The automorphism zeta -> zeta^j; j must be coprime to the level."""
-        n = self.level
-        if gcd(j, n) != 1:
-            raise ValueError(f"galois exponent {j} not coprime to level {n}")
-        return Cyc._raw(
-            n, _reduce(n, {(e * j) % n: c for e, c in enumerate(self.coeffs) if c})
-        )
+        if gcd(j, self.level) != 1:
+            raise ValueError(f"galois exponent {j} not coprime to level {self.level}")
+        return _permute(self, j)
 
     # -- predicates and conversions -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """True when the value is an algebraic integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def embed(self) -> complex:
         """Double-precision image under zeta -> exp(2*pi*i/level).
@@ -354,10 +389,11 @@ class Cyc:
         used by callers.
         """
         roots = _embed_roots(self.level)
+        den = self.den
         out = 0j
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self.num):
             if c:
-                out += float(c) * roots[e]
+                out += c / den * roots[e]
         return out
 
     # -- canonical minimal form (for equality across levels and hashing) ------
@@ -379,10 +415,8 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.level == other.level:
-            return self.coeffs == other.coeffs
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         return hash(("Cyc",) + self.sort_key())
@@ -392,7 +426,7 @@ class Cyc:
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({self.as_fraction()})"
         terms = []
         for e, c in enumerate(self.coeffs):
             if c:
@@ -435,22 +469,51 @@ def _coerce(value) -> "Cyc | type(NotImplemented)":
     return NotImplemented
 
 
-def _reduce(n: int, terms: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-    """Canonical coordinates of sum(c_e * zeta_n^e)."""
-    d = _phi(n)
-    table = _power_table(n)
-    out = [ZERO] * d
-    for e, c in terms.items():
-        if not c:
-            continue
-        row = table[e % n]
-        if e % n < d:
-            out[e % n] += c
-        else:
-            for i, t in enumerate(row):
-                if t:
-                    out[i] += c * t
-    return tuple(out)
+def _normal(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) divided by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _from_fractions(
+    n: int, terms: Iterable[tuple[int, Fraction]]
+) -> tuple[tuple[int, ...], int]:
+    """Canonical (num, den) of sum(c * zeta_n^e) over the (e, c) pairs."""
+    terms = [(e, c) for e, c in terms if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    acc = [0] * n
+    for e, c in terms:
+        acc[e % n] += c.numerator * (den // c.denominator)
+    return _normal(_fold(n, acc), den)
+
+
+def _add(a: Cyc, b: Cyc, op) -> Cyc:
+    """op(a, b) for op in (operator.add, operator.sub)."""
+    a, b = a._pair(b)
+    if a.den == b.den:
+        return Cyc._raw(a.level, *_normal(tuple(map(op, a.num, b.num)), a.den))
+    da, db = a.den, b.den
+    num = tuple(op(x * db, y * da) for x, y in zip(a.num, b.num))
+    return Cyc._raw(a.level, *_normal(num, da * db))
+
+
+def _scale(a: Cyc, f: Fraction) -> Cyc:
+    return Cyc._raw(
+        a.level, *_normal([c * f.numerator for c in a.num], a.den * f.denominator)
+    )
+
+
+def _permute(a: Cyc, j: int) -> Cyc:
+    """a under zeta -> zeta^j for j coprime to the level.  A Galois action
+    maps Z[zeta] onto itself, so the least denominator stays the same."""
+    n = a.level
+    acc = [0] * n
+    for e, c in enumerate(a.num):
+        acc[e * j % n] = c
+    return Cyc._raw(n, tuple(_fold(n, acc)), a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +524,7 @@ def _descend(a: Cyc) -> tuple[int, tuple[Fraction, ...]]:
     """Walk a down one prime at a time.  The levels holding a value are
     closed under gcd, so the walk ends at the least one in any order."""
     if a.is_rational():
-        return (1, (a.coeffs[0],))
+        return (1, (a.as_fraction(),))
     while True:
         for p in _prime_factors(a.level):
             down = _drop_prime(a, p)
@@ -478,26 +541,26 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _drop_prime(a: Cyc, p: int) -> Cyc | None:
-    """a at level n/p when it lies in Q(zeta_(n/p)), else None."""
+    """a at level n/p when it lies in Q(zeta_(n/p)), else None.  The value
+    does not change, so neither does its least denominator."""
     n = a.level
     m = n // p
     if m % p == 0:
         # zeta_n^p = zeta_m and Phi_n(x) = Phi_m(x^p)
-        if any(c for e, c in enumerate(a.coeffs) if e % p):
+        if any(c for e, c in enumerate(a.num) if e % p):
             return None
-        return Cyc._raw(m, a.coeffs[::p])
+        return Cyc._raw(m, a.num[::p], a.den)
     # zeta_n = zeta_m^u zeta_p^v splits a = sum_r alpha_r zeta_p^r over
     # Q(zeta_m); as 1, zeta_p, ..., zeta_p^(p-2) are independent there, a
     # lies in Q(zeta_m) iff alpha_1 = ... = alpha_(p-1)
     u, v = pow(p, -1, m), pow(m, -1, p)
-    buckets: list[dict[int, Fraction]] = [{} for _ in range(p)]
-    for e, c in enumerate(a.coeffs):
-        if c:
-            buckets[e * v % p][e * u % m] = c
-    alpha = [Cyc.from_terms(m, b) for b in buckets]
-    if any(x.coeffs != alpha[1].coeffs for x in alpha[2:]):
+    buckets = [[0] * m for _ in range(p)]
+    for e, c in enumerate(a.num):
+        buckets[e * v % p][e * u % m] = c
+    alpha = [_fold(m, b) for b in buckets]
+    if any(x != alpha[1] for x in alpha[2:]):
         return None
-    return alpha[0] - alpha[-1]
+    return Cyc._raw(m, tuple(map(operator.sub, alpha[0], alpha[-1])), a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +573,12 @@ def cyc_root(level: int, exponent: int = 1) -> Cyc:
     >>> cyc_root(3, 2) == Cyc(3, [-1, -1])
     True
     """
-    return Cyc.from_terms(level, {exponent % level: ONE})
+    return Cyc._raw(level, _power_table(level)[exponent % level], 1)
 
 
-_ZERO = Cyc._raw(1, (ZERO,))
-_ONE = Cyc._raw(1, (ONE,))
-_I = Cyc._raw(4, (ZERO, ONE))
+_ZERO = Cyc._raw(1, (0,), 1)
+_ONE = Cyc._raw(1, (1,), 1)
+_I = Cyc._raw(4, (0, 1), 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -633,7 +696,7 @@ def enumerate_unit_elements(level: int, bound: int) -> list[Cyc]:
             found.append(tup)
     out = []
     for tup in sorted(found):
-        val = Cyc._raw(level, tuple(Fraction(c) for c in tup))
+        val = Cyc._raw(level, tup, 1)
         if val.is_root_of_unity() is None:  # pragma: no cover - impossible
             raise ContradictionError("unit element failed root-of-unity check")
         out.append(val)

@@ -40,7 +40,11 @@ def fmt12(value: float) -> str:
 
 
 def point_to_json(z: Point) -> dict:
-    w = z.embed()
+    """The exact value, and its float mirror or null when that overflows."""
+    try:
+        w = z.embed()
+    except OverflowError:
+        return {"value": cyc_to_json(z), "approx": None}
     return {"value": cyc_to_json(z), "approx": [fmt12(w.real), fmt12(w.imag)]}
 
 

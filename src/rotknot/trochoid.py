@@ -533,7 +533,8 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
 
 def _bfs_key(spec: TrochoidSpec, level: int):
     a, d = spec.resolved()
-    return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.lift(level).coeffs)
+    a = a.lift(level)
+    return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.num, a.den)
 
 
 def _bfs(spec: TrochoidSpec, max_moves: int, level: int):

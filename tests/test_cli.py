@@ -83,7 +83,6 @@ class TestEnumerate:
             ["classify", "--p", "3", "--q", "2", "--b-direction", "1/1009"],
             ["render", "--p", "3", "--q", "2", "--side", "1e400"],
             ["render", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
-            ["classify", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
             ["enumerate", "--p", "0", "--q", "3"],
             ["enumerate", "--p", "1", "--q", "3"],
         ):
@@ -92,6 +91,17 @@ class TestEnumerate:
 
 
 class TestClassify:
+    def test_huge_anchor_keeps_exact_verdict(self, capsys):
+        code = main(["classify", "--p", "3", "--q", "2", "--anchor", "1e400,0"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == EXIT_EQUIVALENT
+        assert data["result"]["verdict"] == "Equivalent"
+        anchor = data["spec_a"]["anchor"]
+        assert anchor["approx"] is None
+        assert anchor["value"] == {
+            "level": 4, "coeffs": [[str(10**400), "1"], ["0", "1"]]
+        }
+
     def test_same_spec_exit_0(self, capsys):
         code = main(["classify", "--p", "3", "--q", "2"])
         data = json.loads(capsys.readouterr().out)

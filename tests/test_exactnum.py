@@ -206,6 +206,63 @@ class TestMinimalForm:
             ), (least, p)
 
 
+@st.composite
+def cyc_triples(draw):
+    """A level m <= 60, three values at divisors of m and a lift factor."""
+    m = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    out = []
+    for _ in range(3):
+        level = draw(st.sampled_from(divisors))
+        terms = draw(
+            st.dictionaries(
+                st.integers(0, level - 1),
+                st.fractions(-3, 3, max_denominator=4),
+                max_size=4,
+            )
+        )
+        out.append(Cyc.from_terms(level, terms))
+    return m, out, draw(st.integers(1, 4))
+
+
+class TestIntegerCore:
+    """Ring laws and the (num, den) invariant of the integer coordinates."""
+
+    @staticmethod
+    def check_invariant(x: Cyc) -> None:
+        assert x.den > 0
+        assert math.gcd(x.den, *x.num) == 1
+        assert len(x.num) == len(cyclotomic_poly(x.level)) - 1
+        assert all(isinstance(c, int) for c in x.num)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(cyc_triples(), st.fractions(-3, 3, max_denominator=5))
+    def test_ring_laws(self, drawn, s):
+        m, (x, y, z), k = drawn
+        n = m * k
+        results = [x + y, x - y, x * y, -x, x.conj(), x.lift(n), x * s]
+        if s:
+            results.append(x / s)
+        for v in [x, y, z] + results:
+            self.check_invariant(v)
+            assert Cyc(v.level, v.coeffs) == v
+        assert x * (y + z) == x * y + x * z
+        assert x * y == y * x
+        assert (x * y).conj() == x.conj() * y.conj()
+        for lhs, rhs in (
+            ((x + y).lift(n), x.lift(n) + y.lift(n)),
+            ((x * y).lift(n), x.lift(n) * y.lift(n)),
+        ):
+            assert (lhs.num, lhs.den) == (rhs.num, rhs.den)
+        assert x == x.lift(n)
+        assert hash(x) == hash(x.lift(n))
+        ex, ey = x.embed(), y.embed()
+        assert abs((x + y).embed() - (ex + ey)) < 1e-9
+        assert abs((x * y).embed() - ex * ey) < 1e-9
+        assert abs(x.conj().embed() - ex.conjugate()) < 1e-9
+        assert abs((x * s).embed() - ex * float(s)) < 1e-9
+
+
 class TestEmbed:
     def test_embedding_is_homomorphism(self):
         rng = random.Random(20240612)
@@ -303,3 +360,13 @@ class TestSerialization:
     def test_json_shape(self):
         data = cyc_to_json(Cyc(3, [Fraction(1, 2), Fraction(-2, 3)]))
         assert data == {"level": 3, "coeffs": [["1", "2"], ["-2", "3"]]}
+
+
+def test_module_doctests():
+    import doctest
+
+    import rotknot.exactnum
+
+    result = doctest.testmod(rotknot.exactnum)
+    assert result.failed == 0
+    assert result.attempted >= 3
