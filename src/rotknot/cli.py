@@ -299,18 +299,14 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
 
 def _suite_appendix(args) -> list[tuple[str, bool, str]]:
     levels = [3, 4, 5, 6, 8, 12] if args.level is None else [args.level]
-    bound = 2 if args.bound is None else args.bound
     checks = []
     for n in levels:
-        units = enumerate_unit_elements(n, bound)
+        units = enumerate_unit_elements(check_level_cap(n))
         expected = n if n % 2 == 0 else 2 * n
-        orders_ok = True
-        for u in units:
-            d = u.is_root_of_unity()
-            if d is None or (n % 2 == 0 and n % d != 0) or (n % 2 == 1 and (2 * n) % d != 0):
-                orders_ok = False
-                break
-        ok = len(units) == expected and orders_ok
+        orders = [u.is_root_of_unity() for u in units]
+        ok = len(units) == expected and all(
+            d is not None and expected % d == 0 for d in orders
+        )
         checks.append(
             (
                 f"appendix.N={n}",
@@ -414,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a built-in property suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--level", type=positive_int)
-    sp.add_argument("--bound", type=positive_int)
     sp.add_argument("--grid", choices=("small", "full"), default="small")
     sp.add_argument("--depth", type=positive_int)
     sp.add_argument("--out")

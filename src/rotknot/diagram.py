@@ -185,21 +185,22 @@ def validate_coloring(c: Coloring) -> ValidationReport:
     return ValidationReport(True)
 
 
-def enumerate_colorings_finite(
-    quandle, diagram: TorusDiagram, budget: int = 1_000_000
-) -> list[Coloring]:
+SEED_BUDGET = 1_000_000
+
+
+def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]:
     """All valid colorings by a finite quandle, deterministically ordered.
 
     The colors of a_{00}, ..., a_{0,|p|-1} determine everything else by
     propagating the crossing condition row by row, so the search space
-    is |X|^{|p|}, not |X|^{arc count}.
+    is |X|^{|p|}, not |X|^{arc count}; guarded by SEED_BUDGET.
     """
     elements = quandle.elements()
     ap, aq = diagram.abs_p, diagram.abs_q
     seeds = [diagram.rep(0, j) for j in range(ap)]
-    if len(elements) ** len(seeds) > budget:
+    if len(elements) ** len(seeds) > SEED_BUDGET:
         raise BudgetError(
-            f"{len(elements)}^{len(seeds)} seed assignments exceed budget {budget}"
+            f"{len(elements)}^{len(seeds)} seed assignments exceed budget {SEED_BUDGET}"
         )
     index = {x: n for n, x in enumerate(elements)}
     reps = diagram.rep_arcs

@@ -24,7 +24,6 @@ by the rational norm.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -637,63 +636,63 @@ def turn_to_root(turn: Turn, level: int | None = None) -> Cyc:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive unit scan (desk-scale check of the root-of-unity proposition)
+# complete unit enumeration (the root-of-unity proposition, checked exactly)
+#
+# The trace form T(a) = Tr(a * conj(a)) = sum of |s(a)|^2 over the Galois
+# embeddings s is a positive-definite integral quadratic form on the
+# canonical coordinates.  For a nonzero integer a the product of the
+# |s(a)|^2 is the norm of a * conj(a), a positive integer, so by AM-GM
+# T(a) >= phi(level), with equality exactly when every |s(a)| is 1, that
+# is when |a| = 1 (complex conjugation commutes with the Galois group).
+# So the ellipsoid T <= phi(level) holds 0 and the unit-modulus integers
+# and nothing else, and enumerating it needs no box and no budget.
 
 
-UNIT_MAX_LEVEL = 12
-UNIT_MAX_BOUND = 3
-UNIT_MAX_BOX = 5_000_000
+def enumerate_unit_elements(level: int) -> list[Cyc]:
+    """All algebraic integers of Q(zeta_level) with |a|^2 = 1, sorted by
+    their canonical coordinates.
 
-
-def enumerate_unit_elements(level: int, bound: int) -> list[Cyc]:
-    """All algebraic integers with |a|^2 = 1 reachable from coefficient
-    tuples (c_0, ..., c_{level-1}) with |c_e| <= bound.
-
-    The scan runs over the exact interval image of that box in the
-    canonical basis (a superset, covering every +-zeta^k), using pure
-    integer arithmetic.  Every returned element is verified to be a
-    root of unity; a unit-modulus integer that is not one would raise
-    ContradictionError.
+    A Fincke-Pohst enumeration (Fincke and Pohst, Math. Comp. 44 (1985);
+    Cohen, A Course in Computational Algebraic Number Theory, 2.7) of the
+    ellipsoid Tr(a * conj(a)) <= phi(level), over an exact LDL^T
+    decomposition of the trace form's Gram matrix Tr(zeta^(i-j)).  By the
+    AM-GM argument above the scan is complete at every level.  Every
+    returned element is verified to be a root of unity; a unit-modulus
+    integer that is not one would raise ContradictionError.
     """
-    if level < 1 or bound < 1:
-        raise ValueError("level and bound must be positive")
-    if level > UNIT_MAX_LEVEL or bound > UNIT_MAX_BOUND:
-        raise BudgetError(
-            f"enumerate_unit_elements(level={level}, bound={bound}) exceeds "
-            f"budget (max_level={UNIT_MAX_LEVEL}, max_bound={UNIT_MAX_BOUND})"
-        )
-    d = _phi(level)
-    table = _power_table(level)
-    radii = [bound * sum(abs(table[e][i]) for e in range(level)) for i in range(d)]
-    size = 1
-    for r in radii:
-        size *= 2 * r + 1
-    if size > UNIT_MAX_BOX:
-        raise BudgetError(
-            f"canonical scan box has {size} tuples, over the {UNIT_MAX_BOX} cap"
-        )
-    # |a|^2 in coordinates: sum over basis pairs of c_i c_j zeta^(i-j)
-    delta_rows = [table[(i) % level] for i in range(-(d - 1), d)]
-    unit = tuple(1 if i == 0 else 0 for i in range(d))
+    n = level
+    d = _phi(n)
+    table = _power_table(n)
+    coprime = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+    # Tr(zeta^k) is rational, so it is coordinate 0 of the sum of conjugates
+    trace = [sum(table[j * k % n][0] for j in coprime) for k in range(n)]
+    # T(x) = sum_i q[i][i] * (x_i + sum_{j > i} q[i][j] x_j)^2 (Cohen 2.7.6)
+    q = [[Fraction(trace[(i - j) % n]) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            q[j][i] = q[i][j]
+            q[i][j] /= q[i][i]
+        for k in range(i + 1, d):
+            for m in range(k, d):
+                q[k][m] -= q[k][i] * q[i][m]
+    x = [0] * d
     found: list[tuple[int, ...]] = []
-    for tup in itertools.product(*(range(-r, r + 1) for r in radii)):
-        acc = [0] * d
-        for i in range(d):
-            ci = tup[i]
-            if not ci:
-                continue
-            for j in range(d):
-                cj = tup[j]
-                if not cj:
-                    continue
-                row = delta_rows[i - j + d - 1]
-                f = ci * cj
-                for t in range(d):
-                    rt = row[t]
-                    if rt:
-                        acc[t] += f * rt
-        if tuple(acc) == unit:
-            found.append(tup)
+
+    def descend(i: int, room: Fraction) -> None:
+        # x_(i+1), ..., x_(d-1) are fixed and leave `room` of phi(level);
+        # try x_i outwards from the centre until its term exceeds it
+        centre = -sum(q[i][j] * x[j] for j in range(i + 1, d) if x[j])
+        for v, step in ((math.floor(centre), -1), (math.floor(centre) + 1, 1)):
+            while (used := q[i][i] * (v - centre) ** 2) <= room:
+                x[i] = v
+                if i:
+                    descend(i - 1, room - used)
+                elif any(x):
+                    found.append(tuple(x))
+                v += step
+        x[i] = 0
+
+    descend(d - 1, Fraction(d))
     out = []
     for tup in sorted(found):
         val = Cyc._raw(level, tup, 1)

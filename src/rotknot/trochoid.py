@@ -486,20 +486,18 @@ def lattice_contains(lat: LatticeSpec, w: Point) -> bool:
     return lat.level % min_level == 0
 
 
-def unit_neighbors(
-    lat: LatticeSpec, w: Point, *, verify: bool = False, bound: int = 2
-) -> list[Point]:
+def unit_neighbors(lat: LatticeSpec, w: Point, *, verify: bool = False) -> list[Point]:
     """The lattice points at distance `side` from w: exactly w + side*v_sigma.
 
-    With verify=True the claim is re-established by brute force: an
-    exhaustive coefficient scan around the unit circle finds exactly the
-    2*alpha displacement vectors and nothing else.
+    With verify=True the claim is re-established by the complete unit
+    enumeration: the unit-modulus integers of the lattice's level are
+    exactly the 2*alpha displacement vectors and nothing else.
     """
     if not lattice_contains(lat, w):
         raise ValueError("point is not in the lattice")
     gens = lattice_generators(lat)
     if verify:
-        units = enumerate_unit_elements(lat.level, bound)
+        units = enumerate_unit_elements(lat.level)
         expect = {cyc_root(lat.level, s) for s in range(lat.level)}
         if set(units) != expect or len(units) != lat.level:
             raise ContradictionError(
@@ -559,22 +557,23 @@ def _bfs(spec: TrochoidSpec, max_moves: int, level: int):
                 queue.append((nxt, seq))
 
 
-def orbit_bfs(
-    spec: TrochoidSpec, max_moves: int, *, node_budget: int = 100_000
-) -> list[tuple[TrochoidSpec, MoveSeq]]:
+NODE_BUDGET = 100_000
+
+
+def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, MoveSeq]]:
     """Breadth-first closure of a trochoid under shift and switch.
 
     Expands every state (both diagram sides) within max_moves moves,
     deduplicating exactly, and returns the states that live on the
     original diagram (even switch count), each with one shortest move
-    word, sorted canonically.
+    word, sorted canonically.  Guarded by NODE_BUDGET expanded states.
     """
     same_side = []
     states = _bfs(spec, max_moves, session_level(spec))
     for count, (_, state, word) in enumerate(states):
-        if count >= node_budget:
+        if count >= NODE_BUDGET:
             raise BudgetError(
-                f"orbit search exceeded {node_budget} states at {len(word)} moves"
+                f"orbit search exceeded {NODE_BUDGET} states at {len(word)} moves"
             )
         if (state.p, state.q) == (spec.p, spec.q):
             same_side.append((state, MoveSeq(word)))

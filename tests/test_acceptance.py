@@ -205,12 +205,12 @@ def test_criterion_07_fundamental_deformation():
 
 
 def test_criterion_08_appendix_unit_enumeration():
-    """For N in {3,4,5,6,8,12}, bound 2: every enumerated abs-1 integral
+    """For N in {3,4,5,6,8,12}: every enumerated abs-1 integral
     element is a root of unity of order dividing N (even) / 2N (odd);
     counts are N (even) / 2N (odd). Exact."""
     t0 = perf_counter()
     for n in (3, 4, 5, 6, 8, 12):
-        units = enumerate_unit_elements(n, 2)
+        units = enumerate_unit_elements(n)
         expected = n if n % 2 == 0 else 2 * n
         assert len(units) == expected, n
         bound_order = n if n % 2 == 0 else 2 * n

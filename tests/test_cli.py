@@ -152,6 +152,8 @@ class TestClassify:
             assert "session level 12108 exceeds cap 240" in capsys.readouterr().err
         assert main(["enumerate", "--p", "1009", "--q", "1013"]) == 2
         assert "session level 1022117 exceeds cap 240" in capsys.readouterr().err
+        assert main(["verify", "appendix", "--level", "241"]) == 2
+        assert "session level 241 exceeds cap 240" in capsys.readouterr().err
 
     def test_odd_chirality_exit_20(self, capsys):
         code = main(["classify", "--p", "3", "--q", "5", "--b-chirality", "-1"])
@@ -169,7 +171,7 @@ class TestVerify:
         assert out.strip().endswith("checks passed")
 
     def test_appendix_level_flag(self, capsys):
-        assert main(["verify", "appendix", "--level", "4", "--bound", "2"]) == 0
+        assert main(["verify", "appendix", "--level", "4"]) == 0
         out = capsys.readouterr().out
         assert "PASS appendix.N=4" in out
         assert "N=12" not in out
@@ -179,7 +181,6 @@ class TestVerify:
             ["verify", "orbit", "--depth", "0"],
             ["verify", "orbit", "--depth", "-1"],
             ["verify", "appendix", "--level", "0"],
-            ["verify", "appendix", "--bound", "0"],
             ["render", "--p", "3", "--q", "2", "--size", "0"],
             ["render", "--p", "3", "--q", "2", "--size", "-5"],
         ):
@@ -187,6 +188,12 @@ class TestVerify:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "error:" in capsys.readouterr().err
+
+    def test_bound_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "appendix", "--bound", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound 2" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

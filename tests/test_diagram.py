@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from rotknot import diagram
 from rotknot.diagram import (
     Coloring,
     build_diagram,
@@ -126,11 +127,10 @@ class TestEnumeration:
         assert first.is_trivial()
         assert first.color(0, 0) == DihedralElem(3, 0)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            enumerate_colorings_finite(
-                DihedralQuandle(3), build_diagram(2, 3), budget=5
-            )
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(diagram, "SEED_BUDGET", 5)
+        with pytest.raises(BudgetError, match=r"3\^2 seed assignments exceed budget 5"):
+            enumerate_colorings_finite(DihedralQuandle(3), build_diagram(2, 3))
 
 
 class TestWeights:

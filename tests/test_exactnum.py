@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotknot import exactnum
 from rotknot.exactnum import (
-    BudgetError,
     Cyc,
     LevelError,
     NonIntegralError,
@@ -300,26 +301,45 @@ class TestRootOfUnity:
             (Cyc.one() / 2).is_root_of_unity()
 
 
+def box_scan_units(level: int) -> list[Cyc]:
+    """The unit-modulus integers among the coefficient tuples
+    (c_0, ..., c_{level-1}) with |c_e| <= 1, scanned over the interval
+    image of that box in the canonical basis."""
+    table = exactnum._power_table(level)
+    radii = [sum(abs(row[i]) for row in table) for i in range(len(table[0]))]
+    found = []
+    for tup in itertools.product(*(range(-r, r + 1) for r in radii)):
+        val = Cyc._raw(level, tup, 1)
+        if val.abs_sq() == Cyc.one():
+            found.append(val)
+    return found
+
+
 class TestEnumerateUnits:
     def test_counts_small_levels(self):
-        assert len(enumerate_unit_elements(4, 1)) == 4
-        assert len(enumerate_unit_elements(3, 1)) == 6
-        assert len(enumerate_unit_elements(5, 1)) == 10
+        assert len(enumerate_unit_elements(4)) == 4
+        assert len(enumerate_unit_elements(3)) == 6
+        assert len(enumerate_unit_elements(5)) == 10
 
     def test_all_enumerated_are_roots(self):
-        for val in enumerate_unit_elements(8, 1):
+        for val in enumerate_unit_elements(8):
             order = val.is_root_of_unity()
             assert order is not None and 8 % math.gcd(order, 8) == 0
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            enumerate_unit_elements(24, 2)
-        with pytest.raises(BudgetError):
-            enumerate_unit_elements(12, 9)
+    @pytest.mark.parametrize("level", [11, 15, 24, 30])
+    def test_complete_beyond_the_old_box(self, level):
+        units = enumerate_unit_elements(level)
+        expect = {s * cyc_root(level, e) for e in range(level) for s in (1, -1)}
+        assert len(units) == len(expect)
+        assert set(units) == expect
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_matches_box_scan(self, level):
+        assert enumerate_unit_elements(level) == box_scan_units(level)
 
     def test_deterministic_order(self):
-        a = enumerate_unit_elements(4, 2)
-        b = enumerate_unit_elements(4, 2)
+        a = enumerate_unit_elements(4)
+        b = enumerate_unit_elements(4)
         assert a == b
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotknot import trochoid
 from rotknot.diagram import (
     closed_form_weight,
     shift_generic,
@@ -437,10 +438,11 @@ class TestOrbitBFS:
         b = [(sp.canonical_key(), tuple(mv)) for sp, mv in orbit_bfs(s, 5)]
         assert a == b
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(trochoid, "NODE_BUDGET", 5)
         s = TrochoidSpec(2, 3, 1, 1)
-        with pytest.raises(BudgetError):
-            orbit_bfs(s, 12, node_budget=5)
+        with pytest.raises(BudgetError, match="orbit search exceeded 5 states"):
+            orbit_bfs(s, 12)
 
 
 class TestClassify:
