@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .exactnum import BudgetError
 from .geom import AREA_ZERO, AreaValue, Point, PolygonSpec, polygon_area
 from .quandle import RotElem, cocycle_phi, elem_from_json, elem_to_json
+from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Frozen):
     """One crossing of D(p, q).
 
     The coloring condition is color(arc_xy) = color(arc_x) * color(arc_over)
@@ -34,12 +33,17 @@ class Crossing:
     the incoming under-arc.  Weights read the (arc_x, arc_over) slots.
     """
 
-    row: int
-    t: int
-    arc_x: Arc
-    arc_over: Arc
-    arc_xy: Arc
-    sign: int
+    __slots__ = _fields = ("row", "t", "arc_x", "arc_over", "arc_xy", "sign")
+
+    def __init__(
+        self, row: int, t: int, arc_x: Arc, arc_over: Arc, arc_xy: Arc, sign: int
+    ):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "arc_x", arc_x)
+        object.__setattr__(self, "arc_over", arc_over)
+        object.__setattr__(self, "arc_xy", arc_xy)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def under_in(self) -> Arc:
@@ -50,16 +54,21 @@ class Crossing:
         return self.arc_xy if self.sign > 0 else self.arc_x
 
 
-@dataclass(frozen=True)
-class TorusDiagram:
-    p: int
-    q: int
+class TorusDiagram(Frozen):
+    """The diagram D(p, q); its arc and crossing lists are built on first use."""
 
-    def __post_init__(self):
-        if abs(self.p) < 2 or abs(self.q) < 2:
+    _fields = ("p", "q")
+    __slots__ = _fields + ("_rep_arcs", "_crossings")
+
+    def __init__(self, p: int, q: int):
+        if abs(p) < 2 or abs(q) < 2:
             raise ValueError("need |p|, |q| >= 2")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not coprime")
+        if gcd(p, q) != 1:
+            raise ValueError(f"({p}, {q}) is not coprime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_rep_arcs", None)
+        object.__setattr__(self, "_crossings", None)
 
     @property
     def abs_p(self) -> int:
@@ -82,27 +91,31 @@ class TorusDiagram:
         return (i, j)
 
     @property
-    def rep_arcs(self) -> list[Arc]:
-        return [
-            (i, j) for i in range(self.abs_q) for j in range(self.abs_p - 1)
-        ]
+    def rep_arcs(self) -> tuple[Arc, ...]:
+        if self._rep_arcs is None:
+            arcs = tuple(
+                (i, j) for i in range(self.abs_q) for j in range(self.abs_p - 1)
+            )
+            object.__setattr__(self, "_rep_arcs", arcs)
+        return self._rep_arcs
 
     @property
-    def crossings(self) -> list[Crossing]:
-        out = []
-        for i in range(self.abs_q):
-            for t in range(1, self.abs_p):
-                out.append(
-                    Crossing(
-                        row=i,
-                        t=t,
-                        arc_x=self.rep(i, t),
-                        arc_over=self.rep(i, 0),
-                        arc_xy=self.rep(i + 1, t - 1),
-                        sign=self.sign,
-                    )
+    def crossings(self) -> tuple[Crossing, ...]:
+        if self._crossings is None:
+            crossings = tuple(
+                Crossing(
+                    row=i,
+                    t=t,
+                    arc_x=self.rep(i, t),
+                    arc_over=self.rep(i, 0),
+                    arc_xy=self.rep(i + 1, t - 1),
+                    sign=self.sign,
                 )
-        return out
+                for i in range(self.abs_q)
+                for t in range(1, self.abs_p)
+            )
+            object.__setattr__(self, "_crossings", crossings)
+        return self._crossings
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +172,15 @@ def trivial_coloring(diagram: TorusDiagram, quandle, element) -> Coloring:
     return Coloring(diagram, quandle, {a: element for a in diagram.rep_arcs})
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    crossing: Crossing | None = None
-    message: str = ""
+class ValidationReport(Frozen):
+    __slots__ = _fields = ("ok", "crossing", "message")
+
+    def __init__(
+        self, ok: bool, crossing: Crossing | None = None, message: str = ""
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "crossing", crossing)
+        object.__setattr__(self, "message", message)
 
     def __bool__(self) -> bool:
         return self.ok

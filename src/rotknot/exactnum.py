@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+
+from .value import Frozen
 
 
 class LevelError(ValueError):
@@ -580,15 +581,23 @@ _ONE = Cyc._raw(1, (1,), 1)
 _I = Cyc._raw(4, (0, 1), 1)
 
 
-@dataclass(frozen=True, order=True)
-class Turn:
-    """An angle as an exact fraction of a full turn, normalized to [0, 1)."""
+@total_ordering
+class Turn(Frozen):
+    """An angle as an exact fraction of a full turn, normalized to [0, 1).
 
-    fraction: Fraction
+    Turns order by `fraction`.
+    """
+
+    __slots__ = _fields = ("fraction",)
 
     def __init__(self, fraction: Fraction | int, _den: int | None = None):
         f = Fraction(fraction, _den) if _den is not None else Fraction(fraction)
         object.__setattr__(self, "fraction", f % 1)
+
+    def __lt__(self, other: "Turn") -> bool:
+        if other.__class__ is not Turn:
+            return NotImplemented
+        return self.fraction < other.fraction
 
     @property
     def numerator(self) -> int:

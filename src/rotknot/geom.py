@@ -8,7 +8,6 @@ is attached for display and sign reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -19,6 +18,7 @@ from .exactnum import (
     cyc_to_json,
     turn_to_root,
 )
+from .value import Frozen
 
 # a point of the plane is just a cyclotomic number
 Point = Cyc
@@ -57,8 +57,7 @@ def rotate(z: Point, center: Point, t: Turn) -> Point:
     return (z - center) * turn_to_root(t) + center
 
 
-@dataclass(frozen=True)
-class AreaValue:
+class AreaValue(Frozen):
     """A signed area, stored as the exact field element 4i * area.
 
     The scaled value is purely imaginary (conj(scaled) = -scaled), so
@@ -66,7 +65,10 @@ class AreaValue:
     embedding.  Exact zero and exact equality never consult floats.
     """
 
-    scaled: Cyc
+    __slots__ = _fields = ("scaled",)
+
+    def __init__(self, scaled: Cyc):
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def approx(self) -> float:
@@ -138,8 +140,7 @@ def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> AreaValue:
     )
 
 
-@dataclass(frozen=True)
-class PolygonSpec:
+class PolygonSpec(Frozen):
     """A regular polygon of type (m, k), anchored by its first edge.
 
     The walk starts at `anchor`, the first edge points along `direction`,
@@ -147,20 +148,27 @@ class PolygonSpec:
     turn.  gcd(m, k) > 1 makes vertices repeat with period m/gcd(m, k).
     """
 
-    m: int
-    k: int
-    anchor: Point
-    direction: Turn
-    side: Fraction = Fraction(1)
+    __slots__ = _fields = ("m", "k", "anchor", "direction", "side")
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(
+        self,
+        m: int,
+        k: int,
+        anchor: Point,
+        direction: Turn,
+        side: Fraction = Fraction(1),
+    ):
+        if m < 2:
             raise ValueError("polygon needs m >= 2")
-        if not 1 <= self.k <= self.m - 1:
-            raise ValueError(f"step k={self.k} outside [1, {self.m - 1}]")
-        side = Fraction(self.side)
+        if not 1 <= k <= m - 1:
+            raise ValueError(f"step k={k} outside [1, {m - 1}]")
+        side = Fraction(side)
         if side <= 0:
             raise ValueError("side must be positive")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "side", side)
 
     @property

@@ -8,23 +8,21 @@ needs; the rotation quandle is infinite and never enumerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import Turn, turn_from_json, turn_to_json
 from .geom import AreaValue, Point, point_from_json, point_to_json, rotate, signed_area_tri
+from .value import Frozen
 
 
-@dataclass(frozen=True)
-class DihedralElem:
+class DihedralElem(Frozen):
     """An element of the dihedral quandle on Z/nZ."""
 
-    n: int
-    value: int
+    __slots__ = _fields = ("n", "value")
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, value: int):
+        if n < 3:
             raise ValueError("dihedral quandle needs n >= 3")
-        object.__setattr__(self, "value", self.value % self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value % n)
 
 
 class DihedralQuandle:
@@ -54,12 +52,14 @@ class DihedralQuandle:
         return f"DihedralQuandle({self.n})"
 
 
-@dataclass(frozen=True)
-class RotElem:
+class RotElem(Frozen):
     """A rotation of the plane: center point and a rational turn."""
 
-    center: Point
-    angle: Turn
+    __slots__ = _fields = ("center", "angle")
+
+    def __init__(self, center: Point, angle: Turn):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "angle", angle)
 
     def sort_key(self):
         return (self.angle.fraction, self.center.sort_key())

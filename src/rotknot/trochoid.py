@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -47,6 +46,7 @@ from .geom import (
     rotate,
 )
 from .quandle import ROT, RotElem
+from .value import Frozen
 
 DEFAULT_LEVEL_CAP = 240
 
@@ -67,8 +67,7 @@ def theta(m: int, k: int, n: int, l: int) -> Turn:
     return Turn(Fraction(l, n) - Fraction(k, m))
 
 
-@dataclass(frozen=True)
-class TrochoidSpec:
+class TrochoidSpec(Frozen):
     """Parameters of a trochoid: diagram indices, polygon types, and the
     anchored first edge.
 
@@ -79,27 +78,39 @@ class TrochoidSpec:
     geometric is built from the resolved anchor and direction.
     """
 
-    p: int
-    q: int
-    k: int
-    l: int
-    anchor: Point = ORIGIN
-    direction: Turn = Turn(0)
-    side: Fraction = Fraction(1)
-    chirality: int = 1
+    __slots__ = _fields = (
+        "p", "q", "k", "l", "anchor", "direction", "side", "chirality"
+    )
 
-    def __post_init__(self):
-        build_diagram(self.p, self.q)
-        if not 1 <= self.k <= abs(self.p) - 1:
-            raise ValueError(f"k={self.k} outside [1, {abs(self.p) - 1}]")
-        if not 1 <= self.l <= abs(self.q) - 1:
-            raise ValueError(f"l={self.l} outside [1, {abs(self.q) - 1}]")
-        side = Fraction(self.side)
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        k: int,
+        l: int,
+        anchor: Point = ORIGIN,
+        direction: Turn = Turn(0),
+        side: Fraction = Fraction(1),
+        chirality: int = 1,
+    ):
+        build_diagram(p, q)
+        if not 1 <= k <= abs(p) - 1:
+            raise ValueError(f"k={k} outside [1, {abs(p) - 1}]")
+        if not 1 <= l <= abs(q) - 1:
+            raise ValueError(f"l={l} outside [1, {abs(q) - 1}]")
+        side = Fraction(side)
         if side <= 0:
             raise ValueError("side must be positive")
-        object.__setattr__(self, "side", side)
-        if self.chirality not in (1, -1):
+        if chirality not in (1, -1):
             raise ValueError("chirality must be +1 or -1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "chirality", chirality)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -196,8 +207,22 @@ def session_level(spec: TrochoidSpec) -> int:
 
 
 def check_level_cap(level: int) -> int:
-    """The level itself; LevelError when it exceeds QT_SESSION_LEVEL_CAP."""
-    cap = int(os.environ.get("QT_SESSION_LEVEL_CAP", DEFAULT_LEVEL_CAP))
+    """The level itself; LevelError when it exceeds QT_SESSION_LEVEL_CAP.
+
+    ValueError when the variable is set to anything but a positive integer.
+    """
+    raw = os.environ.get("QT_SESSION_LEVEL_CAP")
+    if raw is None:
+        cap = DEFAULT_LEVEL_CAP
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(
+                f"QT_SESSION_LEVEL_CAP must be a positive integer, got {raw!r}"
+            )
     if level > cap:
         raise LevelError(
             f"session level {level} exceeds cap {cap} "
@@ -399,16 +424,16 @@ def apply_move(spec: TrochoidSpec, move: str) -> TrochoidSpec:
     raise ValueError(f"unknown move {move!r}")
 
 
-@dataclass(frozen=True)
-class MoveSeq:
+class MoveSeq(Frozen):
     """An ordered word in the moves shift and switch."""
 
-    moves: tuple[str, ...] = ()
+    __slots__ = _fields = ("moves",)
 
-    def __post_init__(self):
-        for m in self.moves:
+    def __init__(self, moves: tuple[str, ...] = ()):
+        for m in moves:
             if m not in ("shift", "switch"):
                 raise ValueError(f"unknown move {m!r}")
+        object.__setattr__(self, "moves", moves)
 
     @property
     def switch_parity(self) -> int:
@@ -443,18 +468,26 @@ def replay(moves: MoveSeq, c: Coloring) -> Coloring:
 # the anchor lattice and direction sets
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Frozen):
     """The integer span of the 2*alpha unit directions at the anchor.
 
     Reachable anchors of a trochoid under the moves all lie in
     base_point + side * Z[zeta_{2 alpha}] * u(base_direction).
     """
 
-    alpha: int
-    base_point: Point
-    base_direction: Turn
-    side: Fraction = Fraction(1)
+    __slots__ = _fields = ("alpha", "base_point", "base_direction", "side")
+
+    def __init__(
+        self,
+        alpha: int,
+        base_point: Point,
+        base_direction: Turn,
+        side: Fraction = Fraction(1),
+    ):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "base_direction", base_direction)
+        object.__setattr__(self, "side", side)
 
     @property
     def level(self) -> int:
@@ -586,14 +619,22 @@ SIDE_MISMATCH = "SideLengthMismatch"
 LATTICE_MISMATCH = "LatticeMismatch"
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Frozen):
     """Verdict of the R-equivalence test for two trochoid colorings."""
 
-    verdict: str  # "Equivalent" | "NotEquivalent" | "Undetermined"
-    witness: MoveSeq | None = None
-    reason: str | None = None
-    note: str = ""
+    __slots__ = _fields = ("verdict", "witness", "reason", "note")
+
+    def __init__(
+        self,
+        verdict: str,  # "Equivalent" | "NotEquivalent" | "Undetermined"
+        witness: MoveSeq | None = None,
+        reason: str | None = None,
+        note: str = "",
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}

@@ -155,6 +155,19 @@ class TestClassify:
         assert main(["verify", "appendix", "--level", "241"]) == 2
         assert "session level 241 exceeds cap 240" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "", "0", "-5"])
+    def test_bad_level_cap_named(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("QT_SESSION_LEVEL_CAP", value)
+        for argv in (["classify", "--p", "3", "--q", "2"], ["enumerate", "--p", "3", "--q", "2"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: QT_SESSION_LEVEL_CAP must be a positive integer, got {value!r}\n"
+            )
+
+    def test_level_cap_allows_spaces(self, capsys, monkeypatch):
+        monkeypatch.setenv("QT_SESSION_LEVEL_CAP", " 240 ")
+        assert main(["classify", "--p", "3", "--q", "2"]) == EXIT_EQUIVALENT
+
     def test_odd_chirality_exit_20(self, capsys):
         code = main(["classify", "--p", "3", "--q", "5", "--b-chirality", "-1"])
         data = json.loads(capsys.readouterr().out)

@@ -1,0 +1,163 @@
+"""The immutable value classes, and what importing the CLI loads."""
+
+from __future__ import annotations
+
+import copy
+import operator
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from rotknot.diagram import Crossing, TorusDiagram, ValidationReport
+from rotknot.exactnum import Turn
+from rotknot.geom import AreaValue, PolygonSpec, point_xy
+from rotknot.quandle import DihedralElem, RotElem
+from rotknot.trochoid import (
+    ClassificationResult,
+    LatticeSpec,
+    MoveSeq,
+    TrochoidSpec,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_P = point_xy(1, 2)
+_T = Turn(1, 4)
+
+# each class with its fields and one value for each, in constructor order
+CASES = [
+    (Crossing, dict(row=0, t=1, arc_x=(0, 1), arc_over=(0, 0), arc_xy=(1, 0), sign=1)),
+    (TorusDiagram, dict(p=3, q=2)),
+    (ValidationReport, dict(ok=False, crossing=None, message="bad")),
+    (Turn, dict(fraction=Fraction(1, 3))),
+    (AreaValue, dict(scaled=point_xy(0, 2))),
+    (PolygonSpec, dict(m=3, k=1, anchor=_P, direction=_T, side=Fraction(2))),
+    (DihedralElem, dict(n=5, value=2)),
+    (RotElem, dict(center=_P, angle=_T)),
+    (
+        TrochoidSpec,
+        dict(
+            p=3, q=2, k=1, l=1, anchor=_P, direction=_T, side=Fraction(1, 2),
+            chirality=-1,
+        ),
+    ),
+    (MoveSeq, dict(moves=("shift", "switch"))),
+    (LatticeSpec, dict(alpha=3, base_point=_P, base_direction=_T, side=Fraction(1))),
+    (
+        ClassificationResult,
+        dict(verdict="Equivalent", witness=MoveSeq(("shift",)), reason=None, note=""),
+    ),
+]
+IDS = [cls.__name__ for cls, _ in CASES]
+
+
+@pytest.mark.parametrize("cls, kwargs", CASES, ids=IDS)
+class TestValueClasses:
+    def test_immutable(self, cls, kwargs):
+        obj = cls(**kwargs)
+        for name, value in kwargs.items():
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+
+    def test_equality_and_hash(self, cls, kwargs):
+        fields = tuple(kwargs.values())
+        a, b = cls(*fields), cls(**kwargs)
+        assert tuple(getattr(a, name) for name in kwargs) == fields
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash(fields)
+        assert a != fields and not a == fields
+        assert copy.copy(a) == a
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Turn(1, 3), DihedralElem(5, 2), MoveSeq(("switch",)), TorusDiagram(3, 2)],
+    ids=repr,
+)
+def test_pickle_round_trip(obj):
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_other_class_with_equal_fields_differs():
+    assert DihedralElem(3, 2) != TorusDiagram(3, 2)
+    assert not DihedralElem(3, 2) == TorusDiagram(3, 2)
+
+
+def test_turn_ordering():
+    a, b, c = Turn(1, 4), Turn(1, 2), Turn(3, 4)
+    assert a < b <= b < c and c > b >= b > a
+    assert not a > b and not b < a
+    assert sorted([c, a, Turn(5, 4), b]) == [a, Turn(1, 4), b, c]
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(a, Fraction(1, 2))
+
+
+def test_reprs():
+    assert repr(DihedralElem(3, 1)) == "DihedralElem(n=3, value=1)"
+    assert repr(RotElem(point_xy(1), Turn(1, 2))) == (
+        "RotElem(center=Cyc(1), angle=Turn(fraction=Fraction(1, 2)))"
+    )
+    assert repr(AreaValue(point_xy(0, 2))) == "AreaValue(0.5)"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PolygonSpec(1, 1, _P, _T), "polygon needs m >= 2"),
+        (lambda: PolygonSpec(3, 3, _P, _T), "step k=3 outside [1, 2]"),
+        (lambda: PolygonSpec(3, 1, _P, _T, 0), "side must be positive"),
+        (lambda: TrochoidSpec(3, 2, 3, 1), "k=3 outside [1, 2]"),
+        (lambda: TrochoidSpec(3, 2, 1, 2), "l=2 outside [1, 1]"),
+        (lambda: TrochoidSpec(3, 2, 1, 1, side=-1), "side must be positive"),
+        (lambda: TrochoidSpec(3, 2, 1, 1, chirality=0), "chirality must be +1 or -1"),
+        (lambda: DihedralElem(2, 1), "dihedral quandle needs n >= 3"),
+        (lambda: MoveSeq(("shift", "twist")), "unknown move 'twist'"),
+        (lambda: TorusDiagram(1, 3), "need |p|, |q| >= 2"),
+        (lambda: TorusDiagram(3, 6), "(3, 6) is not coprime"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_normalized_fields():
+    assert DihedralElem(5, -3).value == 2
+    assert TrochoidSpec(3, 2, 1, 1, side=2).side == Fraction(2)
+    assert type(PolygonSpec(3, 1, _P, _T, 2).side) is Fraction
+    assert Turn(5, 4) == Turn(1, 4)
+
+
+def test_diagram_lists_cached_outside_equality():
+    fresh, used = TorusDiagram(4, 3), TorusDiagram(4, 3)
+    assert used.crossings is used.crossings and used.rep_arcs is used.rep_arcs
+    assert len(used.crossings) == 9 and len(used.rep_arcs) == 9
+    assert fresh == used and hash(fresh) == hash(used) == hash((4, 3))
+    assert repr(used) == "TorusDiagram(p=4, q=3)"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """`python -S` keeps site hooks from preloading modules, so what is
+    left loaded comes from the package itself."""
+    heavy = ("dataclasses", "inspect", "typing", "ast", "copy")
+    code = (
+        "import sys, rotknot.cli; "
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
