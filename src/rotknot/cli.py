@@ -270,7 +270,7 @@ def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_weights(args) -> list[tuple[str, bool, str]]:
-    grid = SMALL_GRID if getattr(args, "grid", "small") == "small" else FULL_GRID
+    grid = FULL_GRID if args.grid == "full" else SMALL_GRID
     extra_o = [point_xy(2, -1), point_xy(Fraction(-1, 2), 3)]
     checks = []
     for (p, q) in grid:
@@ -353,6 +353,9 @@ SUITES = {
 
 
 def cmd_verify(suite: str, args) -> tuple[str, int]:
+    for flag, owner in (("level", "appendix"), ("grid", "weights"), ("depth", "orbit")):
+        if getattr(args, flag) is not None and suite != owner:
+            raise ValueError(f"--{flag} applies only to verify {owner}")
     checks = SUITES[suite](args)
     lines = []
     failures = 0
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a built-in property suite")
     sp.add_argument("suite", choices=sorted(SUITES))
     sp.add_argument("--level", type=positive_int)
-    sp.add_argument("--grid", choices=("small", "full"), default="small")
+    sp.add_argument("--grid", choices=("small", "full"))
     sp.add_argument("--depth", type=positive_int)
     sp.add_argument("--out")
 

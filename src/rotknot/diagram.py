@@ -205,42 +205,35 @@ def validate_coloring(c: Coloring) -> ValidationReport:
 SEED_BUDGET = 1_000_000
 
 
+def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> bool:
+    """Color every arc from row 0 by the crossing condition, in place;
+    False as soon as a crossing clashes with a color already set."""
+    for cr in diagram.crossings:
+        val = op(colors[cr.arc_x], colors[cr.arc_over])
+        if colors.setdefault(cr.arc_xy, val) != val:
+            return False
+    return True
+
+
 def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]:
     """All valid colorings by a finite quandle, deterministically ordered.
 
-    The colors of a_{00}, ..., a_{0,|p|-1} determine everything else by
-    propagating the crossing condition row by row, so the search space
-    is |X|^{|p|}, not |X|^{arc count}; guarded by SEED_BUDGET.
+    Row 0 determines the rest through `_propagate`, shared with `switch_generic`,
+    so the search space is |X|^{|p|}, not |X|^{arc count}; guarded by SEED_BUDGET.
     """
     elements = quandle.elements()
-    ap, aq = diagram.abs_p, diagram.abs_q
-    seeds = [diagram.rep(0, j) for j in range(ap)]
+    seeds = [diagram.rep(0, j) for j in range(diagram.abs_p)]
     if len(elements) ** len(seeds) > SEED_BUDGET:
         raise BudgetError(
             f"{len(elements)}^{len(seeds)} seed assignments exceed budget {SEED_BUDGET}"
         )
     index = {x: n for n, x in enumerate(elements)}
-    reps = diagram.rep_arcs
     found = []
     for combo in itertools.product(elements, repeat=len(seeds)):
         colors = dict(zip(seeds, combo))
-        ok = True
-        for i in range(aq):
-            over = colors[(i, 0)]
-            for t in range(1, ap):
-                target = diagram.rep(i + 1, t - 1)
-                val = quandle.op(colors[diagram.rep(i, t)], over)
-                if target in colors:
-                    if colors[target] != val:
-                        ok = False
-                        break
-                else:
-                    colors[target] = val
-            if not ok:
-                break
-        if ok:
+        if _propagate(diagram, quandle.op, colors):
             found.append(Coloring(diagram, quandle, colors))
-    found.sort(key=lambda c: tuple(index[c.color_of(a)] for a in reps))
+    found.sort(key=lambda c: tuple(index[c.color_of(a)] for a in diagram.rep_arcs))
     return found
 
 
@@ -298,26 +291,23 @@ def shift_generic(c: Coloring) -> Coloring:
 def switch_generic(c: Coloring) -> Coloring:
     """The inside-out move carrying a coloring of D(p,q) to one of D(q,p).
 
-    With Y_s = old color of a_{s, |p|-1}, the new color of a'_{it} is
+    With Y_s = old color of a_{s, |p|-1}, the paper's new color of a'_{it} is
 
         Y'(i, t) = C(a_{[-i-t], |p|-1}) * Y_{[1-i]} * Y_{[2-i]} * ... * Y_{[0]}
 
-    (operation applied left to right, i factors, indices mod |q|).  The
-    identification a'_{i0} = a'_{[i+1], |q(new)|-1} is respected because
-    the extra factor acts on itself (x * x = x).
+    (left to right, i factors, indices mod |q|).  Row 0 has no factors;
+    `_propagate` fills in the rest, one operation per crossing, and gets
+    the same colors.  By Q3, S_i = (. * Y_{[1-i]} * ... * Y_{[0]}) is an
+    automorphism, so Y'(i,t) * Y'(i,0) = S_i(C(a_{[-i-t],|p|-1}) * Y_{[-i]})
+    = Y'(i+1,t-1), and by Q1 Y'(i+1,|q|-1) = S_i(Y_{[-i]} * Y_{[-i]}) = Y'(i,0).
+    A clash raises ValueError: c was not a valid coloring.
     """
     d = c.diagram
-    ap, aq = d.abs_p, d.abs_q
     nd = build_diagram(d.q, d.p)
-    op = c.quandle.op
-    y = [c.color(s, ap - 1) for s in range(aq)]
-    new_colors = {}
-    for (i, t) in nd.rep_arcs:
-        val = c.color(-i - t, ap - 1)
-        for s in range(1 - i, 1):
-            val = op(val, y[s % aq])
-        new_colors[(i, t)] = val
-    return Coloring(nd, c.quandle, new_colors)
+    colors = {nd.rep(0, t): c.color(-t, d.abs_p - 1) for t in range(d.abs_q)}
+    if not _propagate(nd, c.quandle.op, colors):
+        raise ValueError(f"switch: not a valid coloring of D({d.p},{d.q})")
+    return Coloring(nd, c.quandle, colors)
 
 
 ORBIT_BUDGET = 10_000

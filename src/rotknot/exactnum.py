@@ -193,8 +193,15 @@ class Cyc:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_minform", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Cyc is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which re-normalizes
+        return (Cyc, (self.level, self.coeffs))
 
     # -- constructors -------------------------------------------------------
 

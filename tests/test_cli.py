@@ -85,6 +85,10 @@ class TestEnumerate:
             ["render", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
             ["enumerate", "--p", "0", "--q", "3"],
             ["enumerate", "--p", "1", "--q", "3"],
+            ["verify", "axioms", "--level", "7"],
+            ["verify", "cocycle", "--depth", "3"],
+            ["verify", "orbit", "--level", "9"],
+            ["verify", "appendix", "--grid", "full"],
         ):
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err

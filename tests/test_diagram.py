@@ -24,6 +24,7 @@ from rotknot.diagram import (
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
 from rotknot.geom import ORIGIN, PolygonSpec, point_xy, polygon_area
 from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem
+from rotknot.trochoid import TrochoidSpec, derive_coloring
 
 
 def rot_coloring_3211() -> Coloring:
@@ -40,6 +41,37 @@ def rot_coloring_3211() -> Coloring:
         (1, 1): RotElem(-z3, theta),
     }
     return Coloring(build_diagram(3, 2), ROT, colors)
+
+
+def switch_by_formula(c: Coloring) -> Coloring:
+    """The switch by the paper's product formula, the reference for
+    `switch_generic`: with Y_s = color of a_{s, |p|-1},
+
+        Y'(i, t) = C(a_{[-i-t], |p|-1}) * Y_{[1-i]} * ... * Y_{[0]}  (i factors).
+    """
+    d = c.diagram
+    ap, aq = d.abs_p, d.abs_q
+    y = [c.color(s, ap - 1) for s in range(aq)]
+    nd = build_diagram(d.q, d.p)
+    colors = {}
+    for (i, t) in nd.rep_arcs:
+        val = c.color(-i - t, ap - 1)
+        for s in range(1 - i, 1):
+            val = c.quandle.op(val, y[s % aq])
+        colors[(i, t)] = val
+    return Coloring(nd, c.quandle, colors)
+
+
+class CountingQuandle:
+    """Wraps a quandle and counts its `op` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def op(self, x, y):
+        self.calls += 1
+        return self.inner.op(x, y)
 
 
 class TestBuildDiagram:
@@ -241,6 +273,49 @@ class TestGenericMoves:
             s = switch_generic(c)
             assert validate_coloring(s)
             assert switch_generic(s) == c  # double switch is the identity
+
+    def test_switch_matches_product_formula(self):
+        colorings = [
+            c
+            for n in (3, 5)
+            for (p, q) in ((2, 3), (3, 2), (3, 4), (-2, 3), (3, -4))
+            for c in enumerate_colorings_finite(DihedralQuandle(n), build_diagram(p, q))
+        ]
+        specs = [
+            TrochoidSpec(p, q, k, l)
+            for (p, q) in (
+                (2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)
+            )
+            for k in range(1, p)
+            for l in range(1, q)
+        ]
+        specs.append(TrochoidSpec(-3, 4, 2, 1))
+        specs.append(
+            TrochoidSpec(
+                4, 3, 1, 2, anchor=point_xy(Fraction(1, 2), 3),
+                side=Fraction(3, 2), chirality=-1,
+            )
+        )
+        colorings += [derive_coloring(s) for s in specs]
+        for c in colorings:
+            assert switch_generic(c) == switch_by_formula(c), c
+
+    def test_switch_rejects_invalid_coloring(self):
+        q3 = DihedralQuandle(3)
+        d = build_diagram(2, 3)
+        colors = {(0, 0): DihedralElem(3, 0), (1, 0): DihedralElem(3, 0),
+                  (2, 0): DihedralElem(3, 1)}
+        with pytest.raises(ValueError, match="not a valid coloring"):
+            switch_generic(Coloring(d, q3, colors))
+
+    def test_switch_costs_one_op_per_crossing(self):
+        # |p|(|q| - 1) = 63 crossings of D(8, 9); the product formula
+        # spends 252 operations here
+        counter = CountingQuandle(DihedralQuandle(3))
+        c = trivial_coloring(build_diagram(9, 8), counter, DihedralElem(3, 1))
+        s = switch_generic(c)
+        assert s.is_trivial() and len(s.diagram.crossings) == 63
+        assert counter.calls == 63
 
     def test_switch_geometric_oracle(self):
         # the switched (3,2,1,1) coloring computed from the switched

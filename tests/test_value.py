@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from rotknot.diagram import Crossing, TorusDiagram, ValidationReport
-from rotknot.exactnum import Turn
+from rotknot.exactnum import Cyc, Turn, cyc_root
 from rotknot.geom import AreaValue, PolygonSpec, point_xy
 from rotknot.quandle import DihedralElem, RotElem
 from rotknot.trochoid import (
@@ -75,16 +75,36 @@ class TestValueClasses:
         assert a == b and not a != b
         assert hash(a) == hash(b) == hash(fields)
         assert a != fields and not a == fields
-        assert copy.copy(a) == a
+        for clone in (copy.copy, copy.deepcopy, round_trip):
+            assert clone(a) == a
+
+
+def round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
 
 
 @pytest.mark.parametrize(
     "obj",
-    [Turn(1, 3), DihedralElem(5, 2), MoveSeq(("switch",)), TorusDiagram(3, 2)],
+    [
+        Turn(1, 3), DihedralElem(5, 2), MoveSeq(("switch",)), TorusDiagram(3, 2),
+        Cyc.zero(), _P, cyc_root(12, 5) * Fraction(2, 3),
+    ],
     ids=repr,
 )
 def test_pickle_round_trip(obj):
-    assert pickle.loads(pickle.dumps(obj)) == obj
+    for clone in (copy.copy, copy.deepcopy, round_trip):
+        out = clone(obj)
+        assert out == obj and hash(out) == hash(obj)
+
+
+def test_cyc_immutable():
+    x = cyc_root(12, 5)
+    for name in ("level", "num", "den"):
+        with pytest.raises(AttributeError, match="Cyc is immutable"):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError, match="Cyc is immutable"):
+            delattr(x, name)
+    assert x == cyc_root(12, 5)
 
 
 def test_other_class_with_equal_fields_differs():
