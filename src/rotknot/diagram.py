@@ -202,6 +202,14 @@ def validate_coloring(c: Coloring) -> ValidationReport:
     return ValidationReport(True)
 
 
+def check_coloring(c: Coloring) -> None:
+    """Raise ValueError naming the first crossing where c is not valid."""
+    report = validate_coloring(c)
+    if not report:
+        d = c.diagram
+        raise ValueError(f"not a valid coloring of D({d.p},{d.q}): {report.message}")
+
+
 SEED_BUDGET = 1_000_000
 
 
@@ -225,7 +233,8 @@ def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]
     seeds = [diagram.rep(0, j) for j in range(diagram.abs_p)]
     if len(elements) ** len(seeds) > SEED_BUDGET:
         raise BudgetError(
-            f"{len(elements)}^{len(seeds)} seed assignments exceed budget {SEED_BUDGET}"
+            f"{len(elements)}^{len(seeds)} seed assignments exceed budget {SEED_BUDGET}; "
+            f"diagram.SEED_BUDGET = {len(elements) ** len(seeds)} would suffice"
         )
     index = {x: n for n, x in enumerate(elements)}
     found = []
@@ -300,7 +309,10 @@ def switch_generic(c: Coloring) -> Coloring:
     the same colors.  By Q3, S_i = (. * Y_{[1-i]} * ... * Y_{[0]}) is an
     automorphism, so Y'(i,t) * Y'(i,0) = S_i(C(a_{[-i-t],|p|-1}) * Y_{[-i]})
     = Y'(i+1,t-1), and by Q1 Y'(i+1,|q|-1) = S_i(Y_{[-i]} * Y_{[-i]}) = Y'(i,0).
-    A clash raises ValueError: c was not a valid coloring.
+
+    c is assumed valid.  Only the long arcs are read, so an invalid c
+    raises ValueError only when those arcs alone clash; callers that take
+    a coloring from outside check it first with `validate_coloring`.
     """
     d = c.diagram
     nd = build_diagram(d.q, d.p)
@@ -319,7 +331,9 @@ def coloring_orbit(c: Coloring) -> list[Coloring]:
     Explores both diagram sides but returns only the colorings living on
     the starting diagram, i.e. those reached by an even number of
     switches.  Finite for finite quandles; guarded by ORBIT_BUDGET.
+    c is checked once: shift and switch keep a coloring valid.
     """
+    check_coloring(c)
     start_side = (c.diagram.p, c.diagram.q)
     seen: dict[Coloring, None] = {c: None}
     queue = deque([c])
@@ -330,7 +344,10 @@ def coloring_orbit(c: Coloring) -> list[Coloring]:
             if nxt in seen:
                 continue
             if len(seen) >= ORBIT_BUDGET:
-                raise BudgetError(f"coloring orbit exceeded {ORBIT_BUDGET} states")
+                raise BudgetError(
+                    f"coloring orbit exceeded {ORBIT_BUDGET} states; "
+                    "diagram.ORBIT_BUDGET caps it"
+                )
             seen[nxt] = None
             queue.append(nxt)
     return [x for x in seen if (x.diagram.p, x.diagram.q) == start_side]

@@ -188,10 +188,10 @@ class Cyc:
         if len(vals) > level:
             raise ValueError("more coefficients than the level allows")
         num, den = _from_fractions(level, enumerate(vals))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_minform", None)
+        _set_level(self, level)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_minform(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
@@ -207,11 +207,18 @@ class Cyc:
 
     @staticmethod
     def _raw(level: int, num: tuple[int, ...], den: int) -> "Cyc":
-        out = object.__new__(Cyc)
-        object.__setattr__(out, "level", level)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
-        object.__setattr__(out, "_minform", None)
+        """A Cyc from coordinates already in canonical (num, den) form.
+
+        The slots are written through their member descriptors, the
+        same store `object.__setattr__` makes once it has looked the
+        descriptor up, so the raising `__setattr__` is bypassed in the
+        same way at about half the cost.
+        """
+        out = _new(Cyc)
+        _set_level(out, level)
+        _set_num(out, num)
+        _set_den(out, den)
+        _set_minform(out, None)
         return out
 
     @staticmethod
@@ -248,7 +255,12 @@ class Cyc:
     # -- level handling ------------------------------------------------------
 
     def lift(self, level: int) -> "Cyc":
-        """The same value expressed at a multiple of the current level."""
+        """The same value expressed at a multiple of the current level.
+
+        zeta_self.level = zeta_level^step with step = level/self.level, so
+        coordinate e moves to exponent e*step and is folded.  From level 1
+        the value c is c * zeta^0, already canonical: (c, 0, ..., 0).
+        """
         if level == self.level:
             return self
         if level % self.level:
@@ -256,6 +268,8 @@ class Cyc:
                 f"cannot lift level {self.level} into level {level}",
                 required_level=lcm(level, self.level),
             )
+        if self.level == 1:
+            return Cyc._raw(level, self.num + (0,) * (_phi(level) - 1), self.den)
         step = level // self.level
         acc = [0] * level
         for e, c in enumerate(self.num):
@@ -411,7 +425,7 @@ class Cyc:
         if cached is not None:
             return cached
         out = _descend(self)
-        object.__setattr__(self, "_minform", out)
+        _set_minform(self, out)
         return out
 
     def sort_key(self):
@@ -468,6 +482,12 @@ class Cyc:
         )
 
 
+_new = object.__new__
+_set_level, _set_num, _set_den, _set_minform = (
+    Cyc.__dict__[name].__set__ for name in Cyc.__slots__
+)
+
+
 def _coerce(value) -> "Cyc | type(NotImplemented)":
     if isinstance(value, Cyc):
         return value
@@ -498,7 +518,17 @@ def _from_fractions(
 
 
 def _add(a: Cyc, b: Cyc, op) -> Cyc:
-    """op(a, b) for op in (operator.add, operator.sub)."""
+    """op(a, b) for op in (operator.add, operator.sub).
+
+    A zero operand at a level dividing the other's level leaves the other
+    operand as it is (negated for 0 - b): the sum lives at that level,
+    and its (num, den) is the other operand's.
+    """
+    if not any(b.num):
+        if a.level % b.level == 0:
+            return a
+    elif not any(a.num) and b.level % a.level == 0:
+        return b if op is operator.add else -b
     a, b = a._pair(b)
     if a.den == b.den:
         return Cyc._raw(a.level, *_normal(tuple(map(op, a.num, b.num)), a.den))
@@ -723,10 +753,14 @@ def enumerate_unit_elements(level: int) -> list[Cyc]:
 
 
 def cyc_to_json(a: Cyc) -> dict:
-    return {
-        "level": a.level,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in a.coeffs],
-    }
+    """Level and coordinates, each num/den in lowest terms as a string
+    pair: the numerator and denominator `Fraction(num, den)` would have."""
+    den = a.den
+    coeffs = []
+    for c in a.num:
+        g = gcd(c, den)
+        coeffs.append([str(c // g), str(den // g)])
+    return {"level": a.level, "coeffs": coeffs}
 
 
 def cyc_from_json(data: dict) -> Cyc:

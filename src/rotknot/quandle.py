@@ -9,7 +9,7 @@ needs; the rotation quandle is infinite and never enumerates.
 from __future__ import annotations
 
 from .exactnum import Turn, turn_from_json, turn_to_json
-from .geom import AreaValue, Point, point_from_json, point_to_json, rotate, signed_area_tri
+from .geom import AreaValue, Point, point_from_json, point_to_json, rotate
 from .value import Frozen
 
 
@@ -89,16 +89,20 @@ ROT = RotQuandle()
 def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> AreaValue:
     """The area two-cocycle on the rotation quandle.
 
-    Phi_o(x, y) = -s(o, x.center, y.center)
-                  + s(o, image of x.center under y, y.center),
-    an exact signed-area value.  Phi_o(x, x) = 0 and the cocycle
-    relation hold identically; total crossing weights built from it do
-    not depend on o.
+    Phi_o(x, y) = -s(o, a, c) + s(o, b, c) with a = x.center, c = y.center
+    and b the image of a under y, an exact signed-area value.  Phi_o(x, x)
+    = 0 and the cocycle relation hold identically; total crossing weights
+    built from it do not depend on o.
+
+    The two triangles share o and c, and 4i * s(o, v, c) = t - conj(t)
+    with t = conj(v - o) * (c - o), so the sum is u - conj(u) for the one
+    term u = conj(b - a) * (c - o).  Its operands span the same levels as
+    the two triangles', so the value comes out at the same level with the
+    same (num, den).
     """
-    moved = rotate(x.center, y.center, y.angle)
-    return -signed_area_tri(o, x.center, y.center) + signed_area_tri(
-        o, moved, y.center
-    )
+    a, c = x.center, y.center
+    u = (rotate(a, c, y.angle) - a).conj() * (c - o)
+    return AreaValue(u - u.conj())
 
 
 def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> AreaValue:

@@ -20,6 +20,7 @@ from math import gcd, lcm
 from .diagram import (
     Coloring,
     build_diagram,
+    check_coloring,
     shift_generic,
     switch_generic,
 )
@@ -457,7 +458,11 @@ def replay_spec(moves: MoveSeq, spec: TrochoidSpec) -> TrochoidSpec:
 
 
 def replay(moves: MoveSeq, c: Coloring) -> Coloring:
-    """Apply the generic coloring moves in order."""
+    """Apply the generic coloring moves in order.
+
+    c is checked once; shift and switch keep a coloring valid.
+    """
+    check_coloring(c)
     out = c
     for m in moves:
         out = shift_generic(out) if m == "shift" else switch_generic(out)
@@ -606,7 +611,8 @@ def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, Mo
     for count, (_, state, word) in enumerate(states):
         if count >= NODE_BUDGET:
             raise BudgetError(
-                f"orbit search exceeded {NODE_BUDGET} states at {len(word)} moves"
+                f"orbit search exceeded {NODE_BUDGET} states at {len(word)} moves; "
+                "trochoid.NODE_BUDGET caps it"
             )
         if (state.p, state.q) == (spec.p, spec.q):
             same_side.append((state, MoveSeq(word)))

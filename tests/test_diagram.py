@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from rotknot.diagram import (
     build_diagram,
     closed_form_weight,
     coloring_from_json,
+    coloring_orbit,
     coloring_to_json,
     enumerate_colorings_finite,
     shift_generic,
@@ -24,7 +26,7 @@ from rotknot.diagram import (
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
 from rotknot.geom import ORIGIN, PolygonSpec, point_xy, polygon_area
 from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem
-from rotknot.trochoid import TrochoidSpec, derive_coloring
+from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 
 
 def rot_coloring_3211() -> Coloring:
@@ -161,7 +163,11 @@ class TestEnumeration:
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(diagram, "SEED_BUDGET", 5)
-        with pytest.raises(BudgetError, match=r"3\^2 seed assignments exceed budget 5"):
+        with pytest.raises(
+            BudgetError,
+            match=r"3\^2 seed assignments exceed budget 5; "
+            r"diagram.SEED_BUDGET = 9 would suffice",
+        ):
             enumerate_colorings_finite(DihedralQuandle(3), build_diagram(2, 3))
 
 
@@ -308,6 +314,29 @@ class TestGenericMoves:
         with pytest.raises(ValueError, match="not a valid coloring"):
             switch_generic(Coloring(d, q3, colors))
 
+    @pytest.mark.parametrize("p, q", [(3, 2), (3, 4)])
+    def test_replay_rejects_every_invalid_coloring(self, p, q):
+        # switch_generic alone lets all 72 invalid D(3,2) colorings through
+        q3 = DihedralQuandle(3)
+        d = build_diagram(p, q)
+        invalid = 0
+        for combo in itertools.product(q3.elements(), repeat=len(d.rep_arcs)):
+            c = Coloring(d, q3, dict(zip(d.rep_arcs, combo)))
+            if validate_coloring(c):
+                continue
+            invalid += 1
+            with pytest.raises(ValueError, match="not a valid coloring"):
+                replay(MoveSeq(("switch",)), c)
+        assert invalid == 3 ** len(d.rep_arcs) - 9
+
+    def test_orbit_rejects_invalid_coloring(self):
+        q3 = DihedralQuandle(3)
+        d = build_diagram(3, 2)
+        colors = dict.fromkeys(d.rep_arcs, DihedralElem(3, 0))
+        colors[(0, 0)] = DihedralElem(3, 1)
+        with pytest.raises(ValueError, match="not a valid coloring"):
+            coloring_orbit(Coloring(d, q3, colors))
+
     def test_switch_costs_one_op_per_crossing(self):
         # |p|(|q| - 1) = 63 crossings of D(8, 9); the product formula
         # spends 252 operations here
@@ -352,6 +381,17 @@ class TestTrefoilOrbit:
             c for c in seen if (c.diagram.p, c.diagram.q) == (2, 3)
         }
         assert on_original == set(nontrivial)
+        assert set(coloring_orbit(start)) == on_original
+
+    def test_orbit_budget(self, monkeypatch):
+        monkeypatch.setattr(diagram, "ORBIT_BUDGET", 2)
+        q3 = DihedralQuandle(3)
+        start = enumerate_colorings_finite(q3, build_diagram(2, 3))[1]
+        with pytest.raises(
+            BudgetError,
+            match="coloring orbit exceeded 2 states; diagram.ORBIT_BUDGET caps it",
+        ):
+            coloring_orbit(start)
 
 
 class TestSerialization:

@@ -241,12 +241,22 @@ class TestIntegerCore:
     def test_ring_laws(self, drawn, s):
         m, (x, y, z), k = drawn
         n = m * k
-        results = [x + y, x - y, x * y, -x, x.conj(), x.lift(n), x * s]
+        zero, r = Cyc.zero(), Cyc.rational(s)
+        results = [x + y, x - y, x * y, -x, x.conj(), x.lift(n), x * s, x + r]
         if s:
             results.append(x / s)
         for v in [x, y, z] + results:
             self.check_invariant(v)
             assert Cyc(v.level, v.coeffs) == v
+        # the zero and level-1 fast paths of add, sub and lift
+        for fast, slow in (
+            (x + zero, x),
+            (x - zero, x),
+            (zero - x, -x),
+            (r.lift(n), Cyc(n, [s])),
+            (zero.lift(m) - x.lift(m), -x.lift(m)),
+        ):
+            assert (fast.level, fast.num, fast.den) == (slow.level, slow.num, slow.den)
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x
         assert (x * y).conj() == x.conj() * y.conj()
@@ -366,7 +376,22 @@ class TestTurn:
         assert abs(Turn(1, 4).angle() - math.pi / 2) < 1e-15
 
 
+def cyc_to_json_by_fractions(a: Cyc) -> dict:
+    """The Fraction-based writer, kept as the reference."""
+    return {
+        "level": a.level,
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in a.coeffs],
+    }
+
+
 class TestSerialization:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(cyc_triples())
+    def test_json_matches_fractions(self, drawn):
+        _, values, _ = drawn
+        for a in values + [-v for v in values] + [Cyc.zero(), Cyc.zero().lift(12)]:
+            assert cyc_to_json(a) == cyc_to_json_by_fractions(a)
+
     def test_cyc_round_trip(self):
         rng = random.Random(99)
         for _ in range(30):

@@ -171,7 +171,33 @@ class TestPolygonWalk:
             PolygonSpec(1, 1, ORIGIN, Turn(0))
 
 
+def fan_area(spec: PolygonSpec) -> AreaValue:
+    """The fan over the spec's own walk from its anchor, kept as the reference."""
+    return signed_area_polygon(polygon_vertices(spec), spec.anchor)
+
+
 class TestPolygonArea:
+    def test_default_walk_matches_fan_exactly(self):
+        # enumerate prints these levels and coordinates
+        for m in range(2, 14):
+            for k in range(1, m):
+                spec = PolygonSpec(m, k, ORIGIN, Turn(0))
+                got, want = polygon_area(spec).scaled, fan_area(spec).scaled
+                assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
+
+    def test_matches_fan_on_random_walks(self):
+        rng = random.Random(20241018)
+        for _ in range(80):
+            m = rng.randrange(2, 10)
+            spec = PolygonSpec(
+                m,
+                rng.randrange(1, m),
+                rand_point(rng, rng.choice([1, 3, 4, 12])),
+                Turn(rng.randrange(24), rng.choice([1, 2, 3, 4, 6, 8, 12, 24])),
+                Fraction(rng.randrange(1, 7), rng.randrange(1, 4)),
+            )
+            assert polygon_area(spec) == fan_area(spec), spec
+
     def test_equilateral_triangle(self):
         spec = PolygonSpec(3, 1, ORIGIN, Turn(0))
         val = polygon_area(spec)

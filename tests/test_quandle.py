@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotknot.exactnum import Cyc, Turn
-from rotknot.geom import ORIGIN, point_xy
+from rotknot.geom import ORIGIN, point_xy, rotate, signed_area_tri
 from rotknot.quandle import (
     ROT,
     DihedralElem,
@@ -26,6 +28,31 @@ def rand_rot(rng: random.Random, level: int = 12) -> RotElem:
 
     denom = rng.choice([2, 3, 4, 6, 12])
     return RotElem(rand_cyc(rng, level, span=3), Turn(rng.randrange(denom), denom))
+
+
+def cocycle_by_triangles(o, x: RotElem, y: RotElem):
+    """Phi_o as the sum of its two triangle areas, kept as the reference."""
+    moved = rotate(x.center, y.center, y.angle)
+    return -signed_area_tri(o, x.center, y.center) + signed_area_tri(
+        o, moved, y.center
+    )
+
+
+@st.composite
+def points(draw):
+    """A point at level 1, 4, 12 or 24 with small rational coordinates."""
+    level = draw(st.sampled_from([1, 4, 12, 24]))
+    terms = draw(
+        st.dictionaries(
+            st.integers(0, level - 1),
+            st.fractions(-3, 3, max_denominator=4),
+            max_size=4,
+        )
+    )
+    return Cyc.from_terms(level, terms)
+
+
+turns = st.builds(Turn, st.integers(0, 23), st.integers(1, 24))
 
 
 class TestDihedral:
@@ -108,6 +135,14 @@ class TestCocycle:
         x = RotElem(Cyc.one(), Turn(1, 4))
         y = RotElem(ORIGIN, Turn(1, 4))
         assert cocycle_phi(ORIGIN, x, y).is_zero()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(points(), points(), points(), turns, turns)
+    def test_one_term_matches_two_triangles(self, o, a, c, s, t):
+        x, y = RotElem(a, s), RotElem(c, t)
+        got = cocycle_phi(o, x, y).scaled
+        want = cocycle_by_triangles(o, x, y).scaled
+        assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
 
     def test_qc1_vanishes(self):
         rng = random.Random(37)

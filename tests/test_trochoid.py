@@ -441,7 +441,10 @@ class TestOrbitBFS:
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(trochoid, "NODE_BUDGET", 5)
         s = TrochoidSpec(2, 3, 1, 1)
-        with pytest.raises(BudgetError, match="orbit search exceeded 5 states"):
+        with pytest.raises(
+            BudgetError,
+            match="orbit search exceeded 5 states .*; trochoid.NODE_BUDGET caps it",
+        ):
             orbit_bfs(s, 12)
 
 
