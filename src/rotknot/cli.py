@@ -31,7 +31,6 @@ from .diagram import (
 )
 from .exactnum import (
     BudgetError,
-    LevelError,
     Turn,
     cyc_root,
     cyc_to_json,
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="write an SVG of the trochoid diagram")
     add_spec_flags(sp)
-    sp.add_argument("--format", choices=("svg",), default="svg")
     sp.add_argument(
         "--size", type=positive_int, default=640, help="canvas width in pixels"
     )
@@ -454,7 +452,7 @@ def main(argv=None) -> int:
             _write_output(svg, args.out)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OverflowError, LevelError, BudgetError, OSError) as exc:
+    except (ValueError, OverflowError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from math import gcd
 
 from .exactnum import BudgetError
 from .geom import AREA_ZERO, AreaValue, Point, PolygonSpec, polygon_area
-from .quandle import RotElem, cocycle_phi, elem_from_json, elem_to_json
+from .quandle import RotElem, cocycle_phi
 from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
@@ -44,14 +44,6 @@ class Crossing(Frozen):
         object.__setattr__(self, "arc_over", arc_over)
         object.__setattr__(self, "arc_xy", arc_xy)
         object.__setattr__(self, "sign", sign)
-
-    @property
-    def under_in(self) -> Arc:
-        return self.arc_x if self.sign > 0 else self.arc_xy
-
-    @property
-    def under_out(self) -> Arc:
-        return self.arc_xy if self.sign > 0 else self.arc_x
 
 
 class TorusDiagram(Frozen):
@@ -145,9 +137,6 @@ class Coloring:
     def color(self, i: int, j: int):
         return self._colors[self.diagram.rep(i, j)]
 
-    def color_of(self, arc: Arc):
-        return self._colors[self.diagram.rep(*arc)]
-
     @property
     def colors(self) -> dict[Arc, object]:
         return dict(self._colors)
@@ -190,8 +179,8 @@ def validate_coloring(c: Coloring) -> ValidationReport:
     """Check the coloring condition at every crossing, exactly."""
     q = c.quandle
     for cr in c.diagram.crossings:
-        want = q.op(c.color_of(cr.arc_x), c.color_of(cr.arc_over))
-        got = c.color_of(cr.arc_xy)
+        want = q.op(c.color(*cr.arc_x), c.color(*cr.arc_over))
+        got = c.color(*cr.arc_xy)
         if got != want:
             return ValidationReport(
                 False,
@@ -242,7 +231,7 @@ def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]
         colors = dict(zip(seeds, combo))
         if _propagate(diagram, quandle.op, colors):
             found.append(Coloring(diagram, quandle, colors))
-    found.sort(key=lambda c: tuple(index[c.color_of(a)] for a in diagram.rep_arcs))
+    found.sort(key=lambda c: tuple(index[c.color(*a)] for a in diagram.rep_arcs))
     return found
 
 
@@ -258,8 +247,8 @@ def total_weight(c: Coloring, o: Point) -> AreaValue:
     """
     acc = AREA_ZERO
     for cr in c.diagram.crossings:
-        x: RotElem = c.color_of(cr.arc_x)
-        y: RotElem = c.color_of(cr.arc_over)
+        x: RotElem = c.color(*cr.arc_x)
+        y: RotElem = c.color(*cr.arc_over)
         term = cocycle_phi(o, x, y)
         if cr.sign < 0:
             term = -term
@@ -322,6 +311,34 @@ def switch_generic(c: Coloring) -> Coloring:
     return Coloring(nd, c.quandle, colors)
 
 
+def breadth_first(start, step, key, max_moves=None):
+    """Yield (key, state, word) for every state reachable from start by
+    the moves "shift" and "switch", once each and in breadth-first order,
+    so every word is a shortest one.
+
+    step(state, move) applies one move and key(state) identifies a state
+    exactly; shift is tried before switch, and states max_moves moves away
+    are not expanded.  Callers count the yielded states against their
+    own budgets.
+    """
+    k = key(start)
+    seen = {k}
+    yield k, start, ()
+    queue = deque([(start, ())])
+    while queue:
+        cur, word = queue.popleft()
+        if max_moves is not None and len(word) >= max_moves:
+            continue
+        for move in ("shift", "switch"):
+            nxt = step(cur, move)
+            k = key(nxt)
+            if k not in seen:
+                seen.add(k)
+                seq = word + (move,)
+                yield k, nxt, seq
+                queue.append((nxt, seq))
+
+
 ORBIT_BUDGET = 10_000
 
 
@@ -335,42 +352,18 @@ def coloring_orbit(c: Coloring) -> list[Coloring]:
     """
     check_coloring(c)
     start_side = (c.diagram.p, c.diagram.q)
-    seen: dict[Coloring, None] = {c: None}
-    queue = deque([c])
-    while queue:
-        cur = queue.popleft()
-        for move in (shift_generic, switch_generic):
-            nxt = move(cur)
-            if nxt in seen:
-                continue
-            if len(seen) >= ORBIT_BUDGET:
-                raise BudgetError(
-                    f"coloring orbit exceeded {ORBIT_BUDGET} states; "
-                    "diagram.ORBIT_BUDGET caps it"
-                )
-            seen[nxt] = None
-            queue.append(nxt)
-    return [x for x in seen if (x.diagram.p, x.diagram.q) == start_side]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def coloring_to_json(c: Coloring) -> dict:
-    return {
-        "p": c.diagram.p,
-        "q": c.diagram.q,
-        "colors": {
-            f"a_{i}_{j}": elem_to_json(c.color(i, j)) for (i, j) in c.diagram.rep_arcs
-        },
-    }
-
-
-def coloring_from_json(data: dict, quandle) -> Coloring:
-    d = build_diagram(int(data["p"]), int(data["q"]))
-    colors = {}
-    for key, val in data["colors"].items():
-        _, i, j = key.split("_")
-        colors[(int(i), int(j))] = elem_from_json(val)
-    return Coloring(d, quandle, colors)
+    states = breadth_first(
+        c,
+        lambda x, move: shift_generic(x) if move == "shift" else switch_generic(x),
+        lambda x: x,
+    )
+    same_side = []
+    for count, (_, x, _) in enumerate(states):
+        if count >= ORBIT_BUDGET:
+            raise BudgetError(
+                f"coloring orbit exceeded {ORBIT_BUDGET} states; "
+                "diagram.ORBIT_BUDGET caps it"
+            )
+        if (x.diagram.p, x.diagram.q) == start_side:
+            same_side.append(x)
+    return same_side

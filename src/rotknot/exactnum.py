@@ -18,8 +18,7 @@ lifting or a Galois action leaves `den` unchanged.  `Fraction` is
 used only where values enter or leave (`coeffs`, `min_form`, JSON).
 
 `Cyc.min_form` finds the least level holding a value one prime p | N at
-a time; `Cyc.inverse` divides the product of the other Galois conjugates
-by the rational norm.
+a time.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd, lcm
 
 from .value import Frozen
@@ -53,9 +52,10 @@ class NonIntegralError(ValueError):
 class ContradictionError(RuntimeError):
     """An exact computation contradicts a proved statement.
 
-    Raised when a unit-modulus cyclotomic integer fails to be a root of
-    unity within its guaranteed order bound.  Reaching this is a bug
-    (or a disproof), never a data error.
+    Raised, for instance, when a unit-modulus cyclotomic integer fails to
+    be a root of unity within its guaranteed order bound or a regular
+    polygon walk fails to close.  Reaching this is a bug (or a
+    disproof), never a data error; unlike `assert`, `python -O` keeps it.
     """
 
 
@@ -329,40 +329,17 @@ class Cyc:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyc":
-        """Multiplicative inverse: the product of the other Galois
-        conjugates divided by the rational norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        n = self.level
-        others = _ONE.lift(n)
-        for j in range(2, n):
-            if gcd(j, n) == 1:
-                others = others * self.galois(j)
-        return others / (self * others).as_fraction()
-
     def __truediv__(self, other) -> "Cyc":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return _scale(self, 1 / f)
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        f = Fraction(other)
+        if f == 0:
+            raise ZeroDivisionError("division by zero")
+        return _scale(self, 1 / f)
 
     def __pow__(self, exponent: int) -> "Cyc":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
         out = _ONE
         base = self
         e = exponent
@@ -618,23 +595,14 @@ _ONE = Cyc._raw(1, (1,), 1)
 _I = Cyc._raw(4, (0, 1), 1)
 
 
-@total_ordering
 class Turn(Frozen):
-    """An angle as an exact fraction of a full turn, normalized to [0, 1).
-
-    Turns order by `fraction`.
-    """
+    """An angle as an exact fraction of a full turn, normalized to [0, 1)."""
 
     __slots__ = _fields = ("fraction",)
 
     def __init__(self, fraction: Fraction | int, _den: int | None = None):
         f = Fraction(fraction, _den) if _den is not None else Fraction(fraction)
         object.__setattr__(self, "fraction", f % 1)
-
-    def __lt__(self, other: "Turn") -> bool:
-        if other.__class__ is not Turn:
-            return NotImplemented
-        return self.fraction < other.fraction
 
     @property
     def numerator(self) -> int:
@@ -655,9 +623,6 @@ class Turn(Frozen):
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
-
-    def angle(self) -> float:
-        return 2.0 * math.pi * float(self.fraction)
 
 
 HALF_TURN = Turn(1, 2)

@@ -3,7 +3,7 @@
 Points are complex cyclotomic numbers.  Signed areas are kept 4i-scaled
 so they stay inside the field (the raw area of a cyclotomic triangle
 need not be cyclotomic, but 4i times it always is); a floating mirror
-is attached for display and sign reading.
+is attached for display.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import (
+    ContradictionError,
     Cyc,
     Turn,
     cyc_from_json,
@@ -77,11 +78,6 @@ class AreaValue(Frozen):
 
     def is_zero(self) -> bool:
         return self.scaled.is_zero()
-
-    def sign(self) -> int:
-        if self.scaled.is_zero():
-            return 0
-        return 1 if self.approx > 0 else -1
 
     def __add__(self, other: "AreaValue") -> "AreaValue":
         return AreaValue(self.scaled + other.scaled)
@@ -172,18 +168,12 @@ class PolygonSpec(Frozen):
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "side", side)
 
-    @property
-    def m_prime(self) -> int:
-        from math import gcd
-
-        return self.m // gcd(self.m, self.k)
-
 
 def polygon_vertices(spec: PolygonSpec) -> list[Point]:
     """The m vertices of the edge walk; the walk provably closes.
 
     w_0 = anchor and w_{j+1} = w_j + side * u(direction) * zeta_m^{kj};
-    closure (w_m = w_0) is asserted exactly.
+    closure (w_m = w_0) is checked exactly.
     """
     verts = [spec.anchor]
     u0 = turn_to_root(spec.direction) * spec.side
@@ -194,13 +184,8 @@ def polygon_vertices(spec: PolygonSpec) -> list[Point]:
         step = step * zk
     closure = verts[-1] + step
     if closure != spec.anchor:
-        raise AssertionError("polygon walk failed to close")
+        raise ContradictionError("polygon walk failed to close")
     return verts
-
-
-def mirror_type(spec: PolygonSpec) -> PolygonSpec:
-    """The type-(m, m-k) spec: same anchored first edge, mirrored walk."""
-    return PolygonSpec(spec.m, spec.m - spec.k, spec.anchor, spec.direction, spec.side)
 
 
 def polygon_area(spec: PolygonSpec) -> AreaValue:

@@ -8,8 +8,8 @@ needs; the rotation quandle is infinite and never enumerates.
 
 from __future__ import annotations
 
-from .exactnum import Turn, turn_from_json, turn_to_json
-from .geom import AreaValue, Point, point_from_json, point_to_json, rotate
+from .exactnum import Turn
+from .geom import AreaValue, Point, rotate
 from .value import Frozen
 
 
@@ -60,9 +60,6 @@ class RotElem(Frozen):
     def __init__(self, center: Point, angle: Turn):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "angle", angle)
-
-    def sort_key(self):
-        return (self.angle.fraction, self.center.sort_key())
 
 
 class RotQuandle:
@@ -115,17 +112,3 @@ def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> AreaValue:
     xz = ROT.op(x, z)
     yz = ROT.op(y, z)
     return f(o, x, y) + f(o, xy, z) - f(o, x, z) - f(o, xz, yz)
-
-
-def elem_to_json(x: DihedralElem | RotElem) -> dict:
-    if isinstance(x, DihedralElem):
-        return {"dihedral": {"n": x.n, "value": x.value}}
-    return {"rot": {"center": point_to_json(x.center), "angle": turn_to_json(x.angle)}}
-
-
-def elem_from_json(data: dict) -> DihedralElem | RotElem:
-    if "dihedral" in data:
-        d = data["dihedral"]
-        return DihedralElem(int(d["n"]), int(d["value"]))
-    r = data["rot"]
-    return RotElem(point_from_json(r["center"]), turn_from_json(r["angle"]))

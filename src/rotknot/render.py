@@ -56,8 +56,9 @@ def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
     row_pts = [[flip(w) for w in row] for row in rows]
     everything = base_pts + [z for row in row_pts for z in row]
     x0, x1, y0, y1 = _corners(everything)
-    width = x1 - x0 or 1.0
-    height = y1 - y0 or 1.0
+    width, height = x1 - x0, y1 - y0
+    if not (width > 0 and height > 0):
+        raise ValueError("the figure collapses to a point or a line in floating point")
     pad_x, pad_y = 0.05 * width, 0.05 * height
     vb = (x0 - pad_x, y0 - pad_y, width + 2 * pad_x, height + 2 * pad_y)
     pixel_h = size * vb[3] / vb[2]

@@ -13,12 +13,12 @@ R-equivalent colorings, exactly when the parity invariant p'q' allows.
 from __future__ import annotations
 
 import os
-from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
 from .diagram import (
     Coloring,
+    breadth_first,
     build_diagram,
     check_coloring,
     shift_generic,
@@ -124,20 +124,12 @@ class TrochoidSpec(Frozen):
         return abs(self.q)
 
     @property
-    def sign(self) -> int:
-        return 1 if self.p * self.q > 0 else -1
-
-    @property
     def p_prime(self) -> int:
         return self.abs_p // gcd(self.abs_p, self.k)
 
     @property
     def q_prime(self) -> int:
         return self.abs_q // gcd(self.abs_q, self.l)
-
-    @property
-    def k_prime(self) -> int:
-        return self.k // gcd(self.abs_p, self.k)
 
     @property
     def l_prime(self) -> int:
@@ -436,10 +428,6 @@ class MoveSeq(Frozen):
                 raise ValueError(f"unknown move {m!r}")
         object.__setattr__(self, "moves", moves)
 
-    @property
-    def switch_parity(self) -> int:
-        return sum(1 for m in self.moves if m == "switch") % 2
-
     def __len__(self) -> int:
         return len(self.moves)
 
@@ -554,7 +542,8 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
     a2 = 2 * spec.alpha
     pq = spec.p_prime * spec.q_prime
     beta = (Fraction(a2) * spec.theta.fraction) % a2
-    assert beta.denominator == 1
+    if beta.denominator != 1:
+        raise ContradictionError("2*alpha*theta is not an integer")
     beta = int(beta)
     e_step = (a2 // spec.q_prime) * spec.l_prime
     tau = (sigma + (spec.q_prime - 1) * e_step + spec.alpha) % a2
@@ -567,32 +556,15 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
 # orbit search and classification
 
 
-def _bfs_key(spec: TrochoidSpec, level: int):
-    a, d = spec.resolved()
-    a = a.lift(level)
-    return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.num, a.den)
+def _bfs_key(level: int):
+    """The exact identity of a search state, with the anchor at level."""
 
+    def key(spec: TrochoidSpec):
+        a, d = spec.resolved()
+        a = a.lift(level)
+        return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.num, a.den)
 
-def _bfs(spec: TrochoidSpec, max_moves: int, level: int):
-    """Yield (key, state, word) for every state within max_moves moves of
-    spec, on both diagram sides, once each and in breadth-first order, so
-    every word is a shortest one."""
-    key = _bfs_key(spec, level)
-    seen = {key}
-    yield key, spec, ()
-    queue = deque([(spec, ())])
-    while queue:
-        cur, word = queue.popleft()
-        if len(word) >= max_moves:
-            continue
-        for name in ("shift", "switch"):
-            nxt = apply_move(cur, name)
-            key = _bfs_key(nxt, level)
-            if key not in seen:
-                seen.add(key)
-                seq = word + (name,)
-                yield key, nxt, seq
-                queue.append((nxt, seq))
+    return key
 
 
 NODE_BUDGET = 100_000
@@ -607,7 +579,7 @@ def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, Mo
     word, sorted canonically.  Guarded by NODE_BUDGET expanded states.
     """
     same_side = []
-    states = _bfs(spec, max_moves, session_level(spec))
+    states = breadth_first(spec, apply_move, _bfs_key(session_level(spec)), max_moves)
     for count, (_, state, word) in enumerate(states):
         if count >= NODE_BUDGET:
             raise BudgetError(
@@ -657,9 +629,10 @@ def _bfs_witness(
     a: TrochoidSpec, b: TrochoidSpec, max_moves: int, level: int
 ) -> MoveSeq | None:
     """A shortest word of at most max_moves moves carrying a to b, or None."""
-    target = _bfs_key(b, level)
-    for key, _, word in _bfs(a, max_moves, level):
-        if key == target:
+    key = _bfs_key(level)
+    target = key(b)
+    for k, _, word in breadth_first(a, apply_move, key, max_moves):
+        if k == target:
             return MoveSeq(word)
     return None
 

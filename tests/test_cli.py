@@ -85,6 +85,9 @@ class TestEnumerate:
             ["classify", "--p", "3", "--q", "2", "--b-direction", "1/1009"],
             ["render", "--p", "3", "--q", "2", "--side", "1e400"],
             ["render", "--p", "3", "--q", "2", "--anchor", "1e400,0"],
+            # exact figures whose float extent collapses to zero
+            ["render", "--p", "3", "--q", "2", "--side", "1e-400"],
+            ["render", "--p", "3", "--q", "2", "--anchor", "1e300,0"],
             ["enumerate", "--p", "0", "--q", "3"],
             ["enumerate", "--p", "1", "--q", "3"],
             ["verify", "axioms", "--level", "7"],
@@ -213,6 +216,12 @@ class TestVerify:
             main(["verify", "appendix", "--bound", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --bound 2" in capsys.readouterr().err
+
+    def test_render_format_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--p", "3", "--q", "2", "--format", "svg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format svg" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,7 @@ from rotknot.diagram import (
     Coloring,
     build_diagram,
     closed_form_weight,
-    coloring_from_json,
     coloring_orbit,
-    coloring_to_json,
     enumerate_colorings_finite,
     shift_generic,
     switch_generic,
@@ -24,7 +23,7 @@ from rotknot.diagram import (
     validate_coloring,
 )
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
-from rotknot.geom import ORIGIN, PolygonSpec, point_xy, polygon_area
+from rotknot.geom import ORIGIN, PolygonSpec, point_xy
 from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 
@@ -98,12 +97,6 @@ class TestBuildDiagram:
         assert d.rep(0, 2) == (1, 0)
         assert d.rep(1, 2) == (0, 0)
         assert d.rep(0, 1) == (0, 1)
-
-    def test_under_slot_views(self):
-        pos = build_diagram(2, 3).crossings[0]
-        assert (pos.under_in, pos.under_out) == (pos.arc_x, pos.arc_xy)
-        neg = build_diagram(2, -3).crossings[0]
-        assert (neg.under_in, neg.under_out) == (neg.arc_xy, neg.arc_x)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -357,6 +350,22 @@ class TestGenericMoves:
         assert c.color(2, 0) == RotElem(Cyc.one(), theta)
 
 
+def orbit_by_loop(c: Coloring) -> list[Coloring]:
+    """The orbit loop that `breadth_first` replaced, kept as the
+    reference for `coloring_orbit`, order included."""
+    start_side = (c.diagram.p, c.diagram.q)
+    seen: dict[Coloring, None] = {c: None}
+    queue = deque([c])
+    while queue:
+        cur = queue.popleft()
+        for move in (shift_generic, switch_generic):
+            nxt = move(cur)
+            if nxt not in seen:
+                seen[nxt] = None
+                queue.append(nxt)
+    return [x for x in seen if (x.diagram.p, x.diagram.q) == start_side]
+
+
 class TestTrefoilOrbit:
     def test_nontrivial_class_has_six_colorings(self):
         # breadth-first closure under shift and switch, collecting the
@@ -383,6 +392,13 @@ class TestTrefoilOrbit:
         assert on_original == set(nontrivial)
         assert set(coloring_orbit(start)) == on_original
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (2, 5)])
+    def test_orbit_matches_reference_loop(self, p, q, n):
+        colorings = enumerate_colorings_finite(DihedralQuandle(n), build_diagram(p, q))
+        for c in colorings:
+            assert coloring_orbit(c) == orbit_by_loop(c)
+
     def test_orbit_budget(self, monkeypatch):
         monkeypatch.setattr(diagram, "ORBIT_BUDGET", 2)
         q3 = DihedralQuandle(3)
@@ -392,14 +408,3 @@ class TestTrefoilOrbit:
             match="coloring orbit exceeded 2 states; diagram.ORBIT_BUDGET caps it",
         ):
             coloring_orbit(start)
-
-
-class TestSerialization:
-    def test_dihedral_round_trip(self):
-        q3 = DihedralQuandle(3)
-        for c in enumerate_colorings_finite(q3, build_diagram(2, 3)):
-            assert coloring_from_json(coloring_to_json(c), q3) == c
-
-    def test_rot_round_trip(self):
-        c = rot_coloring_3211()
-        assert coloring_from_json(coloring_to_json(c), ROT) == c

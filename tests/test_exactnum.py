@@ -94,22 +94,22 @@ class TestArithmetic:
         expect = complex(-0.5, math.sqrt(3) / 2) + 1j
         assert abs(z - expect) < 1e-12
 
-    def test_inverse(self):
-        rng = random.Random(20240811)
-        for _ in range(60):
-            level = rng.choice([3, 4, 5, 6, 8, 12, 15, 24, 30, 60])
-            a = rand_cyc(rng, level)
-            if a.is_zero():
-                continue
-            assert a * a.inverse() == Cyc.one()
-
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            Cyc.one() / Cyc.zero()
+            Cyc.one() / 0
+        with pytest.raises(ZeroDivisionError):
+            Cyc.one() / Fraction(0)
+
+    def test_no_division_by_cyc(self):
+        with pytest.raises(TypeError):
+            Cyc.one() / cyc_root(12, 5)
+        with pytest.raises(TypeError):
+            1 / cyc_root(12, 5)
 
     def test_pow_negative(self):
         z = cyc_root(12, 5)
-        assert z**-1 == cyc_root(12, 7)
+        with pytest.raises(TypeError):
+            z**-1
         assert z**12 == Cyc.one()
 
     def test_ring_axioms_random(self):
@@ -371,9 +371,6 @@ class TestTurn:
         with pytest.raises(LevelError) as exc:
             turn_to_root(Turn(1, 5), 12)
         assert exc.value.required_level == 60
-
-    def test_angle(self):
-        assert abs(Turn(1, 4).angle() - math.pi / 2) < 1e-15
 
 
 def cyc_to_json_by_fractions(a: Cyc) -> dict:

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from rotknot.exactnum import Cyc, Turn, cyc_root
+from rotknot import geom
+from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root
 from rotknot.geom import (
     ORIGIN,
     AreaValue,
     PolygonSpec,
     boundary_area_check,
-    mirror_type,
     point_from_json,
     point_to_json,
     point_xy,
@@ -58,16 +58,14 @@ class TestSignedAreaTri:
         val = signed_area_tri(ORIGIN, Cyc.one(), Cyc.imag_unit())
         assert val.scaled == 2 * Cyc.imag_unit()
         assert abs(val.approx - 0.5) < 1e-12
-        assert val.sign() == 1
 
     def test_collinear_is_exact_zero(self):
         val = signed_area_tri(ORIGIN, Cyc.one(), Cyc.rational(2))
-        assert val.is_zero() and val.sign() == 0
+        assert val.is_zero() and val.approx == 0
 
     def test_clockwise_flips_sign(self):
         val = signed_area_tri(ORIGIN, Cyc.imag_unit(), Cyc.one())
         assert abs(val.approx + 0.5) < 1e-12
-        assert val.sign() == -1
 
     def test_scaled_is_purely_imaginary(self):
         rng = random.Random(5)
@@ -142,11 +140,16 @@ class TestPolygonWalk:
         spec = PolygonSpec(2, 1, ORIGIN, Turn(0))
         assert polygon_vertices(spec) == [ORIGIN, Cyc.one()]
 
+    def test_open_walk_is_a_contradiction(self, monkeypatch):
+        # a wrong turning root breaks the proved closure; -O keeps the check
+        monkeypatch.setattr(geom, "cyc_root", lambda m, k: cyc_root(m + 1, k))
+        with pytest.raises(ContradictionError, match="polygon walk failed to close"):
+            polygon_vertices(PolygonSpec(4, 1, ORIGIN, Turn(0)))
+
     def test_overlapping_hexagon(self):
         # gcd(6,2)=2: the walk hits only 3 distinct points, each twice
         spec = PolygonSpec(6, 2, ORIGIN, Turn(0))
         verts = polygon_vertices(spec)
-        assert spec.m_prime == 3
         assert len(set(verts)) == 3
         assert verts[:3] == verts[3:]
 
@@ -211,12 +214,8 @@ class TestPolygonArea:
     def test_mirror_negates_area(self):
         for m, k in ((3, 1), (4, 1), (5, 2), (6, 1)):
             spec = PolygonSpec(m, k, point_xy(1, 2), Turn(1, 8))
-            assert polygon_area(mirror_type(spec)) == -polygon_area(spec)
-
-    def test_mirror_is_involution(self):
-        spec = PolygonSpec(5, 2, ORIGIN, Turn(0))
-        assert mirror_type(mirror_type(spec)) == spec
-        assert mirror_type(spec).k == 3
+            mirror = PolygonSpec(m, m - k, point_xy(1, 2), Turn(1, 8))
+            assert polygon_area(mirror) == -polygon_area(spec)
 
 
 class TestSerialization:

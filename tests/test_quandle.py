@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +16,6 @@ from rotknot.quandle import (
     DihedralQuandle,
     RotElem,
     cocycle_phi,
-    elem_from_json,
-    elem_to_json,
     verify_qc1,
 )
 
@@ -157,13 +154,3 @@ class TestCocycle:
         y = RotElem(Cyc.rational(2), Turn(1, 6))
         z = RotElem(Cyc.rational(4), Turn(1, 3))
         assert verify_qc1(ORIGIN, x, y, z).is_zero()
-
-
-class TestSerialization:
-    def test_dihedral_round_trip(self):
-        x = DihedralElem(5, 3)
-        assert elem_from_json(elem_to_json(x)) == x
-
-    def test_rot_round_trip(self):
-        x = RotElem(point_xy(Fraction(1, 2), 3), Turn(5, 12))
-        assert elem_from_json(elem_to_json(x)) == x

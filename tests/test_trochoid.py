@@ -1,13 +1,16 @@
 """Tests for trochoid construction, moves, the lattice, and classification."""
 
 import random
+from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotknot import trochoid
 from rotknot.diagram import (
+    breadth_first,
     closed_form_weight,
     shift_generic,
     switch_generic,
@@ -16,6 +19,7 @@ from rotknot.diagram import (
 )
 from rotknot.exactnum import (
     BudgetError,
+    ContradictionError,
     Cyc,
     LevelError,
     Turn,
@@ -30,7 +34,6 @@ from rotknot.trochoid import (
     LatticeSpec,
     MoveSeq,
     SIDE_MISMATCH,
-    TrochoidConsistencyError,
     TrochoidSpec,
     apply_move,
     build_trochoid,
@@ -105,7 +108,7 @@ class TestSpecBasics:
 
     def test_primed_parameters(self):
         s = TrochoidSpec(4, 3, 2, 2)
-        assert (s.p_prime, s.k_prime) == (2, 1)
+        assert s.p_prime == 2
         assert (s.q_prime, s.l_prime) == (3, 2)
         assert s.alpha == 3  # p'q' = 6 even
         t = TrochoidSpec(3, 5, 1, 1)
@@ -126,7 +129,6 @@ class TestSpecBasics:
 
     def test_negative_indices(self):
         s = TrochoidSpec(3, -2, 1, 1)
-        assert s.sign == -1
         assert (s.abs_p, s.abs_q) == (3, 2)
         assert s.theta == Turn(1, 6)
 
@@ -302,8 +304,6 @@ class TestMoves:
             apply_move(s, "twist")
         with pytest.raises(ValueError):
             MoveSeq(("shift", "jump"))
-        assert word.switch_parity == 0
-        assert MoveSeq(("switch",)).switch_parity == 1
 
 
 class TestFundamentalDeformation:
@@ -410,6 +410,62 @@ class TestVSets:
         vs1, _ = v_sets_sigma_tau(s, 1)
         assert vs1 == frozenset((x + 1) % 30 for x in vs0)
 
+    def test_non_integral_beta_is_a_contradiction(self):
+        # 2 alpha theta is an integer for every spec; this stand-in has
+        # alpha = 1 and theta = 1/3, so -O must not hide the check
+        fake = SimpleNamespace(alpha=1, p_prime=1, q_prime=1, l_prime=1, theta=Turn(1, 3))
+        with pytest.raises(ContradictionError):
+            v_sets_sigma_tau(fake)
+
+
+def bfs_by_loop(spec, max_moves, level):
+    """The trochoid search loop that `breadth_first` replaced, kept as
+    its reference: the witness search returns the first word found, so
+    the order of the states matters as much as the states."""
+
+    def key_of(s):
+        a, d = s.resolved()
+        a = a.lift(level)
+        return (s.p, s.q, s.k, s.l, d.fraction, a.num, a.den)
+
+    key = key_of(spec)
+    seen = {key}
+    yield key, spec, ()
+    queue = deque([(spec, ())])
+    while queue:
+        cur, word = queue.popleft()
+        if len(word) >= max_moves:
+            continue
+        for name in ("shift", "switch"):
+            nxt = apply_move(cur, name)
+            key = key_of(nxt)
+            if key not in seen:
+                seen.add(key)
+                seq = word + (name,)
+                yield key, nxt, seq
+                queue.append((nxt, seq))
+
+
+class TestBreadthFirst:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TrochoidSpec(3, 2, 1, 1),  # p'q' = 6, even
+            TrochoidSpec(5, 3, 2, 1),  # p'q' = 15, odd
+            TrochoidSpec(3, -2, 1, 1, point_xy(1, 2), Turn(1, 4)),
+            TrochoidSpec(4, 3, 1, 2, chirality=-1),
+            TrochoidSpec(-5, 3, 2, 1, point_xy(Fraction(1, 2), 0), side=2, chirality=-1),
+        ],
+        ids=["even", "odd", "negative-q", "chirality-1", "odd-negative-p-chirality-1"],
+    )
+    def test_matches_reference_loop(self, spec):
+        level = session_level(spec)
+        for depth in (1, 4, 6):
+            want = list(bfs_by_loop(spec, depth, level))
+            got = list(breadth_first(spec, apply_move, trochoid._bfs_key(level), depth))
+            assert got == want
+        assert len(want[-1][2]) == 6  # the search did reach depth 6
+
 
 class TestOrbitBFS:
     def test_words_replay_and_parity(self):
@@ -418,7 +474,7 @@ class TestOrbitBFS:
         assert len(out) > 1
         for spec, word in out:
             assert (spec.p, spec.q) == (2, 3)
-            assert word.switch_parity == 0
+            assert word.moves.count("switch") % 2 == 0
             assert same_trochoid(replay_spec(word, s), spec)
 
     def test_non_direction_invariants(self):
