@@ -36,7 +36,7 @@ from .exactnum import (
     cyc_to_json,
     enumerate_unit_elements,
 )
-from .geom import ORIGIN, fmt12, point_xy
+from .geom import ORIGIN, area_approx, fmt12, point_xy
 from .quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
 from .render import render_trochoid_svg
 from .trochoid import (
@@ -143,8 +143,8 @@ def cmd_enumerate(p: int, q: int) -> dict:
                     "q_prime": s.q_prime,
                     "alpha": s.alpha,
                     "parity": "even" if pq % 2 == 0 else "odd",
-                    "weight_float": fmt12(w.approx),
-                    "weight_scaled_4i": cyc_to_json(w.scaled),
+                    "weight_float": fmt12(area_approx(w)),
+                    "weight_scaled_4i": cyc_to_json(w),
                 }
             )
     return {"p": p, "q": q, "rows": rows}
@@ -281,13 +281,13 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
                 c = derive_coloring(s)
                 direct = total_weight(c, ORIGIN)
                 closed = closed_form_weight(p, q, k, l, s.polygon_q, s.polygon_p0)
-                if direct.scaled != closed.scaled:
+                if direct != closed:
                     ok, detail = False, f"(k={k}, l={l}) direct != closed form"
                     break
                 if direct.is_zero():
                     ok, detail = False, f"(k={k}, l={l}) weight is zero"
                     break
-                if any(total_weight(c, o).scaled != direct.scaled for o in extra_o):
+                if any(total_weight(c, o) != direct for o in extra_o):
                     ok, detail = False, f"(k={k}, l={l}) depends on base point"
                     break
             if not ok:
@@ -427,6 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact coefficients are printed in full, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,8 +16,8 @@ from collections import deque
 from functools import lru_cache
 from math import gcd
 
-from .exactnum import BudgetError
-from .geom import AREA_ZERO, AreaValue, Point, PolygonSpec, polygon_area
+from .exactnum import BudgetError, Cyc
+from .geom import Point, PolygonSpec, polygon_area
 from .quandle import RotElem, cocycle_phi
 from .value import Frozen
 
@@ -239,13 +239,13 @@ def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]
 # cocycle weights
 
 
-def total_weight(c: Coloring, o: Point) -> AreaValue:
+def total_weight(c: Coloring, o: Point) -> Cyc:
     """Sum of signed cocycle values over the crossings of the diagram.
 
     Each crossing contributes sign * Phi_o(color(arc_x), color(arc_over));
     the total does not depend on o.
     """
-    acc = AREA_ZERO
+    acc = Cyc.zero()
     for cr in c.diagram.crossings:
         x: RotElem = c.color(*cr.arc_x)
         y: RotElem = c.color(*cr.arc_over)
@@ -258,7 +258,7 @@ def total_weight(c: Coloring, o: Point) -> AreaValue:
 
 def closed_form_weight(
     p: int, q: int, k: int, l: int, Q: PolygonSpec, P0: PolygonSpec
-) -> AreaValue:
+) -> Cyc:
     """sign * (S(P0) * |q| - S(Q) * |p|) from the two polygon areas alone."""
     if Q.m != abs(q) or Q.k != l:
         raise ValueError(f"base polygon has type ({Q.m},{Q.k}), want ({abs(q)},{l})")

@@ -2,8 +2,7 @@
 
 Points are complex cyclotomic numbers.  Signed areas are kept 4i-scaled
 so they stay inside the field (the raw area of a cyclotomic triangle
-need not be cyclotomic, but 4i times it always is); a floating mirror
-is attached for display.
+need not be cyclotomic, but 4i times it always is).
 """
 
 from __future__ import annotations
@@ -59,75 +58,41 @@ def rotate(z: Point, center: Point, t: Turn) -> Point:
     return (z - center) * turn_to_root(t) + center
 
 
-class AreaValue(Frozen):
-    """A signed area, stored as the exact field element 4i * area.
+def area_approx(scaled: Cyc) -> float:
+    """The area whose exact 4i-scaled value is `scaled`, as a float.
 
-    The scaled value is purely imaginary (conj(scaled) = -scaled), so
-    the honest area is real; `approx` reads it off through the complex
-    embedding.  Exact zero and exact equality never consult floats.
+    Signed areas are purely imaginary field elements (conj(scaled) =
+    -scaled), so the area is real and the imaginary part dropped here is
+    rounding only.
     """
-
-    __slots__ = _fields = ("scaled",)
-
-    def __init__(self, scaled: Cyc):
-        object.__setattr__(self, "scaled", scaled)
-
-    @property
-    def approx(self) -> float:
-        return (self.scaled.embed() / 4j).real
-
-    def is_zero(self) -> bool:
-        return self.scaled.is_zero()
-
-    def __add__(self, other: "AreaValue") -> "AreaValue":
-        return AreaValue(self.scaled + other.scaled)
-
-    def __sub__(self, other: "AreaValue") -> "AreaValue":
-        return AreaValue(self.scaled - other.scaled)
-
-    def __neg__(self) -> "AreaValue":
-        return AreaValue(-self.scaled)
-
-    def __mul__(self, factor: int | Fraction) -> "AreaValue":
-        return AreaValue(self.scaled * Fraction(factor))
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"AreaValue({fmt12(self.approx)})"
+    return (scaled.embed() / 4j).real
 
 
-AREA_ZERO = AreaValue(Cyc.zero())
-
-
-def signed_area_tri(x: Point, y: Point, z: Point) -> AreaValue:
+def signed_area_tri(x: Point, y: Point, z: Point) -> Cyc:
     """Signed area of the triangle (x, y, z), positive counterclockwise.
 
     4i * area = t - conj(t) with t = conj(y-x)*(z-x); for (0, 1, i) this
     gives scaled 2i, area +1/2.  Degenerate triangles give exact zero.
     """
     t = (y - x).conj() * (z - x)
-    return AreaValue(t - t.conj())
+    return t - t.conj()
 
 
-def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> AreaValue:
+def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> Cyc:
     """Sum of triangle areas fanned from o over the closed vertex cycle.
 
     The value does not depend on o.
     """
     if len(vertices) < 2:
         raise ValueError("polygon needs at least 2 vertices")
-    total = AREA_ZERO
+    total = Cyc.zero()
     m = len(vertices)
     for i in range(m):
         total = total + signed_area_tri(o, vertices[i], vertices[(i + 1) % m])
     return total
 
 
-def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> AreaValue:
+def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> Cyc:
     """s(y,z,w) - s(x,z,w) + s(x,y,w) - s(x,y,z); always exactly zero."""
     return (
         signed_area_tri(y, z, w)
@@ -188,7 +153,7 @@ def polygon_vertices(spec: PolygonSpec) -> list[Point]:
     return verts
 
 
-def polygon_area(spec: PolygonSpec) -> AreaValue:
+def polygon_area(spec: PolygonSpec) -> Cyc:
     """Signed area swept by the closed edge walk (counterclockwise > 0).
 
     The walk is anchor + side * u(direction) * w_j for the unit walk w_j
@@ -202,7 +167,7 @@ def polygon_area(spec: PolygonSpec) -> AreaValue:
 
 
 @lru_cache(maxsize=None)
-def _unit_area(m: int, k: int) -> AreaValue:
+def _unit_area(m: int, k: int) -> Cyc:
     """The fan area of the type-(m, k) walk from 0 along direction 0 with
     side 1, closure checked.  Cached on (m, k), not on a PolygonSpec:
     specs compare by value across levels, so a cached area could come

@@ -8,8 +8,8 @@ needs; the rotation quandle is infinite and never enumerates.
 
 from __future__ import annotations
 
-from .exactnum import Turn
-from .geom import AreaValue, Point, rotate
+from .exactnum import Cyc, Turn
+from .geom import Point, rotate
 from .value import Frozen
 
 
@@ -83,7 +83,7 @@ class RotQuandle:
 ROT = RotQuandle()
 
 
-def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> AreaValue:
+def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> Cyc:
     """The area two-cocycle on the rotation quandle.
 
     Phi_o(x, y) = -s(o, a, c) + s(o, b, c) with a = x.center, c = y.center
@@ -99,10 +99,10 @@ def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> AreaValue:
     """
     a, c = x.center, y.center
     u = (rotate(a, c, y.angle) - a).conj() * (c - o)
-    return AreaValue(u - u.conj())
+    return u - u.conj()
 
 
-def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> AreaValue:
+def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
     """f(x,y) + f(x*y, z) - f(x,z) - f(x*z, y*z) with f = Phi_o.
 
     The cocycle condition: the result is exactly zero for every input.

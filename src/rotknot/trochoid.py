@@ -181,12 +181,13 @@ def same_trochoid(a: TrochoidSpec, b: TrochoidSpec) -> bool:
 
 
 def session_level(spec: TrochoidSpec) -> int:
-    """The shared cyclotomic level for one trochoid's computations.
+    """The level checked against QT_SESSION_LEVEL_CAP for one trochoid.
 
     lcm(2 p'q', |p|, |q|, 4) joined with the denominators already present
-    in the spec's anchor and direction.  Capped by QT_SESSION_LEVEL_CAP.
-    Read off the stored fields, so the cap is checked before any
-    cyclotomic arithmetic; the 4 covers the half turn of chirality -1.
+    in the spec's anchor and direction; the 4 covers the half turn of
+    chirality -1.  Nothing computes at this level: it is read off the
+    stored fields so that callers can check the cap before any
+    cyclotomic arithmetic.
     """
     level = lcm(
         2 * spec.p_prime * spec.q_prime,
@@ -556,17 +557,6 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
 # orbit search and classification
 
 
-def _bfs_key(level: int):
-    """The exact identity of a search state, with the anchor at level."""
-
-    def key(spec: TrochoidSpec):
-        a, d = spec.resolved()
-        a = a.lift(level)
-        return (spec.p, spec.q, spec.k, spec.l, d.fraction, a.num, a.den)
-
-    return key
-
-
 NODE_BUDGET = 100_000
 
 
@@ -578,8 +568,9 @@ def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, Mo
     original diagram (even switch count), each with one shortest move
     word, sorted canonically.  Guarded by NODE_BUDGET expanded states.
     """
+    session_level(spec)
     same_side = []
-    states = breadth_first(spec, apply_move, _bfs_key(session_level(spec)), max_moves)
+    states = breadth_first(spec, apply_move, TrochoidSpec.canonical_key, max_moves)
     for count, (_, state, word) in enumerate(states):
         if count >= NODE_BUDGET:
             raise BudgetError(
@@ -625,13 +616,10 @@ class ClassificationResult(Frozen):
         return out
 
 
-def _bfs_witness(
-    a: TrochoidSpec, b: TrochoidSpec, max_moves: int, level: int
-) -> MoveSeq | None:
+def _bfs_witness(a: TrochoidSpec, b: TrochoidSpec, max_moves: int) -> MoveSeq | None:
     """A shortest word of at most max_moves moves carrying a to b, or None."""
-    key = _bfs_key(level)
-    target = key(b)
-    for k, _, word in breadth_first(a, apply_move, key, max_moves):
+    target = b.canonical_key()
+    for k, _, word in breadth_first(a, apply_move, TrochoidSpec.canonical_key, max_moves):
         if k == target:
             return MoveSeq(word)
     return None
@@ -704,17 +692,18 @@ def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
     if a.side != b.side:
         return ClassificationResult("NotEquivalent", reason=SIDE_MISMATCH)
 
-    level = lcm(session_level(a), session_level(b))
+    session_level(a)
+    session_level(b)
     pq = a.p_prime * a.q_prime
     if pq % 2 == 0:
         group_word = _group_witness(a, b)
         if group_word is None:
             return ClassificationResult("NotEquivalent", reason=LATTICE_MISMATCH)
-        witness = _bfs_witness(a, b, 4, level)
+        witness = _bfs_witness(a, b, 4)
         if witness is None:
             witness = group_word
     else:
-        witness = _bfs_witness(a, b, 12, level)
+        witness = _bfs_witness(a, b, 12)
         if witness is None:
             v_sigma, v_tau = v_sets_sigma_tau(a)
             note = (

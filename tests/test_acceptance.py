@@ -25,7 +25,7 @@ from rotknot.diagram import (
     validate_coloring,
 )
 from rotknot.exactnum import Cyc, Turn, cyc_root, enumerate_unit_elements
-from rotknot.geom import ORIGIN, point_xy, rotate
+from rotknot.geom import ORIGIN, area_approx, point_xy, rotate
 from rotknot.quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
 from rotknot.render import render_trochoid_svg
 from rotknot.trochoid import (
@@ -136,14 +136,14 @@ def test_criterion_04_weight_formula_grid():
         c = derive_coloring(s)
         direct = total_weight(c, ORIGIN)
         closed = closed_form_weight(p, q, k, l, s.polygon_q, s.polygon_p0)
-        assert direct.scaled == closed.scaled, (p, q, k, l)
+        assert direct == closed, (p, q, k, l)
         assert not direct.is_zero(), (p, q, k, l)
         for _ in range(3):
             o = point_xy(
                 Fraction(rng.randrange(-5, 6), rng.choice([1, 2])),
                 Fraction(rng.randrange(-5, 6), rng.choice([1, 3])),
             )
-            assert total_weight(c, o).scaled == direct.scaled, (p, q, k, l)
+            assert total_weight(c, o) == direct, (p, q, k, l)
         cells += 1
     finish(4, 30.0, t0, f"direct = closed-form weight, non-zero, on {cells} cells")
 
@@ -156,8 +156,8 @@ def test_criterion_05_concrete_weight_value():
     crossing_sum = total_weight(derive_coloring(s), ORIGIN)
     closed = closed_form_weight(3, 2, 1, 1, s.polygon_q, s.polygon_p0)
     frozen = cyc_root(12, 2) * 4 - Cyc.rational(2)  # 4 zeta_12^2 - 2 = 4i * sqrt(3)/2
-    assert crossing_sum.scaled == closed.scaled == frozen
-    assert abs(crossing_sum.approx - 0.866025403784) <= 1e-9
+    assert crossing_sum == closed == frozen
+    assert abs(area_approx(crossing_sum) - 0.866025403784) <= 1e-9
     finish(5, 1.0, t0, "weight(3,2,1,1) = sqrt(3)/2 by both pipelines")
 
 
@@ -168,13 +168,13 @@ def test_criterion_06_move_invariance():
     for (p, q, k, l) in grid_cells():
         s = TrochoidSpec(p, q, k, l)
         c = derive_coloring(s)
-        w = total_weight(c, ORIGIN).scaled
+        w = total_weight(c, ORIGIN)
         shifted = shift_generic(c)
         assert validate_coloring(shifted), (p, q, k, l)
-        assert total_weight(shifted, ORIGIN).scaled == w, (p, q, k, l)
+        assert total_weight(shifted, ORIGIN) == w, (p, q, k, l)
         switched = switch_generic(c)
         assert validate_coloring(switched), (p, q, k, l)
-        assert total_weight(switched, ORIGIN).scaled == w, (p, q, k, l)
+        assert total_weight(switched, ORIGIN) == w, (p, q, k, l)
     finish(6, 30.0, t0, "moves preserve validity and exact weight on the grid")
 
 
@@ -251,8 +251,8 @@ def test_criterion_10_classifier_contract():
     doubled = TrochoidSpec(3, 2, 1, 1, side=Fraction(2))
     res = classify(s, doubled)
     assert res.verdict == "NotEquivalent" and res.reason == "SideLengthMismatch"
-    w1 = total_weight(derive_coloring(s), ORIGIN).scaled
-    w2 = total_weight(derive_coloring(doubled), ORIGIN).scaled
+    w1 = total_weight(derive_coloring(s), ORIGIN)
+    w2 = total_weight(derive_coloring(doubled), ORIGIN)
     assert w2 == w1 * 4
 
     odd = TrochoidSpec(3, 5, 1, 1)

@@ -101,15 +101,17 @@ class TestEnumerate:
 
 class TestClassify:
     def test_huge_anchor_keeps_exact_verdict(self, capsys):
-        code = main(["classify", "--p", "3", "--q", "2", "--anchor", "1e400,0"])
-        data = json.loads(capsys.readouterr().out)
-        assert code == EXIT_EQUIVALENT
-        assert data["result"]["verdict"] == "Equivalent"
-        anchor = data["spec_a"]["anchor"]
-        assert anchor["approx"] is None
-        assert anchor["value"] == {
-            "level": 4, "coeffs": [[str(10**400), "1"], ["0", "1"]]
-        }
+        # 20000 digits is past the interpreter's default int-to-str limit
+        for digits in (400, 20000):
+            code = main(["classify", "--p", "3", "--q", "2", "--anchor", f"1e{digits},0"])
+            data = json.loads(capsys.readouterr().out)
+            assert code == EXIT_EQUIVALENT
+            assert data["result"]["verdict"] == "Equivalent"
+            anchor = data["spec_a"]["anchor"]
+            assert anchor["approx"] is None
+            assert anchor["value"] == {
+                "level": 4, "coeffs": [["1" + "0" * digits, "1"], ["0", "1"]]
+            }
 
     def test_same_spec_exit_0(self, capsys):
         code = main(["classify", "--p", "3", "--q", "2"])

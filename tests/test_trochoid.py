@@ -188,7 +188,7 @@ class TestDerive:
             w = total_weight(c, ORIGIN)
             assert not w.is_zero(), (s.p, s.q, s.k, s.l)
             cf = closed_form_weight(s.p, s.q, s.k, s.l, s.polygon_q, s.polygon_p0)
-            assert w.scaled == cf.scaled
+            assert w == cf
 
     def test_negative_diagram(self):
         s = TrochoidSpec(3, -2, 1, 1)
@@ -196,7 +196,7 @@ class TestDerive:
         assert validate_coloring(c)
         w = total_weight(c, ORIGIN)
         cf = closed_form_weight(3, -2, 1, 1, s.polygon_q, s.polygon_p0)
-        assert w.scaled == cf.scaled
+        assert w == cf
 
 
 def random_spec(rng, chirality=None):
@@ -421,7 +421,9 @@ class TestVSets:
 def bfs_by_loop(spec, max_moves, level):
     """The trochoid search loop that `breadth_first` replaced, kept as
     its reference: the witness search returns the first word found, so
-    the order of the states matters as much as the states."""
+    the order of the states matters as much as the states.  Its key, the
+    anchor lifted to the session level, is an exact identity found
+    independently of `TrochoidSpec.canonical_key`."""
 
     def key_of(s):
         a, d = s.resolved()
@@ -461,10 +463,15 @@ class TestBreadthFirst:
     def test_matches_reference_loop(self, spec):
         level = session_level(spec)
         for depth in (1, 4, 6):
-            want = list(bfs_by_loop(spec, depth, level))
-            got = list(breadth_first(spec, apply_move, trochoid._bfs_key(level), depth))
+            want = [(s, w) for _, s, w in bfs_by_loop(spec, depth, level)]
+            got = [
+                (s, w)
+                for _, s, w in breadth_first(
+                    spec, apply_move, TrochoidSpec.canonical_key, depth
+                )
+            ]
             assert got == want
-        assert len(want[-1][2]) == 6  # the search did reach depth 6
+        assert len(want[-1][1]) == 6  # the search did reach depth 6
 
 
 class TestOrbitBFS:
@@ -531,7 +538,7 @@ class TestClassify:
         assert r.verdict == "NotEquivalent" and r.reason == SIDE_MISMATCH
         wa = total_weight(derive_coloring(a), ORIGIN)
         wb = total_weight(derive_coloring(b), ORIGIN)
-        assert wb.scaled == wa.scaled * 4
+        assert wb == wa * 4
 
     def test_lattice_mismatch_even(self):
         s = TrochoidSpec(3, 4, 1, 1)

@@ -16,7 +16,7 @@ import pytest
 
 from rotknot.diagram import Crossing, TorusDiagram, ValidationReport
 from rotknot.exactnum import Cyc, Turn, cyc_root
-from rotknot.geom import AreaValue, PolygonSpec, point_xy
+from rotknot.geom import PolygonSpec, point_xy
 from rotknot.quandle import DihedralElem, RotElem
 from rotknot.trochoid import (
     ClassificationResult,
@@ -36,7 +36,6 @@ CASES = [
     (TorusDiagram, dict(p=3, q=2)),
     (ValidationReport, dict(ok=False, crossing=None, message="bad")),
     (Turn, dict(fraction=Fraction(1, 3))),
-    (AreaValue, dict(scaled=point_xy(0, 2))),
     (PolygonSpec, dict(m=3, k=1, anchor=_P, direction=_T, side=Fraction(2))),
     (DihedralElem, dict(n=5, value=2)),
     (RotElem, dict(center=_P, angle=_T)),
@@ -129,7 +128,6 @@ def test_reprs():
     assert repr(RotElem(point_xy(1), Turn(1, 2))) == (
         "RotElem(center=Cyc(1), angle=Turn(fraction=Fraction(1, 2)))"
     )
-    assert repr(AreaValue(point_xy(0, 2))) == "AreaValue(0.5)"
 
 
 @pytest.mark.parametrize(
