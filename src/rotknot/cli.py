@@ -132,7 +132,7 @@ def cmd_enumerate(p: int, q: int) -> dict:
     for k in range(1, abs(p)):
         for l in range(1, abs(q)):
             s = TrochoidSpec(p, q, k, l)
-            w = closed_form_weight(p, q, k, l, s.polygon_q, s.polygon_p0)
+            w = closed_form_weight(p, q, k, l)
             pq = s.p_prime * s.q_prime
             rows.append(
                 {
@@ -280,7 +280,7 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
                 s = TrochoidSpec(p, q, k, l)
                 c = derive_coloring(s)
                 direct = total_weight(c, ORIGIN)
-                closed = closed_form_weight(p, q, k, l, s.polygon_q, s.polygon_p0)
+                closed = closed_form_weight(p, q, k, l)
                 if direct != closed:
                     ok, detail = False, f"(k={k}, l={l}) direct != closed form"
                     break

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .exactnum import BudgetError, Cyc
-from .geom import Point, PolygonSpec, polygon_area
+from .geom import Point, polygon_area
 from .quandle import RotElem, cocycle_phi
 from .value import Frozen
 
@@ -161,42 +162,18 @@ def trivial_coloring(diagram: TorusDiagram, quandle, element) -> Coloring:
     return Coloring(diagram, quandle, {a: element for a in diagram.rep_arcs})
 
 
-class ValidationReport(Frozen):
-    __slots__ = _fields = ("ok", "crossing", "message")
-
-    def __init__(
-        self, ok: bool, crossing: Crossing | None = None, message: str = ""
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "crossing", crossing)
-        object.__setattr__(self, "message", message)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_coloring(c: Coloring) -> ValidationReport:
-    """Check the coloring condition at every crossing, exactly."""
+def check_coloring(c: Coloring) -> None:
+    """Check the coloring condition at every crossing, exactly; raise
+    ValueError naming the first crossing where c is not valid."""
     q = c.quandle
     for cr in c.diagram.crossings:
-        want = q.op(c.color(*cr.arc_x), c.color(*cr.arc_over))
-        got = c.color(*cr.arc_xy)
-        if got != want:
-            return ValidationReport(
-                False,
-                cr,
+        if c.color(*cr.arc_xy) != q.op(c.color(*cr.arc_x), c.color(*cr.arc_over)):
+            d = c.diagram
+            raise ValueError(
+                f"not a valid coloring of D({d.p},{d.q}): "
                 f"crossing (row {cr.row}, t {cr.t}): color{cr.arc_xy} differs "
-                f"from color{cr.arc_x} * color{cr.arc_over}",
+                f"from color{cr.arc_x} * color{cr.arc_over}"
             )
-    return ValidationReport(True)
-
-
-def check_coloring(c: Coloring) -> None:
-    """Raise ValueError naming the first crossing where c is not valid."""
-    report = validate_coloring(c)
-    if not report:
-        d = c.diagram
-        raise ValueError(f"not a valid coloring of D({d.p},{d.q}): {report.message}")
 
 
 SEED_BUDGET = 1_000_000
@@ -257,20 +234,14 @@ def total_weight(c: Coloring, o: Point) -> Cyc:
 
 
 def closed_form_weight(
-    p: int, q: int, k: int, l: int, Q: PolygonSpec, P0: PolygonSpec
+    p: int, q: int, k: int, l: int, side: Fraction = Fraction(1)
 ) -> Cyc:
-    """sign * (S(P0) * |q| - S(Q) * |p|) from the two polygon areas alone."""
-    if Q.m != abs(q) or Q.k != l:
-        raise ValueError(f"base polygon has type ({Q.m},{Q.k}), want ({abs(q)},{l})")
-    if P0.m != abs(p) or P0.k != k:
-        raise ValueError(
-            f"moving polygon has type ({P0.m},{P0.k}), want ({abs(p)},{k})"
-        )
-    if (Q.anchor, Q.direction, Q.side) != (P0.anchor, P0.direction, P0.side):
-        raise ValueError("polygons do not share the anchored first edge")
-    sign = 1 if p * q > 0 else -1
-    val = polygon_area(P0) * abs(q) - polygon_area(Q) * abs(p)
-    return val if sign > 0 else -val
+    """sign * (S(P0) * |q| - S(Q) * |p|), where P0 is the moving polygon of
+    type (|p|, k), Q the base polygon of type (|q|, l), both with edge
+    `side`, and sign that of pq; their anchors do not enter."""
+    ap, aq = abs(p), abs(q)
+    val = polygon_area(ap, k, side) * aq - polygon_area(aq, l, side) * ap
+    return val if p * q > 0 else -val
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +272,7 @@ def switch_generic(c: Coloring) -> Coloring:
 
     c is assumed valid.  Only the long arcs are read, so an invalid c
     raises ValueError only when those arcs alone clash; callers that take
-    a coloring from outside check it first with `validate_coloring`.
+    a coloring from outside check it first with `check_coloring`.
     """
     d = c.diagram
     nd = build_diagram(d.q, d.p)

@@ -53,9 +53,10 @@ class ContradictionError(RuntimeError):
     """An exact computation contradicts a proved statement.
 
     Raised, for instance, when a unit-modulus cyclotomic integer fails to
-    be a root of unity within its guaranteed order bound or a regular
-    polygon walk fails to close.  Reaching this is a bug (or a
-    disproof), never a data error; unlike `assert`, `python -O` keeps it.
+    be a root of unity within its guaranteed order bound, a regular
+    polygon walk fails to close, or a trochoid fails to close.  Reaching
+    this is a bug (or a disproof), never a data error; unlike `assert`,
+    `python -O` keeps it.
     """
 
 
@@ -628,22 +629,10 @@ class Turn(Frozen):
 HALF_TURN = Turn(1, 2)
 
 
-def turn_to_root(turn: Turn, level: int | None = None) -> Cyc:
-    """The unit vector exp(2*pi*i*turn) as an exact cyclotomic value.
-
-    With no level the minimal one (the turn's denominator) is used; an
-    explicit level must be a multiple of the denominator, otherwise a
-    LevelError reports the least level accommodating both.
-    """
-    den = turn.denominator
-    if level is None:
-        level = den
-    if level % den:
-        raise LevelError(
-            f"turn {turn} needs level divisible by {den}, got {level}",
-            required_level=lcm(level, den),
-        )
-    return cyc_root(level, turn.numerator * (level // den))
+def turn_to_root(turn: Turn) -> Cyc:
+    """The unit vector exp(2*pi*i*turn) as an exact cyclotomic value, at
+    the minimal level (the turn's denominator)."""
+    return cyc_root(turn.denominator, turn.numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -153,24 +153,17 @@ def polygon_vertices(spec: PolygonSpec) -> list[Point]:
     return verts
 
 
-def polygon_area(spec: PolygonSpec) -> Cyc:
-    """Signed area swept by the closed edge walk (counterclockwise > 0).
-
-    The walk is anchor + side * u(direction) * w_j for the unit walk w_j
-    of type (m, k), and the fan from the anchor does not see the
-    translation or the rotation by a unit u (conj(u v) * u v' =
-    conj(v) * v' as |u|^2 = 1), so the area is side^2 times the unit
-    walk's.  The level can be lower than a fan at the spec's own anchor
-    and direction would give; the value is the same.
-    """
-    return _unit_area(spec.m, spec.k) * spec.side**2
-
-
 @lru_cache(maxsize=None)
-def _unit_area(m: int, k: int) -> Cyc:
-    """The fan area of the type-(m, k) walk from 0 along direction 0 with
-    side 1, closure checked.  Cached on (m, k), not on a PolygonSpec:
-    specs compare by value across levels, so a cached area could come
-    back at another level than a fresh one."""
-    return signed_area_polygon(polygon_vertices(PolygonSpec(m, k, ORIGIN, Turn(0))))
+def polygon_area(m: int, k: int, side: Fraction = Fraction(1)) -> Cyc:
+    """Signed area swept by the closed type-(m, k) edge walk with edge
+    `side` (counterclockwise > 0): the fan from 0 over the walk from 0
+    along direction 0, closure checked.
 
+    Any anchored walk of that type and side has this area: the fan from
+    the anchor does not see the translation or the rotation by a unit u
+    (conj(u v) * u v' = conj(v) * v' as |u|^2 = 1).  Cached on rationals
+    only, never on points: those compare by value across levels, so a
+    cached area could come back at another level than a fresh one.
+    """
+    walk = PolygonSpec(m, k, ORIGIN, Turn(0), side)
+    return signed_area_polygon(polygon_vertices(walk))

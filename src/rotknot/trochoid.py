@@ -52,14 +52,6 @@ from .value import Frozen
 DEFAULT_LEVEL_CAP = 240
 
 
-class TrochoidConsistencyError(RuntimeError):
-    """An exact postcondition of the rolling construction failed.
-
-    Signals a wrong convention (chirality, turning direction), never a
-    data error: for valid parameters the construction provably works.
-    """
-
-
 def theta(m: int, k: int, n: int, l: int) -> Turn:
     """The rolling turn for a type-(m,k) polygon around a type-(n,l) one.
 
@@ -248,14 +240,14 @@ def build_trochoid(spec: TrochoidSpec) -> list[list[Point]]:
         rows.append([rotate(w, center, th) for w in rows[-1]])
     for i in range(aq):
         if rows[i][i % ap] != v[i % aq] or rows[i][(i + 1) % ap] != v[(i + 1) % aq]:
-            raise TrochoidConsistencyError(
+            raise ContradictionError(
                 f"row {i} does not touch the base polygon at vertices "
                 f"{i % aq}, {(i + 1) % aq}"
             )
     closing = [rotate(w, v[0], th) for w in rows[-1]]
     for j in range(ap):
         if closing[j] != rows[0][(j - aq) % ap]:
-            raise TrochoidConsistencyError("trochoid does not close up")
+            raise ContradictionError("trochoid does not close up")
     return rows
 
 
@@ -642,18 +634,18 @@ def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
     (1, 0) and (-1, 0), so the group is Z[zeta_N] x| <F>.  Writing
     x = sum_i c_i u(i theta), the Horner word
     step^c_0 F step^c_1 F ... step^c_last reaches b's anchor, and a final
-    power of F turns to b's direction.
+    power of F turns to b's direction.  So b is in the orbit exactly when
+    its anchor is in the lattice and its direction is a's plus whole
+    turns theta; for odd N the lattice level 2N changes nothing, as a
+    minimal level is never 2 mod 4.
     """
     n = a.p_prime * a.q_prime
     lat = lattice_for(a)
     b0, d1 = b.resolved()
     turns = (d1 - lat.base_direction).fraction * n
-    x = _lattice_coordinate(lat, b0)
-    if turns.denominator != 1 or not x.is_integral():
+    if turns.denominator != 1 or not lattice_contains(lat, b0):
         return None
-    level, coeffs = x.min_form()
-    if n % level:
-        return None
+    level, coeffs = _lattice_coordinate(lat, b0).min_form()
     # u(i theta) = zeta_N^(i j0): the coefficient of zeta_N^e goes to slot e / j0
     inv = pow(int(a.theta.fraction * n), -1, n)
     m = a.l_prime * (n // a.q_prime) * inv % n

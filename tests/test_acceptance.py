@@ -16,13 +16,13 @@ from time import perf_counter
 from rotknot.cli import cmd_enumerate
 from rotknot.diagram import (
     build_diagram,
+    check_coloring,
     closed_form_weight,
     coloring_orbit,
     enumerate_colorings_finite,
     shift_generic,
     switch_generic,
     total_weight,
-    validate_coloring,
 )
 from rotknot.exactnum import Cyc, Turn, cyc_root, enumerate_unit_elements
 from rotknot.geom import ORIGIN, area_approx, point_xy, rotate
@@ -135,7 +135,7 @@ def test_criterion_04_weight_formula_grid():
         s = TrochoidSpec(p, q, k, l)
         c = derive_coloring(s)
         direct = total_weight(c, ORIGIN)
-        closed = closed_form_weight(p, q, k, l, s.polygon_q, s.polygon_p0)
+        closed = closed_form_weight(p, q, k, l)
         assert direct == closed, (p, q, k, l)
         assert not direct.is_zero(), (p, q, k, l)
         for _ in range(3):
@@ -154,7 +154,7 @@ def test_criterion_05_concrete_weight_value():
     t0 = perf_counter()
     s = TrochoidSpec(3, 2, 1, 1)
     crossing_sum = total_weight(derive_coloring(s), ORIGIN)
-    closed = closed_form_weight(3, 2, 1, 1, s.polygon_q, s.polygon_p0)
+    closed = closed_form_weight(3, 2, 1, 1)
     frozen = cyc_root(12, 2) * 4 - Cyc.rational(2)  # 4 zeta_12^2 - 2 = 4i * sqrt(3)/2
     assert crossing_sum == closed == frozen
     assert abs(area_approx(crossing_sum) - 0.866025403784) <= 1e-9
@@ -170,10 +170,10 @@ def test_criterion_06_move_invariance():
         c = derive_coloring(s)
         w = total_weight(c, ORIGIN)
         shifted = shift_generic(c)
-        assert validate_coloring(shifted), (p, q, k, l)
+        check_coloring(shifted)
         assert total_weight(shifted, ORIGIN) == w, (p, q, k, l)
         switched = switch_generic(c)
-        assert validate_coloring(switched), (p, q, k, l)
+        check_coloring(switched)
         assert total_weight(switched, ORIGIN) == w, (p, q, k, l)
     finish(6, 30.0, t0, "moves preserve validity and exact weight on the grid")
 

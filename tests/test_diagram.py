@@ -13,6 +13,7 @@ from rotknot import diagram
 from rotknot.diagram import (
     Coloring,
     build_diagram,
+    check_coloring,
     closed_form_weight,
     coloring_orbit,
     enumerate_colorings_finite,
@@ -20,10 +21,9 @@ from rotknot.diagram import (
     switch_generic,
     total_weight,
     trivial_coloring,
-    validate_coloring,
 )
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
-from rotknot.geom import ORIGIN, PolygonSpec, area_approx, point_xy
+from rotknot.geom import ORIGIN, area_approx, point_xy
 from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 
@@ -110,20 +110,18 @@ class TestValidation:
         q3 = DihedralQuandle(3)
         for p, q in ((2, 3), (3, 2), (4, 3), (3, -2)):
             c = trivial_coloring(build_diagram(p, q), q3, DihedralElem(3, 1))
-            assert validate_coloring(c)
+            check_coloring(c)
 
     def test_perturbed_trivial_reports_crossing(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(2, 3)
         colors = {a: DihedralElem(3, 0) for a in d.rep_arcs}
         colors[(1, 0)] = DihedralElem(3, 1)
-        report = validate_coloring(Coloring(d, q3, colors))
-        assert not report
-        assert report.crossing is not None
-        assert "differs" in report.message
+        with pytest.raises(ValueError, match=r"crossing \(row \d+, t \d+\).*differs"):
+            check_coloring(Coloring(d, q3, colors))
 
     def test_frozen_rot_coloring_is_valid(self):
-        assert validate_coloring(rot_coloring_3211())
+        check_coloring(rot_coloring_3211())
 
 
 class TestEnumeration:
@@ -132,7 +130,8 @@ class TestEnumeration:
         found = enumerate_colorings_finite(q3, build_diagram(2, 3))
         assert len(found) == 9
         assert sum(1 for c in found if c.is_trivial()) == 3
-        assert all(validate_coloring(c) for c in found)
+        for c in found:
+            check_coloring(c)
 
     def test_same_knot_other_presentation(self):
         q3 = DihedralQuandle(3)
@@ -184,35 +183,17 @@ class TestWeights:
         assert total_weight(c, point_xy(Fraction(1, 3), Fraction(2, 5))) == w0
 
     def test_closed_form_3211(self):
-        Q = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        P0 = PolygonSpec(3, 1, ORIGIN, Turn(0))
-        w = closed_form_weight(3, 2, 1, 1, Q, P0)
+        w = closed_form_weight(3, 2, 1, 1)
         assert w == total_weight(rot_coloring_3211(), ORIGIN)
 
     def test_closed_form_2311(self):
-        Q = PolygonSpec(3, 1, ORIGIN, Turn(0))
-        P0 = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        w = closed_form_weight(2, 3, 1, 1, Q, P0)
+        w = closed_form_weight(2, 3, 1, 1)
         assert abs(area_approx(w) + math.sqrt(3) / 2) < 1e-9
 
     def test_closed_form_scaling_law(self):
-        Q1 = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        P1 = PolygonSpec(3, 1, ORIGIN, Turn(0))
-        Q2 = PolygonSpec(2, 1, ORIGIN, Turn(0), Fraction(2))
-        P2 = PolygonSpec(3, 1, ORIGIN, Turn(0), Fraction(2))
-        a = closed_form_weight(3, 2, 1, 1, Q1, P1)
-        b = closed_form_weight(3, 2, 1, 1, Q2, P2)
+        a = closed_form_weight(3, 2, 1, 1)
+        b = closed_form_weight(3, 2, 1, 1, Fraction(2))
         assert b == 4 * a
-
-    def test_closed_form_type_mismatch(self):
-        Q = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        P0 = PolygonSpec(3, 1, ORIGIN, Turn(0))
-        with pytest.raises(ValueError):
-            closed_form_weight(3, 2, 2, 1, Q, P0)
-        with pytest.raises(ValueError):
-            closed_form_weight(
-                3, 2, 1, 1, Q, PolygonSpec(3, 1, Cyc.one(), Turn(0))
-            )
 
     def test_negative_diagram_weight(self):
         # same arc assignment colors D(3,-2); all crossings flip sign,
@@ -220,19 +201,17 @@ class TestWeights:
         base = rot_coloring_3211()
         d = build_diagram(3, -2)
         c = Coloring(d, ROT, base.colors)
-        assert validate_coloring(c)
+        check_coloring(c)
         w = total_weight(c, ORIGIN)
         assert w == -(4 * cyc_root(12, 2) - 2)
-        Q = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        P0 = PolygonSpec(3, 1, ORIGIN, Turn(0))
-        assert w == closed_form_weight(3, -2, 1, 1, Q, P0)
+        assert w == closed_form_weight(3, -2, 1, 1)
 
 
 class TestGenericMoves:
     def test_shift_preserves_validity_and_weight(self):
         c = rot_coloring_3211()
         s = shift_generic(c)
-        assert validate_coloring(s)
+        check_coloring(s)
         assert total_weight(s, ORIGIN) == total_weight(c, ORIGIN)
 
     def test_shift_of_trivial(self):
@@ -256,7 +235,7 @@ class TestGenericMoves:
         c = rot_coloring_3211()
         s = switch_generic(c)
         assert (s.diagram.p, s.diagram.q) == (2, 3)
-        assert validate_coloring(s)
+        check_coloring(s)
         assert total_weight(s, ORIGIN) == total_weight(c, ORIGIN)
 
     def test_switch_of_trivial(self):
@@ -270,7 +249,7 @@ class TestGenericMoves:
         q3 = DihedralQuandle(3)
         for c in enumerate_colorings_finite(q3, build_diagram(2, 3)):
             s = switch_generic(c)
-            assert validate_coloring(s)
+            check_coloring(s)
             assert switch_generic(s) == c  # double switch is the identity
 
     def test_switch_matches_product_formula(self):
@@ -315,11 +294,12 @@ class TestGenericMoves:
         invalid = 0
         for combo in itertools.product(q3.elements(), repeat=len(d.rep_arcs)):
             c = Coloring(d, q3, dict(zip(d.rep_arcs, combo)))
-            if validate_coloring(c):
-                continue
-            invalid += 1
-            with pytest.raises(ValueError, match="not a valid coloring"):
-                replay(MoveSeq(("switch",)), c)
+            try:
+                check_coloring(c)
+            except ValueError:
+                invalid += 1
+                with pytest.raises(ValueError, match="not a valid coloring"):
+                    replay(MoveSeq(("switch",)), c)
         assert invalid == 3 ** len(d.rep_arcs) - 9
 
     def test_orbit_rejects_invalid_coloring(self):

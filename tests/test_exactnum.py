@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rotknot import exactnum
 from rotknot.exactnum import (
     Cyc,
-    LevelError,
     NonIntegralError,
     Turn,
     cyc_from_json,
@@ -365,12 +364,6 @@ class TestTurn:
 
     def test_turn_to_root_minimal(self):
         assert turn_to_root(Turn(1, 4)) == Cyc.imag_unit()
-        assert turn_to_root(Turn(1, 3), 12) == cyc_root(12, 4)
-
-    def test_level_error_reports_requirement(self):
-        with pytest.raises(LevelError) as exc:
-            turn_to_root(Turn(1, 5), 12)
-        assert exc.value.required_level == 60
 
 
 def cyc_to_json_by_fractions(a: Cyc) -> dict:

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from rotknot import trochoid
 from rotknot.diagram import (
     breadth_first,
+    check_coloring,
     closed_form_weight,
     shift_generic,
     switch_generic,
     total_weight,
-    validate_coloring,
 )
 from rotknot.exactnum import (
     BudgetError,
@@ -177,6 +177,13 @@ class TestBuild:
             assert v in verts
 
 
+# an anchored first edge away from the default one: the closed form must not see it
+MOVED_EDGE = dict(
+    anchor=point_xy(Fraction(1, 2), -1), direction=Turn(1, 4), side=Fraction(3, 2),
+    chirality=-1,
+)
+
+
 class TestDerive:
     def test_matches_hand_computed_coloring(self):
         assert derive_coloring(TrochoidSpec(3, 2, 1, 1)) == rot_coloring_3211()
@@ -184,19 +191,27 @@ class TestDerive:
     def test_grid_valid_nonzero_weight(self):
         for s in grid_specs():
             c = derive_coloring(s)
-            assert validate_coloring(c), (s.p, s.q, s.k, s.l)
+            check_coloring(c)
             w = total_weight(c, ORIGIN)
             assert not w.is_zero(), (s.p, s.q, s.k, s.l)
-            cf = closed_form_weight(s.p, s.q, s.k, s.l, s.polygon_q, s.polygon_p0)
+            cf = closed_form_weight(s.p, s.q, s.k, s.l)
             assert w == cf
+            moved = TrochoidSpec(s.p, s.q, s.k, s.l, **MOVED_EDGE)
+            assert total_weight(derive_coloring(moved), ORIGIN) == closed_form_weight(
+                s.p, s.q, s.k, s.l, moved.side
+            ), (s.p, s.q, s.k, s.l)
 
     def test_negative_diagram(self):
         s = TrochoidSpec(3, -2, 1, 1)
         c = derive_coloring(s)
-        assert validate_coloring(c)
+        check_coloring(c)
         w = total_weight(c, ORIGIN)
-        cf = closed_form_weight(3, -2, 1, 1, s.polygon_q, s.polygon_p0)
+        cf = closed_form_weight(3, -2, 1, 1)
         assert w == cf
+        moved = TrochoidSpec(3, -2, 1, 1, **MOVED_EDGE)
+        assert total_weight(derive_coloring(moved), ORIGIN) == closed_form_weight(
+            3, -2, 1, 1, moved.side
+        )
 
 
 def random_spec(rng, chirality=None):
@@ -602,24 +617,22 @@ class TestClassifyByGroup:
         assert replay(r.witness, derive_coloring(a)) == derive_coloring(b)
 
     def test_orbit_states_equivalent(self):
-        base = dict(anchor=point_xy(Fraction(1, 2), -1), direction=Turn(1, 4),
-                    side=Fraction(3, 2), chirality=-1)
         for (p, q) in [(2, 3), (3, 2), (3, 4), (4, 3), (3, 5)]:
             for k in range(1, p):
                 for l in range(1, q):
-                    s = TrochoidSpec(p, q, k, l, **base)
+                    s = TrochoidSpec(p, q, k, l, **MOVED_EDGE)
                     for state, word in orbit_bfs(s, 4):
                         r = classify(s, state)
                         assert r.verdict == "Equivalent" and r.witness == word
                         group_word = _group_witness(s, state)
                         assert same_trochoid(replay_spec(group_word, s), state)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=90, deadline=None, derandomize=True)
     @given(st.data())
     def test_even_verdict_is_lattice_membership(self, data):
-        a = data.draw(st.sampled_from(
-            [s for s in grid_specs() if s.p_prime * s.q_prime % 2 == 0]
-        ))
+        # the group witness exists exactly on lattice membership plus whole
+        # turns theta for both parities of p'q'; only even p'q' decides by it
+        a = data.draw(st.sampled_from(list(grid_specs())))
         a = TrochoidSpec(
             a.p, a.q, a.k, a.l,
             point_xy(data.draw(st.fractions(-2, 2, max_denominator=3)), 1),
@@ -638,6 +651,14 @@ class TestClassifyByGroup:
         anchor = lat.base_point + step * lat.side
         offset = Turn(data.draw(st.integers(0, 2 * lat.level - 1)), 2 * lat.level)
         b = TrochoidSpec(a.p, a.q, a.k, a.l, anchor, lat.base_direction + offset, a.side)
+        n = a.p_prime * a.q_prime
+        in_group = lattice_contains(lat, anchor) and offset.fraction * n % 1 == 0
+        group_word = _group_witness(a, b)
+        assert (group_word is not None) == in_group
+        if in_group:
+            assert same_trochoid(replay_spec(group_word, a), b)
+        if n % 2:
+            return
         r = classify(a, b)
         in_lattice = lattice_contains(lat, anchor) and offset.fraction * lat.level % 1 == 0
         assert (r.verdict == "Equivalent") == in_lattice

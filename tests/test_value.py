@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from rotknot.diagram import Crossing, TorusDiagram, ValidationReport
+from rotknot.diagram import Crossing, TorusDiagram
 from rotknot.exactnum import Cyc, Turn, cyc_root
 from rotknot.geom import PolygonSpec, point_xy
 from rotknot.quandle import DihedralElem, RotElem
@@ -34,7 +34,6 @@ _T = Turn(1, 4)
 CASES = [
     (Crossing, dict(row=0, t=1, arc_x=(0, 1), arc_over=(0, 0), arc_xy=(1, 0), sign=1)),
     (TorusDiagram, dict(p=3, q=2)),
-    (ValidationReport, dict(ok=False, crossing=None, message="bad")),
     (Turn, dict(fraction=Fraction(1, 3))),
     (PolygonSpec, dict(m=3, k=1, anchor=_P, direction=_T, side=Fraction(2))),
     (DihedralElem, dict(n=5, value=2)),
