@@ -5,7 +5,10 @@ root of unity zeta_N, kept in the canonical power basis
 1, zeta, ..., zeta^(phi(N)-1) by reduction modulo the N-th cyclotomic
 polynomial.  Values at different levels N interoperate: binary
 operations lift both sides to the least common multiple level using
-zeta_N = zeta_L^(L/N).
+zeta_N = zeta_L^(L/N).  A rotation c + zeta_d^k * (z - c), the one
+operation of the rotation quandle, lifts z and c once, to
+L = lcm(z.level, c.level, d), and there shifts the exponents of z - c
+by k*L/d (`_rotate`): it builds no root of unity and takes no product.
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
@@ -418,7 +421,12 @@ class Cyc:
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash(("Cyc",) + self.sort_key())
+        # a rational value hashes as its Fraction, as it compares equal
+        # to it; any other value by its least level and coordinates
+        n, coeffs = self.min_form()
+        if n == 1:
+            return hash(coeffs[0])
+        return hash(("Cyc", n) + coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -531,6 +539,34 @@ def _permute(a: Cyc, j: int) -> Cyc:
     return Cyc._raw(n, tuple(_fold(n, acc)), a.den)
 
 
+def _rotate(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
+    """c + zeta_den^num * (z - c): z turned about c by num/den of a turn.
+
+    Both points are lifted once, into one accumulator at the level
+    n = lcm(z.level, c.level, den), where zeta_den^num = zeta_n^s with
+    s = num * n/den.  So the rotation is a shift of z - c's exponents by
+    s, c is added unshifted over the common denominator, and one fold
+    and one gcd give the canonical (num, den) at level n.
+    """
+    zl, cl = z.level, c.level
+    n = lcm(zl, cl, den)
+    s = num * (n // den) % n
+    zd, cd = z.den, c.den
+    mz, mc, d = (1, 1, zd) if zd == cd else (cd, zd, zd * cd)
+    acc = [0] * n
+    step = n // zl
+    for e, x in enumerate(z.num):
+        if x:
+            acc[(e * step + s) % n] += x * mz
+    step = n // cl
+    for e, y in enumerate(c.num):
+        if y:
+            y *= mc
+            acc[(e * step + s) % n] -= y
+            acc[e * step] += y
+    return Cyc._raw(n, *_normal(_fold(n, acc), d))
+
+
 # ---------------------------------------------------------------------------
 # descent to the minimal level
 
@@ -603,7 +639,10 @@ class Turn(Frozen):
 
     def __init__(self, fraction: Fraction | int, _den: int | None = None):
         f = Fraction(fraction, _den) if _den is not None else Fraction(fraction)
-        object.__setattr__(self, "fraction", f % 1)
+        n, d = f.numerator, f.denominator
+        if not 0 <= n < d:
+            f = Fraction(n % d, d)
+        object.__setattr__(self, "fraction", f)
 
     @property
     def numerator(self) -> int:

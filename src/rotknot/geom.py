@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactnum import (
     ContradictionError,
     Cyc,
     Turn,
+    _rotate,
     cyc_from_json,
     cyc_root,
     cyc_to_json,
@@ -28,8 +30,17 @@ ORIGIN = Cyc.zero()
 
 
 def point_xy(re: Fraction | int, im: Fraction | int = 0) -> Point:
-    """The point re + im*i with rational coordinates."""
-    return Cyc.rational(re) + Cyc.imag_unit() * Fraction(im)
+    """The point re + im*i with rational coordinates, at level 4.
+
+    With re = a/b and im = c/d in lowest terms and L = lcm(b, d), the
+    coordinates (a*L/b, c*L/d) over L are already canonical.  If a
+    prime power p^k exactly divides L, it exactly divides b, say; then p
+    divides neither a (coprime to b) nor L/b, so not a*L/b.
+    """
+    re, im = Fraction(re), Fraction(im)
+    b, d = re.denominator, im.denominator
+    den = lcm(b, d)
+    return Cyc._raw(4, (re.numerator * (den // b), im.numerator * (den // d)), den)
 
 
 def fmt12(value: float) -> str:
@@ -54,8 +65,14 @@ def point_from_json(data: dict) -> Point:
 
 
 def rotate(z: Point, center: Point, t: Turn) -> Point:
-    """Exact image of z under rotation about center by the turn t."""
-    return (z - center) * turn_to_root(t) + center
+    """Exact image of z under rotation about center by the turn t.
+
+    The value center + u(t) * (z - center), computed at the level
+    lcm(z.level, center.level, t.denominator): both points are lifted
+    there once and the rotation shifts exponents, so no root of unity
+    is built and no product is taken.
+    """
+    return _rotate(z, center, t.numerator, t.denominator)
 
 
 def area_approx(scaled: Cyc) -> float:

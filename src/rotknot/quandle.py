@@ -71,6 +71,13 @@ class RotQuandle:
     """
 
     def op(self, x: RotElem, y: RotElem) -> RotElem:
+        """x * y: x's center rotated about y's center by y's angle; x's
+        angle is kept.
+
+        Both centers are lifted once, to the lcm of their levels and the
+        angle's denominator, where the rotation is a shift of exponents
+        (`geom.rotate`).
+        """
         return RotElem(rotate(x.center, y.center, y.angle), x.angle)
 
     def inv_op(self, x: RotElem, y: RotElem) -> RotElem:

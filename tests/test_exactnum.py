@@ -164,6 +164,16 @@ class TestMinimalForm:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("level", [1, 4, 12])
+    @pytest.mark.parametrize("value", [0, 2, -7, Fraction(3, 4), Fraction(-5, 6)])
+    def test_rational_hashes_as_its_fraction(self, value, level):
+        # equal values must hash equal, and Cyc.rational(v) == v
+        x = Cyc.rational(value).lift(level)
+        assert x == value
+        assert hash(x) == hash(value) == hash(Fraction(value))
+        assert {value: "found"}.get(x) == "found"
+        assert len({x, value}) == 1
+
     def test_real_subfield_detection(self):
         # zeta_12 + conj is sqrt(3), which generates Q(sqrt 3) inside Q(zeta_12)
         s = cyc_root(12) + cyc_root(12).conj()
@@ -356,6 +366,24 @@ class TestTurn:
     def test_normalization(self):
         assert Turn(Fraction(5, 4)).fraction == Fraction(1, 4)
         assert Turn(Fraction(-1, 3)).fraction == Fraction(2, 3)
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, 3, -1, -4, Fraction(1, 3), Fraction(2, 4), Fraction(7, 3),
+         Fraction(-1, 6), Fraction(-13, 5), Fraction(10**400 + 1, 10**400)],
+    )
+    def test_fraction_is_the_value_mod_one(self, x):
+        t = Turn(x)
+        assert t.fraction == Fraction(x) % 1
+        assert type(t.fraction) is Fraction
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (2, 4), (5, 3), (-1, 3), (3, -4), (-6, 4)])
+    def test_two_argument_form(self, n, d):
+        assert Turn(n, d).fraction == Fraction(n, d) % 1
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Turn(1, 0)
 
     def test_arithmetic(self):
         assert Turn(1, 2) + Turn(3, 4) == Turn(1, 4)

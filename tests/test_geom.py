@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotknot import geom
 from rotknot.diagram import total_weight
-from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root
+from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root, turn_to_root
 from rotknot.geom import (
     ORIGIN,
     PolygonSpec,
@@ -35,7 +37,58 @@ def rand_point(rng: random.Random, level: int = 12) -> Cyc:
     return rand_cyc(rng, level, span=4)
 
 
+def rotate_by_product(z: Cyc, c: Cyc, t: Turn) -> Cyc:
+    """The rotation as a product with the root of unity, kept as the
+    reference for the exponent-shift kernel behind `rotate`."""
+    return (z - c) * turn_to_root(t) + c
+
+
+def same_coordinates(a: Cyc, b: Cyc) -> bool:
+    return (a.level, a.num, a.den) == (b.level, b.num, b.den)
+
+
+CENTER_LEVELS = (1, 3, 4, 5, 8, 12, 24, 60)
+# 7, 9 and 16 divide none of the point levels
+TURN_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12, 16)
+ZERO_4 = Cyc.zero().lift(4)
+
+
+@st.composite
+def points(draw):
+    """A zero at level 1 or 4, or a value at one of CENTER_LEVELS."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([Cyc.zero(), ZERO_4]))
+    level = draw(st.sampled_from(CENTER_LEVELS))
+    terms = draw(
+        st.dictionaries(
+            st.integers(0, level - 1),
+            st.fractions(-5, 5, max_denominator=6),
+            max_size=4,
+        )
+    )
+    return Cyc.from_terms(level, terms)
+
+
+turns = st.one_of(
+    st.just(Turn(0)),
+    st.builds(Turn, st.integers(-40, 40), st.sampled_from(TURN_DENOMINATORS)),
+)
+
+
 class TestRotate:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(points(), points(), st.booleans(), turns)
+    @example(Cyc.zero(), Cyc.zero(), False, Turn(1, 3))
+    @example(ZERO_4, Cyc.zero(), False, Turn(1, 7))
+    @example(Cyc.zero(), ZERO_4, False, Turn(0))
+    @example(point_xy(1, 2), point_xy(1, 2), True, Turn(2, 9))
+    @example(cyc_root(60, 7), cyc_root(5, 2), False, Turn(5, 7))
+    @example(cyc_root(8, 3), cyc_root(24, 5), False, Turn(0))
+    def test_matches_product_reference(self, z, c, same, t):
+        if same:
+            c = z
+        assert same_coordinates(rotate(z, c, t), rotate_by_product(z, c, t))
+
     def test_fixed_point(self):
         z = point_xy(3, Fraction(1, 2))
         for t in (Turn(0), Turn(1, 3), Turn(5, 8)):
@@ -226,6 +279,27 @@ class TestPolygonArea:
     def test_mirror_negates_area(self):
         for m, k in ((3, 1), (4, 1), (5, 2), (6, 1)):
             assert polygon_area(m, m - k) == -polygon_area(m, k)
+
+
+class TestPointXY:
+    @pytest.mark.parametrize(
+        "re, im",
+        [
+            (0, 0),
+            (3, 0),
+            (0, -2),
+            (-1, Fraction(-1, 2)),
+            (Fraction(2, 4), Fraction(6, -9)),
+            (Fraction(1, 6), Fraction(5, 4)),
+            (Fraction(10**400), Fraction(-1, 10**400)),
+            (Fraction(10**400 + 1, 3), 7),
+        ],
+    )
+    def test_matches_sum_of_parts(self, re, im):
+        z = point_xy(re, im)
+        ref = Cyc.rational(re) + Cyc.imag_unit() * Fraction(im)
+        assert z.level == 4
+        assert same_coordinates(z, ref)
 
 
 class TestSerialization:
