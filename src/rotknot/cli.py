@@ -13,11 +13,9 @@ machine state leak into the bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
-import random
 import sys
 from fractions import Fraction
 from math import lcm
@@ -38,7 +36,6 @@ from .exactnum import (
 )
 from .geom import ORIGIN, area_approx, fmt12, point_xy
 from .quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
-from .render import render_trochoid_svg
 from .trochoid import (
     TrochoidSpec,
     check_level_cap,
@@ -151,6 +148,8 @@ def cmd_enumerate(p: int, q: int) -> dict:
 
 
 def _enumerate_csv(table: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -234,6 +233,8 @@ def _axiom_checks(name: str, quandle, triples) -> list[tuple[str, bool, str]]:
 
 
 def _suite_axioms(args) -> list[tuple[str, bool, str]]:
+    import random
+
     checks = []
     for n in (3, 5, 7):
         quandle = DihedralQuandle(n)
@@ -247,6 +248,8 @@ def _suite_axioms(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
+    import random
+
     rng = random.Random(20240823)
     checks = []
     bad_diag = None
@@ -451,6 +454,8 @@ def main(argv=None) -> int:
             _write_output(text, args.out)
             return code
         if args.command == "render":
+            from .render import render_trochoid_svg
+
             svg = render_trochoid_svg(_spec_from_args(args, ""), args.size)
             _write_output(svg, args.out)
             return 0

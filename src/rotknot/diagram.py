@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactnum import BudgetError, Cyc
+from .exactnum import BudgetError, Cyc, _area_sum
 from .geom import Point, polygon_area
-from .quandle import RotElem, cocycle_phi
+from .quandle import _phi_pair
 from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
@@ -220,17 +220,15 @@ def total_weight(c: Coloring, o: Point) -> Cyc:
     """Sum of signed cocycle values over the crossings of the diagram.
 
     Each crossing contributes sign * Phi_o(color(arc_x), color(arc_over));
-    the total does not depend on o.
+    the total does not depend on o.  All crossings' pairs
+    (`quandle._phi_pair`, swapped for sign -1) go to the area kernel
+    `exactnum._area_sum` together: one accumulator and one fold.
     """
-    acc = Cyc.zero()
+    pairs = []
     for cr in c.diagram.crossings:
-        x: RotElem = c.color(*cr.arc_x)
-        y: RotElem = c.color(*cr.arc_over)
-        term = cocycle_phi(o, x, y)
-        if cr.sign < 0:
-            term = -term
-        acc = acc + term
-    return acc
+        v, w = _phi_pair(o, c.color(*cr.arc_x), c.color(*cr.arc_over))
+        pairs.append((v, w) if cr.sign > 0 else (w, v))
+    return _area_sum(pairs)
 
 
 def closed_form_weight(

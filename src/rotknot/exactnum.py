@@ -3,12 +3,13 @@
 A value is a rational linear combination of powers of a primitive N-th
 root of unity zeta_N, kept in the canonical power basis
 1, zeta, ..., zeta^(phi(N)-1) by reduction modulo the N-th cyclotomic
-polynomial.  Values at different levels N interoperate: binary
-operations lift both sides to the least common multiple level using
-zeta_N = zeta_L^(L/N).  A rotation c + zeta_d^k * (z - c), the one
-operation of the rotation quandle, lifts z and c once, to
-L = lcm(z.level, c.level, d), and there shifts the exponents of z - c
-by k*L/d (`_rotate`): it builds no root of unity and takes no product.
+polynomial.  Values at different levels N meet at the least common
+multiple level L through zeta_N = zeta_L^(L/N): a sum, difference or
+product writes both operands' exponents once into one accumulator at L,
+then folds and normalizes once (`_spread`).  A rotation c + zeta_d^k *
+(z - c) does the same at L = lcm(z.level, c.level, d), shifting the
+exponents of z - c by k*L/d (`_rotate`), and `_area_sum` adds
+conj(v) * w - v * conj(w) over many pairs (v, w) in one accumulator.
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
@@ -282,12 +283,6 @@ class Cyc:
         # the least denominator stays the same
         return Cyc._raw(level, tuple(_fold(level, acc)), self.den)
 
-    def _pair(self, other: "Cyc") -> tuple["Cyc", "Cyc"]:
-        if self.level == other.level:
-            return self, other
-        common = lcm(self.level, other.level)
-        return self.lift(common), other.lift(common)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Cyc":
@@ -319,17 +314,21 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        n = a.level
-        sa = [(e, c) for e, c in enumerate(a.num) if c]
-        sb = [(e, c) for e, c in enumerate(b.num) if c]
+        la, lb = self.level, other.level
+        if la != lb:  # each term c * zeta^f of other shifts self by f
+            n = lcm(la, lb)
+            step = n // lb
+            terms = [(self, f * step, c) for f, c in enumerate(other.num) if c]
+            return _spread(n, terms, other.den)
+        sa = [(e, c) for e, c in enumerate(self.num) if c]
+        sb = [(e, c) for e, c in enumerate(other.num) if c]
         if not sa or not sb:
-            return Cyc._raw(n, (0,) * len(a.num), 1)
-        acc = [0] * (2 * len(a.num) - 1)
+            return Cyc._raw(la, (0,) * len(self.num), 1)
+        acc = [0] * (2 * len(self.num) - 1)
         for ea, ca in sa:
             for eb, cb in sb:
                 acc[ea + eb] += ca * cb
-        return Cyc._raw(n, *_normal(_fold(n, acc), a.den * b.den))
+        return Cyc._raw(la, *_normal(_fold(la, acc), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -417,7 +416,10 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
+        a, b = self, other
+        if a.level != b.level:
+            common = lcm(a.level, b.level)
+            a, b = a.lift(common), b.lift(common)
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
@@ -515,12 +517,15 @@ def _add(a: Cyc, b: Cyc, op) -> Cyc:
             return a
     elif not any(a.num) and b.level % a.level == 0:
         return b if op is operator.add else -b
-    a, b = a._pair(b)
+    la, lb = a.level, b.level
+    if la != lb:
+        sign = 1 if op is operator.add else -1
+        return _spread(lcm(la, lb), ((a, 0, 1), (b, 0, sign)))
     if a.den == b.den:
-        return Cyc._raw(a.level, *_normal(tuple(map(op, a.num, b.num)), a.den))
+        return Cyc._raw(la, *_normal(tuple(map(op, a.num, b.num)), a.den))
     da, db = a.den, b.den
     num = tuple(op(x * db, y * da) for x, y in zip(a.num, b.num))
-    return Cyc._raw(a.level, *_normal(num, da * db))
+    return Cyc._raw(la, *_normal(num, da * db))
 
 
 def _scale(a: Cyc, f: Fraction) -> Cyc:
@@ -537,6 +542,21 @@ def _permute(a: Cyc, j: int) -> Cyc:
     for e, c in enumerate(a.num):
         acc[e * j % n] = c
     return Cyc._raw(n, tuple(_fold(n, acc)), a.den)
+
+
+def _spread(n: int, terms: Sequence[tuple[Cyc, int, int]], den: int = 1) -> Cyc:
+    """The sum of m * zeta_n^s * x over the (x, s, m) terms, over den, for
+    n a multiple of every x.level: coordinate e of x goes once into one
+    accumulator at exponent e * n/x.level + s mod n; one fold, one gcd."""
+    d = lcm(*(x.den for x, _, _ in terms))
+    acc = [0] * n
+    for x, s, m in terms:
+        m *= d // x.den
+        step = n // x.level
+        for e, c in enumerate(x.num):
+            if c:
+                acc[(e * step + s) % n] += c * m
+    return Cyc._raw(n, *_normal(_fold(n, acc), d * den))
 
 
 def _rotate(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
@@ -564,6 +584,26 @@ def _rotate(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
             y *= mc
             acc[(e * step + s) % n] -= y
             acc[e * step] += y
+    return Cyc._raw(n, *_normal(_fold(n, acc), d))
+
+
+def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]]) -> Cyc:
+    """The sum of conj(v) * w - v * conj(w) over the (v, w) pairs, 4i times
+    the signed areas of the triangles (0, v, w), in one accumulator at n,
+    the lcm of all their levels: conj(v) * w puts v_e * w_f at exponent
+    f*n/w.level - e*n/v.level mod n, and v * conj(w) at its negative."""
+    n = lcm(*(x.level for pair in pairs for x in pair))
+    d = lcm(*(v.den * w.den for v, w in pairs))
+    acc = [0] * n
+    for v, w in pairs:
+        m, sv, sw = d // (v.den * w.den), n // v.level, n // w.level
+        tw = [(f * sw, y * m) for f, y in enumerate(w.num) if y]
+        for e, x in enumerate(v.num):
+            if x:
+                e *= sv
+                for f, y in tw:
+                    acc[(f - e) % n] += x * y
+    acc = [c - acc[-k] for k, c in enumerate(acc)]
     return Cyc._raw(n, *_normal(_fold(n, acc), d))
 
 
@@ -749,10 +789,10 @@ def cyc_to_json(a: Cyc) -> dict:
     """Level and coordinates, each num/den in lowest terms as a string
     pair: the numerator and denominator `Fraction(num, den)` would have."""
     den = a.den
-    coeffs = []
-    for c in a.num:
-        g = gcd(c, den)
-        coeffs.append([str(c // g), str(den // g)])
+    if den == 1:
+        coeffs = [[str(c), "1"] for c in a.num]
+    else:
+        coeffs = [[str(c // (g := gcd(c, den))), str(den // g)] for c in a.num]
     return {"level": a.level, "coeffs": coeffs}
 
 

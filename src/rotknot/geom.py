@@ -15,6 +15,7 @@ from .exactnum import (
     ContradictionError,
     Cyc,
     Turn,
+    _area_sum,
     _rotate,
     cyc_from_json,
     cyc_root,
@@ -88,25 +89,24 @@ def area_approx(scaled: Cyc) -> float:
 def signed_area_tri(x: Point, y: Point, z: Point) -> Cyc:
     """Signed area of the triangle (x, y, z), positive counterclockwise.
 
-    4i * area = t - conj(t) with t = conj(y-x)*(z-x); for (0, 1, i) this
-    gives scaled 2i, area +1/2.  Degenerate triangles give exact zero.
+    4i * area = t - conj(t) with t = conj(y-x)*(z-x), formed by the area
+    kernel `exactnum._area_sum` on the one pair (y - x, z - x); for
+    (0, 1, i) this gives scaled 2i, area +1/2.  Degenerate triangles give
+    exact zero.
     """
-    t = (y - x).conj() * (z - x)
-    return t - t.conj()
+    return _area_sum([(y - x, z - x)])
 
 
 def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> Cyc:
     """Sum of triangle areas fanned from o over the closed vertex cycle.
 
-    The value does not depend on o.
+    The value does not depend on o.  The m fan pairs (v_i - o,
+    v_(i+1) - o) go to the area kernel together: one fold for the sum.
     """
     if len(vertices) < 2:
         raise ValueError("polygon needs at least 2 vertices")
-    total = Cyc.zero()
-    m = len(vertices)
-    for i in range(m):
-        total = total + signed_area_tri(o, vertices[i], vertices[(i + 1) % m])
-    return total
+    fan = [v - o for v in vertices]
+    return _area_sum(list(zip(fan, fan[1:] + fan[:1])))
 
 
 def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> Cyc:

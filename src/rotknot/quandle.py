@@ -8,7 +8,7 @@ needs; the rotation quandle is infinite and never enumerates.
 
 from __future__ import annotations
 
-from .exactnum import Cyc, Turn
+from .exactnum import Cyc, Turn, _area_sum
 from .geom import Point, rotate
 from .value import Frozen
 
@@ -100,13 +100,19 @@ def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> Cyc:
 
     The two triangles share o and c, and 4i * s(o, v, c) = t - conj(t)
     with t = conj(v - o) * (c - o), so the sum is u - conj(u) for the one
-    term u = conj(b - a) * (c - o).  Its operands span the same levels as
-    the two triangles', so the value comes out at the same level with the
-    same (num, den).
+    term u = conj(b - a) * (c - o): the area kernel `exactnum._area_sum`
+    on the one pair `_phi_pair(o, x, y)`.  Its operands span the same
+    levels as the two triangles', so the value comes out at the same
+    level with the same (num, den).
     """
+    return _area_sum([_phi_pair(o, x, y)])
+
+
+def _phi_pair(o: Point, x: RotElem, y: RotElem) -> tuple[Point, Point]:
+    """(b - a, c - o), the pair whose area term is Phi_o(x, y); swapped,
+    it gives -Phi_o(x, y)."""
     a, c = x.center, y.center
-    u = (rotate(a, c, y.angle) - a).conj() * (c - o)
-    return u - u.conj()
+    return rotate(a, c, y.angle) - a, c - o
 
 
 def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:

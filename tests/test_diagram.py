@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from rotknot import diagram
+from rotknot.cli import FULL_GRID
 from rotknot.diagram import (
     Coloring,
     build_diagram,
@@ -24,7 +25,7 @@ from rotknot.diagram import (
 )
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
 from rotknot.geom import ORIGIN, area_approx, point_xy
-from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem
+from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem, cocycle_phi
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 
 
@@ -205,6 +206,34 @@ class TestWeights:
         w = total_weight(c, ORIGIN)
         assert w == -(4 * cyc_root(12, 2) - 2)
         assert w == closed_form_weight(3, -2, 1, 1)
+
+
+def crossing_by_crossing(c: Coloring, o) -> Cyc:
+    """The crossing sum one signed `cocycle_phi` term at a time, the
+    reference for `total_weight`'s single accumulator."""
+    total = Cyc.zero()
+    for cr in c.diagram.crossings:
+        term = cocycle_phi(o, c.color(*cr.arc_x), c.color(*cr.arc_over))
+        total = total + (term if cr.sign > 0 else -term)
+    return total
+
+
+# the origin, a level-4 point and a level-12 point with denominator 6
+BASE_POINTS = (
+    ORIGIN,
+    point_xy(Fraction(-1, 2), 3),
+    cyc_root(12, 5) * Fraction(1, 2) + point_xy(Fraction(1, 3), -1),
+)
+
+
+@pytest.mark.parametrize("p, q", FULL_GRID + [(-p, q) for p, q in FULL_GRID])
+def test_total_weight_matches_crossing_sum(p, q):
+    for k in range(1, abs(p)):
+        for l in range(1, abs(q)):
+            c = derive_coloring(TrochoidSpec(p, q, k, l))
+            for o in BASE_POINTS:
+                got, ref = total_weight(c, o), crossing_by_crossing(c, o)
+                assert (got.level, got.num, got.den) == (ref.level, ref.num, ref.den)
 
 
 class TestGenericMoves:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotknot import exactnum
@@ -281,6 +282,81 @@ class TestIntegerCore:
         assert abs((x * y).embed() - ex * ey) < 1e-9
         assert abs(x.conj().embed() - ex.conjugate()) < 1e-9
         assert abs((x * s).embed() - ex * float(s)) < 1e-9
+
+
+# The lift-then-operate composition that the fused mixed-level kernels
+# replace, kept as their reference: each operand is lifted to the lcm
+# level through `Cyc.from_terms` (so not through `_spread`), and the two
+# lifted values meet in the same-level add, sub or mul.
+
+
+def lift_reference(x: Cyc, n: int) -> Cyc:
+    step = n // x.level
+    return Cyc.from_terms(n, {e * step: c for e, c in enumerate(x.coeffs)})
+
+
+def lift_then(op, a: Cyc, b: Cyc) -> Cyc:
+    n = math.lcm(a.level, b.level)
+    return op(lift_reference(a, n), lift_reference(b, n))
+
+
+def area_sum_reference(pairs) -> Cyc:
+    total = Cyc.zero()
+    for v, w in pairs:
+        t = lift_then(operator.mul, v.conj(), w)
+        total = lift_then(operator.add, total, t - t.conj())
+    return total
+
+
+def coordinates(x: Cyc) -> tuple:
+    return (x.level, x.num, x.den)
+
+
+KERNEL_LEVELS = (1, 2, 3, 4, 12, 13, 24)
+
+
+@st.composite
+def kernel_values(draw):
+    """A value at one of KERNEL_LEVELS: zero one time in eight, otherwise
+    up to four terms with denominators up to 6."""
+    level = draw(st.sampled_from(KERNEL_LEVELS))
+    if draw(st.integers(0, 7)) == 0:
+        return Cyc(level, [])
+    terms = draw(
+        st.dictionaries(
+            st.integers(0, level - 1),
+            st.fractions(-5, 5, max_denominator=6),
+            max_size=4,
+        )
+    )
+    return Cyc.from_terms(level, terms)
+
+
+class TestFusedKernels:
+    """The one-accumulator kernels give the (level, num, den) of the
+    lift-then-operate composition."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(kernel_values(), kernel_values())
+    @example(Cyc(4, []), Cyc(3, []))
+    @example(Cyc(4, []), Cyc(3, [Fraction(1, 2), 1]))
+    @example(Cyc(13, [0, Fraction(-2, 3)]), Cyc(2, []))
+    @example(Cyc(24, [Fraction(1, 6)] * 8), Cyc(13, [Fraction(5, 4)] * 12))
+    @example(Cyc(12, [0, Fraction(1, 2)]), Cyc(4, [0, Fraction(-1, 2)]))
+    def test_add_sub_mul_match_lift_then_operate(self, a, b):
+        for op in (operator.add, operator.sub, operator.mul):
+            for x, y in ((a, b), (b, a)):
+                assert coordinates(op(x, y)) == coordinates(lift_then(op, x, y))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(kernel_values(), kernel_values()), max_size=4))
+    @example([])
+    @example([(Cyc(4, []), Cyc(13, []))])
+    @example([(Cyc(3, [1]), Cyc(3, [1]))])
+    @example([(Cyc(12, [Fraction(1, 3), 1]), Cyc(2, [Fraction(1, 5)]))] * 2)
+    def test_area_sum_matches_lift_then_operate(self, pairs):
+        got = exactnum._area_sum(pairs)
+        assert coordinates(got) == coordinates(area_sum_reference(pairs))
 
 
 class TestEmbed:

@@ -178,6 +178,24 @@ class TestSignedAreaPolygon:
         assert signed_area_polygon(verts) == signed_area_tri(*verts)
 
 
+def fan_sum(vertices: list[Cyc], o: Cyc) -> Cyc:
+    """The fan of `signed_area_tri` terms added one at a time, the
+    reference for `signed_area_polygon`'s single accumulator."""
+    total = Cyc.zero()
+    for i, v in enumerate(vertices):
+        total = total + signed_area_tri(o, v, vertices[(i + 1) % len(vertices)])
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(points(), min_size=2, max_size=6), points())
+@example([ORIGIN, Cyc.one()], ORIGIN)
+@example([ZERO_4, cyc_root(3)], Cyc.zero())
+@example([point_xy(1, 2), cyc_root(5), cyc_root(12, 7)], ZERO_4)
+def test_polygon_matches_fan_of_triangles(vertices, o):
+    assert same_coordinates(signed_area_polygon(vertices, o), fan_sum(vertices, o))
+
+
 class TestBoundaryCheck:
     def test_named_examples(self):
         assert boundary_area_check(
