@@ -56,11 +56,10 @@ class NonIntegralError(ValueError):
 class ContradictionError(RuntimeError):
     """An exact computation contradicts a proved statement.
 
-    Raised, for instance, when a unit-modulus cyclotomic integer fails to
-    be a root of unity within its guaranteed order bound, a regular
-    polygon walk fails to close, or a trochoid fails to close.  Reaching
-    this is a bug (or a disproof), never a data error; unlike `assert`,
-    `python -O` keeps it.
+    Raised, for instance, when a unit-modulus cyclotomic integer is no
+    root of unity of its level, a regular polygon walk fails to close, or
+    a trochoid fails to close.  Reaching this is a bug (or a disproof),
+    never a data error; unlike `assert`, `python -O` keeps it.
     """
 
 
@@ -340,19 +339,6 @@ class Cyc:
             raise ZeroDivisionError("division by zero")
         return _scale(self, 1 / f)
 
-    def __pow__(self, exponent: int) -> "Cyc":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     # -- Galois actions ------------------------------------------------------
 
     def conj(self) -> "Cyc":
@@ -404,7 +390,8 @@ class Cyc:
         cached = self._minform
         if cached is not None:
             return cached
-        out = _descend(self)
+        low = _descend(self)
+        out = (low.level, low.coeffs)
         _set_minform(self, out)
         return out
 
@@ -451,23 +438,11 @@ class Cyc:
     def is_root_of_unity(self) -> int | None:
         """The multiplicative order if the value is a root of unity, else None.
 
-        Requires an algebraic integer.  An integral value with |a|^2 = 1
-        must be a root of unity of order dividing M, where M is the level
-        when the level is even and twice the level when odd; if the power
-        check nonetheless fails, ContradictionError is raised.
+        Requires an algebraic integer.  The order is the denominator of
+        the turn `_root_turn` reads off the power table.
         """
-        if not self.is_integral():
-            raise NonIntegralError("root-of-unity test needs an algebraic integer")
-        if self.abs_sq() != _ONE:
-            return None
-        n = self.level
-        bound = n if n % 2 == 0 else 2 * n
-        for d in _divisors(bound):
-            if (self**d) == _ONE:
-                return d
-        raise ContradictionError(
-            f"unit-modulus integer at level {n} has no order dividing {bound}"
-        )
+        t = _root_turn(self)
+        return None if t is None else t.denominator
 
 
 _new = object.__new__
@@ -611,11 +586,12 @@ def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]]) -> Cyc:
 # descent to the minimal level
 
 
-def _descend(a: Cyc) -> tuple[int, tuple[Fraction, ...]]:
-    """Walk a down one prime at a time.  The levels holding a value are
-    closed under gcd, so the walk ends at the least one in any order."""
+def _descend(a: Cyc) -> Cyc:
+    """a at the least level holding it, walked down one prime at a time.
+    The levels holding a value are closed under gcd, so the walk ends at
+    the least one in any order."""
     if a.is_rational():
-        return (1, (a.as_fraction(),))
+        return Cyc._raw(1, a.num[:1], a.den)
     while True:
         for p in _prime_factors(a.level):
             down = _drop_prime(a, p)
@@ -623,7 +599,7 @@ def _descend(a: Cyc) -> tuple[int, tuple[Fraction, ...]]:
                 a = down
                 break
         else:
-            return (a.level, a.coeffs)
+            return a
 
 
 @lru_cache(maxsize=None)
@@ -712,6 +688,29 @@ def turn_to_root(turn: Turn) -> Cyc:
     """The unit vector exp(2*pi*i*turn) as an exact cyclotomic value, at
     the minimal level (the turn's denominator)."""
     return cyc_root(turn.denominator, turn.numerator)
+
+
+def _root_turn(a: Cyc) -> Turn | None:
+    """The turn t with a = exp(2*pi*i*t) when a is a root of unity, else None.
+
+    Requires an algebraic integer.  The roots of unity of Q(zeta_n) are
+    the +-zeta_n^e, and an integer with |a|^2 = 1 is one (Kronecker): a
+    row e of the power table, the turn e/n, or its negative, the turn
+    (2e + n)/(2n), which is not a row only at odd n.  A unit-modulus
+    integer matching no row raises ContradictionError.
+    """
+    if not a.is_integral():
+        raise NonIntegralError("root-of-unity test needs an algebraic integer")
+    if a.abs_sq() != _ONE:
+        return None
+    n, num = a.level, a.num
+    neg = tuple(-c for c in num)
+    for e, row in enumerate(_power_table(n)):
+        if row == num:
+            return Turn(e, n)
+        if row == neg:
+            return Turn(2 * e + n, 2 * n)
+    raise ContradictionError(f"unit-modulus integer at level {n} is no root of unity")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .exactnum import (
     cyc_to_json,
     turn_to_root,
 )
-from .value import Frozen
 
 # a point of the plane is just a cyclotomic number
 Point = Cyc
@@ -119,53 +118,33 @@ def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> Cyc:
     )
 
 
-class PolygonSpec(Frozen):
-    """A regular polygon of type (m, k), anchored by its first edge.
+def polygon_vertices(
+    m: int, k: int, anchor: Point, direction: Turn, side: Fraction
+) -> list[Point]:
+    """The m vertices of a regular polygon of type (m, k), anchored by its
+    first edge; the walk provably closes.
 
     The walk starts at `anchor`, the first edge points along `direction`,
     every edge has length `side`, and each step turns by k/m of a full
-    turn.  gcd(m, k) > 1 makes vertices repeat with period m/gcd(m, k).
+    turn: w_0 = anchor and w_{j+1} = w_j + side * u(direction) * zeta_m^{kj}.
+    Closure (w_m = w_0) is checked exactly.  gcd(m, k) > 1 makes vertices
+    repeat with period m/gcd(m, k).
     """
-
-    __slots__ = _fields = ("m", "k", "anchor", "direction", "side")
-
-    def __init__(
-        self,
-        m: int,
-        k: int,
-        anchor: Point,
-        direction: Turn,
-        side: Fraction = Fraction(1),
-    ):
-        if m < 2:
-            raise ValueError("polygon needs m >= 2")
-        if not 1 <= k <= m - 1:
-            raise ValueError(f"step k={k} outside [1, {m - 1}]")
-        side = Fraction(side)
-        if side <= 0:
-            raise ValueError("side must be positive")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "side", side)
-
-
-def polygon_vertices(spec: PolygonSpec) -> list[Point]:
-    """The m vertices of the edge walk; the walk provably closes.
-
-    w_0 = anchor and w_{j+1} = w_j + side * u(direction) * zeta_m^{kj};
-    closure (w_m = w_0) is checked exactly.
-    """
-    verts = [spec.anchor]
-    u0 = turn_to_root(spec.direction) * spec.side
-    zk = cyc_root(spec.m, spec.k)
+    if m < 2:
+        raise ValueError("polygon needs m >= 2")
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"step k={k} outside [1, {m - 1}]")
+    if side <= 0:
+        raise ValueError("side must be positive")
+    verts = [anchor]
+    u0 = turn_to_root(direction) * side
+    zk = cyc_root(m, k)
     step = u0
-    for _ in range(spec.m - 1):
+    for _ in range(m - 1):
         verts.append(verts[-1] + step)
         step = step * zk
     closure = verts[-1] + step
-    if closure != spec.anchor:
+    if closure != anchor:
         raise ContradictionError("polygon walk failed to close")
     return verts
 
@@ -182,5 +161,4 @@ def polygon_area(m: int, k: int, side: Fraction = Fraction(1)) -> Cyc:
     only, never on points: those compare by value across levels, so a
     cached area could come back at another level than a fresh one.
     """
-    walk = PolygonSpec(m, k, ORIGIN, Turn(0), side)
-    return signed_area_polygon(polygon_vertices(walk))
+    return signed_area_polygon(polygon_vertices(m, k, ORIGIN, Turn(0), side))

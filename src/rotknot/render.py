@@ -8,7 +8,7 @@ digits and no randomness or system state enters the file.
 
 from __future__ import annotations
 
-from .geom import fmt12, polygon_vertices
+from .geom import fmt12
 from .trochoid import TrochoidSpec, build_trochoid
 
 PALETTE = (
@@ -44,8 +44,7 @@ def _poly(points: list[complex], color: str, width: float) -> str:
 
 def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
     """The full trochoid diagram as a standalone SVG document string."""
-    rows = build_trochoid(spec)
-    base = polygon_vertices(spec.polygon_q)
+    base, rows = build_trochoid(spec)
 
     # SVG y grows downward; flip the plane so the figure reads normally
     def flip(w):

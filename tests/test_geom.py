@@ -15,7 +15,6 @@ from rotknot.diagram import total_weight
 from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root, turn_to_root
 from rotknot.geom import (
     ORIGIN,
-    PolygonSpec,
     area_approx,
     boundary_area_check,
     point_from_json,
@@ -214,8 +213,7 @@ class TestBoundaryCheck:
 
 class TestPolygonWalk:
     def test_unit_square_walk(self):
-        spec = PolygonSpec(4, 1, ORIGIN, Turn(0))
-        assert polygon_vertices(spec) == [
+        assert polygon_vertices(4, 1, ORIGIN, Turn(0), 1) == [
             ORIGIN,
             Cyc.one(),
             point_xy(1, 1),
@@ -223,19 +221,17 @@ class TestPolygonWalk:
         ]
 
     def test_degenerate_two_gon(self):
-        spec = PolygonSpec(2, 1, ORIGIN, Turn(0))
-        assert polygon_vertices(spec) == [ORIGIN, Cyc.one()]
+        assert polygon_vertices(2, 1, ORIGIN, Turn(0), 1) == [ORIGIN, Cyc.one()]
 
     def test_open_walk_is_a_contradiction(self, monkeypatch):
         # a wrong turning root breaks the proved closure; -O keeps the check
         monkeypatch.setattr(geom, "cyc_root", lambda m, k: cyc_root(m + 1, k))
         with pytest.raises(ContradictionError, match="polygon walk failed to close"):
-            polygon_vertices(PolygonSpec(4, 1, ORIGIN, Turn(0)))
+            polygon_vertices(4, 1, ORIGIN, Turn(0), 1)
 
     def test_overlapping_hexagon(self):
         # gcd(6,2)=2: the walk hits only 3 distinct points, each twice
-        spec = PolygonSpec(6, 2, ORIGIN, Turn(0))
-        verts = polygon_vertices(spec)
+        verts = polygon_vertices(6, 2, ORIGIN, Turn(0), 1)
         assert len(set(verts)) == 3
         assert verts[:3] == verts[3:]
 
@@ -245,24 +241,24 @@ class TestPolygonWalk:
             m = rng.randrange(2, 7)
             k = rng.randrange(1, m)
             side = Fraction(rng.randrange(1, 5), rng.randrange(1, 3))
-            spec = PolygonSpec(m, k, rand_point(rng), Turn(rng.randrange(12), 12), side)
-            verts = polygon_vertices(spec)
+            anchor, direction = rand_point(rng), Turn(rng.randrange(12), 12)
+            verts = polygon_vertices(m, k, anchor, direction, side)
             for i in range(m):
                 edge = verts[(i + 1) % m] - verts[i]
                 assert edge.abs_sq() == Cyc.rational(side * side)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            PolygonSpec(4, 0, ORIGIN, Turn(0))
+            polygon_vertices(4, 0, ORIGIN, Turn(0), 1)
         with pytest.raises(ValueError):
-            PolygonSpec(4, 4, ORIGIN, Turn(0))
+            polygon_vertices(4, 4, ORIGIN, Turn(0), 1)
         with pytest.raises(ValueError):
-            PolygonSpec(1, 1, ORIGIN, Turn(0))
+            polygon_vertices(1, 1, ORIGIN, Turn(0), 1)
 
 
-def fan_area(spec: PolygonSpec) -> Cyc:
-    """The fan over the spec's own walk from its anchor, kept as the reference."""
-    return signed_area_polygon(polygon_vertices(spec), spec.anchor)
+def fan_area(m: int, k: int, anchor: Cyc, direction: Turn, side: Fraction) -> Cyc:
+    """The fan over the walk from its own anchor, kept as the reference."""
+    return signed_area_polygon(polygon_vertices(m, k, anchor, direction, side), anchor)
 
 
 class TestPolygonArea:
@@ -271,21 +267,22 @@ class TestPolygonArea:
         for m in range(2, 14):
             for k in range(1, m):
                 got = polygon_area(m, k)
-                want = fan_area(PolygonSpec(m, k, ORIGIN, Turn(0)))
+                want = fan_area(m, k, ORIGIN, Turn(0), Fraction(1))
                 assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
 
     def test_matches_fan_on_random_walks(self):
         rng = random.Random(20241018)
         for _ in range(80):
             m = rng.randrange(2, 10)
-            spec = PolygonSpec(
+            walk = (
                 m,
                 rng.randrange(1, m),
                 rand_point(rng, rng.choice([1, 3, 4, 12])),
                 Turn(rng.randrange(24), rng.choice([1, 2, 3, 4, 6, 8, 12, 24])),
                 Fraction(rng.randrange(1, 7), rng.randrange(1, 4)),
             )
-            assert polygon_area(spec.m, spec.k, spec.side) == fan_area(spec), spec
+            m, k, _, _, side = walk
+            assert polygon_area(m, k, side) == fan_area(*walk), walk
 
     def test_equilateral_triangle(self):
         val = polygon_area(3, 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotknot import trochoid
+from rotknot.cli import FULL_GRID
 from rotknot.diagram import (
     breadth_first,
     check_coloring,
@@ -147,9 +148,16 @@ class TestSessionLevel:
         assert session_level(TrochoidSpec(3, 5, 1, 1)) == 60
 
 
+# an anchored first edge away from the default one: the closed form must not see it
+MOVED_EDGE = dict(
+    anchor=point_xy(Fraction(1, 2), -1), direction=Turn(1, 4), side=Fraction(3, 2),
+    chirality=-1,
+)
+
+
 class TestBuild:
     def test_rolled_triangle_rows(self):
-        rows = build_trochoid(TrochoidSpec(3, 2, 1, 1))
+        _, rows = build_trochoid(TrochoidSpec(3, 2, 1, 1))
         z3 = cyc_root(3, 1)
         one = Cyc.one()
         assert rows[0] == [Cyc.zero(), one, one + z3]
@@ -157,31 +165,31 @@ class TestBuild:
 
     def test_grid_builds(self):
         for s in grid_specs():
-            rows = build_trochoid(s)
-            assert len(rows) == s.abs_q
+            base, rows = build_trochoid(s)
+            assert len(base) == len(rows) == s.abs_q
             assert all(len(r) == s.abs_p for r in rows)
 
     def test_equivariance(self):
-        base = build_trochoid(TrochoidSpec(3, 4, 1, 2))
+        _, base = build_trochoid(TrochoidSpec(3, 4, 1, 2))
         anchor, d = point_xy(2, 3), Turn(1, 4)
-        moved = build_trochoid(TrochoidSpec(3, 4, 1, 2, anchor, d))
+        _, moved = build_trochoid(TrochoidSpec(3, 4, 1, 2, anchor, d))
         for r_base, r_moved in zip(base, moved):
             for w_base, w_moved in zip(r_base, r_moved):
                 assert w_moved == rotate(w_base, ORIGIN, d) + anchor
 
     def test_vertices_include_base_polygon(self):
-        s = TrochoidSpec(3, 2, 1, 1)
-        verts = trochoid_vertices(s)
-        assert len(verts) == 2 + 2 * 3
-        for v in polygon_vertices(s.polygon_q):
-            assert v in verts
-
-
-# an anchored first edge away from the default one: the closed form must not see it
-MOVED_EDGE = dict(
-    anchor=point_xy(Fraction(1, 2), -1), direction=Turn(1, 4), side=Fraction(3, 2),
-    chirality=-1,
-)
+        # the base and row 0 are the two walks off the resolved edge, and
+        # the diagram's vertices are the base followed by every row
+        for p, q in FULL_GRID + [(-p, q) for p, q in FULL_GRID]:
+            for k in range(1, abs(p)):
+                for l in range(1, abs(q)):
+                    s = TrochoidSpec(p, q, k, l, **MOVED_EDGE)
+                    a, d = s.resolved()
+                    base, rows = build_trochoid(s)
+                    assert base == polygon_vertices(abs(q), l, a, d, s.side)
+                    assert rows[0] == polygon_vertices(abs(p), k, a, d, s.side)
+                    verts = trochoid_vertices(s)
+                    assert verts == base + [w for row in rows for w in row]
 
 
 class TestDerive:

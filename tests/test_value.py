@@ -16,7 +16,7 @@ import pytest
 
 from rotknot.diagram import Crossing, TorusDiagram
 from rotknot.exactnum import Cyc, Turn, cyc_root
-from rotknot.geom import PolygonSpec, point_xy
+from rotknot.geom import point_xy, polygon_vertices
 from rotknot.quandle import DihedralElem, RotElem
 from rotknot.trochoid import (
     ClassificationResult,
@@ -35,7 +35,6 @@ CASES = [
     (Crossing, dict(row=0, t=1, arc_x=(0, 1), arc_over=(0, 0), arc_xy=(1, 0), sign=1)),
     (TorusDiagram, dict(p=3, q=2)),
     (Turn, dict(fraction=Fraction(1, 3))),
-    (PolygonSpec, dict(m=3, k=1, anchor=_P, direction=_T, side=Fraction(2))),
     (DihedralElem, dict(n=5, value=2)),
     (RotElem, dict(center=_P, angle=_T)),
     (
@@ -132,9 +131,9 @@ def test_reprs():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: PolygonSpec(1, 1, _P, _T), "polygon needs m >= 2"),
-        (lambda: PolygonSpec(3, 3, _P, _T), "step k=3 outside [1, 2]"),
-        (lambda: PolygonSpec(3, 1, _P, _T, 0), "side must be positive"),
+        (lambda: polygon_vertices(1, 1, _P, _T, 1), "polygon needs m >= 2"),
+        (lambda: polygon_vertices(3, 3, _P, _T, 1), "step k=3 outside [1, 2]"),
+        (lambda: polygon_vertices(3, 1, _P, _T, 0), "side must be positive"),
         (lambda: TrochoidSpec(3, 2, 3, 1), "k=3 outside [1, 2]"),
         (lambda: TrochoidSpec(3, 2, 1, 2), "l=2 outside [1, 1]"),
         (lambda: TrochoidSpec(3, 2, 1, 1, side=-1), "side must be positive"),
@@ -154,7 +153,6 @@ def test_validation_messages(build, message):
 def test_normalized_fields():
     assert DihedralElem(5, -3).value == 2
     assert TrochoidSpec(3, 2, 1, 1, side=2).side == Fraction(2)
-    assert type(PolygonSpec(3, 1, _P, _T, 2).side) is Fraction
     assert Turn(5, 4) == Turn(1, 4)
 
 
