@@ -4,11 +4,13 @@ Modules by role:
 
 - exactnum: cyclotomic field arithmetic, rational turns, unit scans
 - geom: points, exact signed areas, rigid rotations, polygon builders
-- quandle: dihedral and rotation quandles, the area two-cocycle
+- quandle: the rotation quandle, the area two-cocycle
 - diagram: torus-knot diagram combinatorics, colorings, weights, and the
   breadth-first search under shift and switch
 - trochoid: trochoid data, deformation moves, equivalence classifier
 - render: SVG drawings of trochoid diagrams
+- verify: the `verify` suites, dihedral quandles, finite coloring search
+  and orbits; loaded only by `verify` and the tests
 - cli: command-line entry points
 - value: the immutable base of the value classes
 """

@@ -11,13 +11,12 @@ colorings and by the dihedral coloring counts of the trefoil.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactnum import BudgetError, Cyc, _area_sum
+from .exactnum import Cyc, _area_sum
 from .geom import Point, polygon_area
 from .quandle import _phi_pair
 from .value import Frozen
@@ -158,10 +157,6 @@ class Coloring:
         return f"Coloring(D({self.diagram.p},{self.diagram.q}), {len(self._colors)} arcs)"
 
 
-def trivial_coloring(diagram: TorusDiagram, quandle, element) -> Coloring:
-    return Coloring(diagram, quandle, {a: element for a in diagram.rep_arcs})
-
-
 def check_coloring(c: Coloring) -> None:
     """Check the coloring condition at every crossing, exactly; raise
     ValueError naming the first crossing where c is not valid."""
@@ -176,9 +171,6 @@ def check_coloring(c: Coloring) -> None:
             )
 
 
-SEED_BUDGET = 1_000_000
-
-
 def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> bool:
     """Color every arc from row 0 by the crossing condition, in place;
     False as soon as a crossing clashes with a color already set."""
@@ -187,29 +179,6 @@ def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> bool:
         if colors.setdefault(cr.arc_xy, val) != val:
             return False
     return True
-
-
-def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]:
-    """All valid colorings by a finite quandle, deterministically ordered.
-
-    Row 0 determines the rest through `_propagate`, shared with `switch_generic`,
-    so the search space is |X|^{|p|}, not |X|^{arc count}; guarded by SEED_BUDGET.
-    """
-    elements = quandle.elements()
-    seeds = [diagram.rep(0, j) for j in range(diagram.abs_p)]
-    if len(elements) ** len(seeds) > SEED_BUDGET:
-        raise BudgetError(
-            f"{len(elements)}^{len(seeds)} seed assignments exceed budget {SEED_BUDGET}; "
-            f"diagram.SEED_BUDGET = {len(elements) ** len(seeds)} would suffice"
-        )
-    index = {x: n for n, x in enumerate(elements)}
-    found = []
-    for combo in itertools.product(elements, repeat=len(seeds)):
-        colors = dict(zip(seeds, combo))
-        if _propagate(diagram, quandle.op, colors):
-            found.append(Coloring(diagram, quandle, colors))
-    found.sort(key=lambda c: tuple(index[c.color(*a)] for a in diagram.rep_arcs))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +275,3 @@ def breadth_first(start, step, key, max_moves=None):
                 seq = word + (move,)
                 yield k, nxt, seq
                 queue.append((nxt, seq))
-
-
-ORBIT_BUDGET = 10_000
-
-
-def coloring_orbit(c: Coloring) -> list[Coloring]:
-    """Closure of a coloring under shift and switch, in discovery order.
-
-    Explores both diagram sides but returns only the colorings living on
-    the starting diagram, i.e. those reached by an even number of
-    switches.  Finite for finite quandles; guarded by ORBIT_BUDGET.
-    c is checked once: shift and switch keep a coloring valid.
-    """
-    check_coloring(c)
-    start_side = (c.diagram.p, c.diagram.q)
-    states = breadth_first(
-        c,
-        lambda x, move: shift_generic(x) if move == "shift" else switch_generic(x),
-        lambda x: x,
-    )
-    same_side = []
-    for count, (_, x, _) in enumerate(states):
-        if count >= ORBIT_BUDGET:
-            raise BudgetError(
-                f"coloring orbit exceeded {ORBIT_BUDGET} states; "
-                "diagram.ORBIT_BUDGET caps it"
-            )
-        if (x.diagram.p, x.diagram.q) == start_side:
-            same_side.append(x)
-    return same_side

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -173,7 +173,7 @@ class Cyc:
 
     Construct from a coefficient sequence for powers zeta^0, zeta^1, ...
     (any length up to the level; exponents are taken mod the level) or
-    via the helpers `cyc_root`, `Cyc.rational`, `Cyc.imag_unit`.
+    via the helpers `cyc_root` and `Cyc.rational`.
 
     The coordinates are the integers `num` over the positive integer
     `den`, with gcd(den, *num) == 1 and zero stored with den == 1:
@@ -226,14 +226,6 @@ class Cyc:
         return out
 
     @staticmethod
-    def from_terms(level: int, terms: Mapping[int, Fraction | int]) -> "Cyc":
-        """Build from a sparse {exponent: coefficient} mapping."""
-        return Cyc._raw(
-            level,
-            *_from_fractions(level, ((e, Fraction(c)) for e, c in terms.items())),
-        )
-
-    @staticmethod
     def rational(value: Fraction | int) -> "Cyc":
         f = Fraction(value)
         return Cyc._raw(1, (f.numerator,), f.denominator)
@@ -245,10 +237,6 @@ class Cyc:
     @staticmethod
     def one() -> "Cyc":
         return _ONE
-
-    @staticmethod
-    def imag_unit() -> "Cyc":
-        return _I
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -344,12 +332,6 @@ class Cyc:
     def conj(self) -> "Cyc":
         """Complex conjugate (the Galois action zeta -> zeta^-1)."""
         return _permute(self, -1)
-
-    def galois(self, j: int) -> "Cyc":
-        """The automorphism zeta -> zeta^j; j must be coprime to the level."""
-        if gcd(j, self.level) != 1:
-            raise ValueError(f"galois exponent {j} not coprime to level {self.level}")
-        return _permute(self, j)
 
     # -- predicates and conversions -------------------------------------------
 
@@ -645,7 +627,6 @@ def cyc_root(level: int, exponent: int = 1) -> Cyc:
 
 _ZERO = Cyc._raw(1, (0,), 1)
 _ONE = Cyc._raw(1, (1,), 1)
-_I = Cyc._raw(4, (0, 1), 1)
 
 
 class Turn(Frozen):

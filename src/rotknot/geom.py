@@ -108,16 +108,6 @@ def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> Cyc:
     return _area_sum(list(zip(fan, fan[1:] + fan[:1])))
 
 
-def boundary_area_check(x: Point, y: Point, z: Point, w: Point) -> Cyc:
-    """s(y,z,w) - s(x,z,w) + s(x,y,w) - s(x,y,z); always exactly zero."""
-    return (
-        signed_area_tri(y, z, w)
-        - signed_area_tri(x, z, w)
-        + signed_area_tri(x, y, w)
-        - signed_area_tri(x, y, z)
-    )
-
-
 def polygon_vertices(
     m: int, k: int, anchor: Point, direction: Turn, side: Fraction
 ) -> list[Point]:

@@ -1,9 +1,9 @@
-"""Quandles: the dihedral family and the rotation quandle of the plane.
+"""The rotation quandle of the plane and its area two-cocycle.
 
 A quandle exposes `op` (written x * y in the literature), its inverse
-`inv_op`, and exact element equality.  Finite instances additionally
-enumerate their elements, which is what brute-force coloring search
-needs; the rotation quandle is infinite and never enumerates.
+`inv_op`, and exact element equality.  The rotation quandle is infinite
+and never enumerates; the finite dihedral quandles, which only the
+`verify` suites use, live in `verify`.
 """
 
 from __future__ import annotations
@@ -11,45 +11,6 @@ from __future__ import annotations
 from .exactnum import Cyc, Turn, _area_sum
 from .geom import Point, rotate
 from .value import Frozen
-
-
-class DihedralElem(Frozen):
-    """An element of the dihedral quandle on Z/nZ."""
-
-    __slots__ = _fields = ("n", "value")
-
-    def __init__(self, n: int, value: int):
-        if n < 3:
-            raise ValueError("dihedral quandle needs n >= 3")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value % n)
-
-
-class DihedralQuandle:
-    """x * y = 2y - x mod n; involutory, so inv_op coincides with op."""
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise ValueError("dihedral quandle needs n >= 3")
-        self.n = n
-
-    def _check(self, *xs: DihedralElem):
-        for x in xs:
-            if not isinstance(x, DihedralElem) or x.n != self.n:
-                raise ValueError(f"element {x!r} not in dihedral quandle of order {self.n}")
-
-    def op(self, x: DihedralElem, y: DihedralElem) -> DihedralElem:
-        self._check(x, y)
-        return DihedralElem(self.n, 2 * y.value - x.value)
-
-    def inv_op(self, x: DihedralElem, y: DihedralElem) -> DihedralElem:
-        return self.op(x, y)
-
-    def elements(self) -> list[DihedralElem]:
-        return [DihedralElem(self.n, v) for v in range(self.n)]
-
-    def __repr__(self) -> str:
-        return f"DihedralQuandle({self.n})"
 
 
 class RotElem(Frozen):
@@ -113,15 +74,3 @@ def _phi_pair(o: Point, x: RotElem, y: RotElem) -> tuple[Point, Point]:
     it gives -Phi_o(x, y)."""
     a, c = x.center, y.center
     return rotate(a, c, y.angle) - a, c - o
-
-
-def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
-    """f(x,y) + f(x*y, z) - f(x,z) - f(x*z, y*z) with f = Phi_o.
-
-    The cocycle condition: the result is exactly zero for every input.
-    """
-    f = cocycle_phi
-    xy = ROT.op(x, y)
-    xz = ROT.op(x, z)
-    yz = ROT.op(y, z)
-    return f(o, x, y) + f(o, xy, z) - f(o, x, z) - f(o, xz, yz)

@@ -25,14 +25,12 @@ from .diagram import (
     switch_generic,
 )
 from .exactnum import (
-    BudgetError,
     ContradictionError,
     Cyc,
     HALF_TURN,
     LevelError,
     Turn,
     _descend,
-    _root_turn,
     cyc_root,
     enumerate_unit_elements,
     turn_from_json,
@@ -267,60 +265,6 @@ def derive_coloring(spec: TrochoidSpec) -> Coloring:
     return Coloring(d, ROT, colors)
 
 
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
-    from math import isqrt
-
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def recover_trochoid(c: Coloring) -> TrochoidSpec:
-    """Reconstruct the trochoid from a non-trivial rotation coloring.
-
-    The base vertices appear as the centers of the colors of the arcs
-    a_{i, |p|-1}; side, direction, and (k, l) follow from the first edge
-    and the common turn.  The round trip through derive_coloring is
-    verified exactly before returning.
-    """
-    d = c.diagram
-    ap, aq = d.abs_p, d.abs_q
-    first = c.color(0, 0)
-    if not isinstance(first, RotElem):
-        raise ValueError("recovery needs a rotation-quandle coloring")
-    th: Turn = first.angle
-    for (i, j) in d.rep_arcs:
-        if c.color(i, j).angle != th:
-            raise ValueError("colors do not share one rotation angle")
-    if c.is_trivial():
-        raise ValueError("trivial colorings do not come from trochoids")
-    v = [c.color(i, ap - 1).center for i in range(aq)]
-    edge = v[1 % aq] - v[0]
-    side_sq = edge.abs_sq()
-    if not side_sq.is_rational():
-        raise ValueError("first edge has non-rational squared length")
-    side = _fraction_sqrt(side_sq.as_fraction())
-    if side is None or side == 0:
-        raise ValueError("first edge length is not a positive rational")
-    direction = _root_turn(edge / side)
-    if direction is None:
-        raise ValueError("first edge direction is not a rational turn")
-    # theta = l/|q| - k/|p| determines (k, l) uniquely since gcd(p,q) = 1
-    t_num = th.fraction * ap * aq
-    if t_num.denominator != 1:
-        raise ValueError("rotation angle incompatible with the diagram size")
-    t_int = t_num.numerator % (ap * aq)
-    k = (-t_int * pow(aq, -1, ap)) % ap
-    l = (t_int * pow(ap, -1, aq)) % aq
-    if k == 0 or l == 0:
-        raise ValueError("rotation angle does not match any polygon pair")
-    spec = TrochoidSpec(d.p, d.q, k, l, v[0], direction, side, 1)
-    if derive_coloring(spec) != c:
-        raise ValueError("coloring is not consistent with any trochoid")
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # moves
 
@@ -536,33 +480,7 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
 
 
 # ---------------------------------------------------------------------------
-# orbit search and classification
-
-
-NODE_BUDGET = 100_000
-
-
-def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, MoveSeq]]:
-    """Breadth-first closure of a trochoid under shift and switch.
-
-    Expands every state (both diagram sides) within max_moves moves,
-    deduplicating exactly, and returns the states that live on the
-    original diagram (even switch count), each with one shortest move
-    word, sorted canonically.  Guarded by NODE_BUDGET expanded states.
-    """
-    session_level(spec)
-    same_side = []
-    states = breadth_first(spec, apply_move, TrochoidSpec.canonical_key, max_moves)
-    for count, (_, state, word) in enumerate(states):
-        if count >= NODE_BUDGET:
-            raise BudgetError(
-                f"orbit search exceeded {NODE_BUDGET} states at {len(word)} moves; "
-                "trochoid.NODE_BUDGET caps it"
-            )
-        if (state.p, state.q) == (spec.p, spec.q):
-            same_side.append((state, MoveSeq(word)))
-    same_side.sort(key=lambda pair: pair[0].canonical_key())
-    return same_side
+# witness search and classification
 
 
 KL_MISMATCH = "KLMismatch"
@@ -598,10 +516,36 @@ class ClassificationResult(Frozen):
         return out
 
 
+def state_key(level: int):
+    """The key function identifying trochoid states exactly by integers,
+    for states whose resolved anchors lie at levels dividing `level`.
+
+    A key holds the parameters, the side, the resolved direction and the
+    (num, den) of the resolved anchor lifted to `level`.  Equal values
+    at one level have identical (num, den), so the keys tell states
+    apart exactly as `canonical_key` does, without descending to least
+    levels or building fractions.  Every anchor that moves reach from a
+    spec lies at a level dividing its `session_level`; an anchor outside
+    `level` raises LevelError.
+    """
+
+    def key(spec: TrochoidSpec):
+        a, d = spec.resolved()
+        a = a.lift(level)
+        side, turn = spec.side, d.fraction
+        return (
+            spec.p, spec.q, spec.k, spec.l, side.numerator, side.denominator,
+            turn.numerator, turn.denominator, a.num, a.den,
+        )
+
+    return key
+
+
 def _bfs_witness(a: TrochoidSpec, b: TrochoidSpec, max_moves: int) -> MoveSeq | None:
     """A shortest word of at most max_moves moves carrying a to b, or None."""
-    target = b.canonical_key()
-    for k, _, word in breadth_first(a, apply_move, TrochoidSpec.canonical_key, max_moves):
+    key = state_key(lcm(session_level(a), session_level(b)))
+    target = key(b)
+    for k, _, word in breadth_first(a, apply_move, key, max_moves):
         if k == target:
             return MoveSeq(word)
     return None

@@ -18,15 +18,13 @@ from rotknot.diagram import (
     build_diagram,
     check_coloring,
     closed_form_weight,
-    coloring_orbit,
-    enumerate_colorings_finite,
     shift_generic,
     switch_generic,
     total_weight,
 )
 from rotknot.exactnum import Cyc, Turn, cyc_root, enumerate_unit_elements
 from rotknot.geom import ORIGIN, area_approx, point_xy, rotate
-from rotknot.quandle import DihedralQuandle, ROT, RotElem, cocycle_phi, verify_qc1
+from rotknot.quandle import ROT, RotElem, cocycle_phi
 from rotknot.render import render_trochoid_svg
 from rotknot.trochoid import (
     LatticeSpec,
@@ -36,12 +34,18 @@ from rotknot.trochoid import (
     derive_coloring,
     flip_chirality,
     fundamental_deformation,
-    orbit_bfs,
     replay,
     same_trochoid,
     shift,
     trochoid_vertices,
     unit_neighbors,
+)
+from rotknot.verify import (
+    DihedralQuandle,
+    coloring_orbit,
+    enumerate_colorings_finite,
+    orbit_bfs,
+    verify_qc1,
 )
 
 GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
@@ -272,7 +276,8 @@ def test_criterion_11_determinism():
         "import hashlib\n"
         "from rotknot.cli import cmd_enumerate, _dump_json\n"
         "from rotknot.render import render_trochoid_svg\n"
-        "from rotknot.trochoid import TrochoidSpec, orbit_bfs\n"
+        "from rotknot.trochoid import TrochoidSpec\n"
+        "from rotknot.verify import orbit_bfs\n"
         "orbit = orbit_bfs(TrochoidSpec(2, 3, 1, 1), 4)\n"
         "out = '\\n'.join([\n"
         "    _dump_json(cmd_enumerate(4, 3)),\n"

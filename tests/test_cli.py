@@ -17,6 +17,7 @@ from rotknot.cli import (
     EXIT_EQUIVALENT,
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
+    build_parser,
     cmd_enumerate,
     main,
     parse_anchor,
@@ -228,6 +229,14 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+    def test_suite_choices_match_the_suites(self):
+        from rotknot import verify
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert list(suite.choices) == sorted(verify.SUITES)
 
 
 class TestRender:

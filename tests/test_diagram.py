@@ -9,24 +9,27 @@ from fractions import Fraction
 
 import pytest
 
-from rotknot import diagram
-from rotknot.cli import FULL_GRID
+from rotknot import verify
 from rotknot.diagram import (
     Coloring,
     build_diagram,
     check_coloring,
     closed_form_weight,
-    coloring_orbit,
-    enumerate_colorings_finite,
     shift_generic,
     switch_generic,
     total_weight,
-    trivial_coloring,
 )
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
 from rotknot.geom import ORIGIN, area_approx, point_xy
-from rotknot.quandle import ROT, DihedralElem, DihedralQuandle, RotElem, cocycle_phi
+from rotknot.quandle import ROT, RotElem, cocycle_phi
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
+from rotknot.verify import (
+    FULL_GRID,
+    DihedralElem,
+    DihedralQuandle,
+    coloring_orbit,
+    enumerate_colorings_finite,
+)
 
 
 def rot_coloring_3211() -> Coloring:
@@ -110,7 +113,8 @@ class TestValidation:
     def test_trivial_always_valid(self):
         q3 = DihedralQuandle(3)
         for p, q in ((2, 3), (3, 2), (4, 3), (3, -2)):
-            c = trivial_coloring(build_diagram(p, q), q3, DihedralElem(3, 1))
+            d = build_diagram(p, q)
+            c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
             check_coloring(c)
 
     def test_perturbed_trivial_reports_crossing(self):
@@ -155,11 +159,11 @@ class TestEnumeration:
         assert first.color(0, 0) == DihedralElem(3, 0)
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(diagram, "SEED_BUDGET", 5)
+        monkeypatch.setattr(verify, "SEED_BUDGET", 5)
         with pytest.raises(
             BudgetError,
             match=r"3\^2 seed assignments exceed budget 5; "
-            r"diagram.SEED_BUDGET = 9 would suffice",
+            r"verify.SEED_BUDGET = 9 would suffice",
         ):
             enumerate_colorings_finite(DihedralQuandle(3), build_diagram(2, 3))
 
@@ -167,7 +171,8 @@ class TestEnumeration:
 class TestWeights:
     def test_trivial_weight_is_zero(self):
         d = build_diagram(3, 2)
-        c = trivial_coloring(d, ROT, RotElem(point_xy(2, 1), Turn(1, 6)))
+        x = RotElem(point_xy(2, 1), Turn(1, 6))
+        c = Coloring(d, ROT, dict.fromkeys(d.rep_arcs, x))
         assert total_weight(c, ORIGIN).is_zero()
 
     def test_weight_of_3211(self):
@@ -245,7 +250,8 @@ class TestGenericMoves:
 
     def test_shift_of_trivial(self):
         q3 = DihedralQuandle(3)
-        c = trivial_coloring(build_diagram(2, 3), q3, DihedralElem(3, 2))
+        d = build_diagram(2, 3)
+        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 2)))
         assert shift_generic(c) == c
 
     def test_shift_orbit_is_finite(self):
@@ -269,7 +275,8 @@ class TestGenericMoves:
 
     def test_switch_of_trivial(self):
         q3 = DihedralQuandle(3)
-        c = trivial_coloring(build_diagram(2, 3), q3, DihedralElem(3, 1))
+        d = build_diagram(2, 3)
+        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
         s = switch_generic(c)
         assert (s.diagram.p, s.diagram.q) == (3, 2)
         assert s.is_trivial()
@@ -343,7 +350,8 @@ class TestGenericMoves:
         # |p|(|q| - 1) = 63 crossings of D(8, 9); the product formula
         # spends 252 operations here
         counter = CountingQuandle(DihedralQuandle(3))
-        c = trivial_coloring(build_diagram(9, 8), counter, DihedralElem(3, 1))
+        d = build_diagram(9, 8)
+        c = Coloring(d, counter, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
         s = switch_generic(c)
         assert s.is_trivial() and len(s.diagram.crossings) == 63
         assert counter.calls == 63
@@ -409,11 +417,11 @@ class TestTrefoilOrbit:
             assert coloring_orbit(c) == orbit_by_loop(c)
 
     def test_orbit_budget(self, monkeypatch):
-        monkeypatch.setattr(diagram, "ORBIT_BUDGET", 2)
+        monkeypatch.setattr(verify, "ORBIT_BUDGET", 2)
         q3 = DihedralQuandle(3)
         start = enumerate_colorings_finite(q3, build_diagram(2, 3))[1]
         with pytest.raises(
             BudgetError,
-            match="coloring orbit exceeded 2 states; diagram.ORBIT_BUDGET caps it",
+            match="coloring orbit exceeded 2 states; verify.ORBIT_BUDGET caps it",
         ):
             coloring_orbit(start)

@@ -29,13 +29,22 @@ from rotknot.exactnum import (
 )
 
 
+def from_terms(level: int, terms) -> Cyc:
+    """sum(c * zeta_level^e) over a sparse {exponent: coefficient}
+    mapping, built through the constructor's dense coefficient list."""
+    coeffs = [Fraction(0)] * level
+    for e, c in terms.items():
+        coeffs[e % level] += Fraction(c)
+    return Cyc(level, coeffs)
+
+
 def rand_cyc(rng: random.Random, level: int, span: int = 6) -> Cyc:
     n_terms = rng.randrange(1, 5)
     terms = {}
     for _ in range(n_terms):
         e = rng.randrange(level)
         terms[e] = Fraction(rng.randrange(-span, span + 1), rng.randrange(1, 4))
-    return Cyc.from_terms(level, terms)
+    return from_terms(level, terms)
 
 
 class TestCyclotomicPoly:
@@ -84,7 +93,7 @@ class TestReduction:
 
 class TestArithmetic:
     def test_gaussian_product(self):
-        i = Cyc.imag_unit()
+        i = cyc_root(4, 1)
         assert (1 + i) * (1 - i) == Cyc.rational(2)
 
     def test_cross_level_add(self):
@@ -132,10 +141,6 @@ class TestGalois:
         for _ in range(30):
             a = rand_cyc(rng, rng.choice([5, 8, 12]))
             assert a.conj().conj() == a
-
-    def test_galois_demands_coprime(self):
-        with pytest.raises(ValueError):
-            cyc_root(12).galois(4)
 
     def test_abs_sq_rational_on_units(self):
         assert cyc_root(12, 5).abs_sq() == Cyc.one()
@@ -198,7 +203,7 @@ class TestMinimalForm:
     )
     def test_min_form_is_least_level(self, drawn, k):
         m, terms = drawn
-        x = Cyc.from_terms(m, terms)
+        x = from_terms(m, terms)
         assert x.lift(m * k).min_form() == x.min_form()
         y = Cyc(*x.min_form())
         assert y == x
@@ -211,7 +216,7 @@ class TestMinimalForm:
         ]
         for p in primes:
             assert any(
-                y.galois(j) != y
+                exactnum._permute(y, j) != y
                 for j in range(1, least, least // p)
                 if math.gcd(j, least) == 1
             ), (least, p)
@@ -232,7 +237,7 @@ def cyc_triples(draw):
                 max_size=4,
             )
         )
-        out.append(Cyc.from_terms(level, terms))
+        out.append(from_terms(level, terms))
     return m, out, draw(st.integers(1, 4))
 
 
@@ -286,13 +291,13 @@ class TestIntegerCore:
 
 # The lift-then-operate composition that the fused mixed-level kernels
 # replace, kept as their reference: each operand is lifted to the lcm
-# level through `Cyc.from_terms` (so not through `_spread`), and the two
+# level through `from_terms` (so not through `_spread`), and the two
 # lifted values meet in the same-level add, sub or mul.
 
 
 def lift_reference(x: Cyc, n: int) -> Cyc:
     step = n // x.level
-    return Cyc.from_terms(n, {e * step: c for e, c in enumerate(x.coeffs)})
+    return from_terms(n, {e * step: c for e, c in enumerate(x.coeffs)})
 
 
 def lift_then(op, a: Cyc, b: Cyc) -> Cyc:
@@ -329,7 +334,7 @@ def kernel_values(draw):
             max_size=4,
         )
     )
-    return Cyc.from_terms(level, terms)
+    return from_terms(level, terms)
 
 
 class TestFusedKernels:
@@ -430,7 +435,7 @@ class TestRootOfUnity:
         assert (-cyc_root(3)).is_root_of_unity() == 6
 
     def test_non_unit_rejected(self):
-        assert (1 + Cyc.imag_unit()).is_root_of_unity() is None
+        assert (1 + cyc_root(4, 1)).is_root_of_unity() is None
 
     def test_non_integral_raises(self):
         with pytest.raises(NonIntegralError):
@@ -508,7 +513,7 @@ class TestTurn:
         assert -Turn(1, 5) == Turn(4, 5)
 
     def test_turn_to_root_minimal(self):
-        assert turn_to_root(Turn(1, 4)) == Cyc.imag_unit()
+        assert turn_to_root(Turn(1, 4)) == Cyc(4, [0, 1])
 
 
 def cyc_to_json_by_fractions(a: Cyc) -> dict:

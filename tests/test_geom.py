@@ -16,7 +16,6 @@ from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root, turn_to_ro
 from rotknot.geom import (
     ORIGIN,
     area_approx,
-    boundary_area_check,
     point_from_json,
     point_to_json,
     point_xy,
@@ -65,7 +64,7 @@ def points(draw):
             max_size=4,
         )
     )
-    return Cyc.from_terms(level, terms)
+    return Cyc(level, [terms.get(e, 0) for e in range(level)])
 
 
 turns = st.one_of(
@@ -97,7 +96,7 @@ class TestRotate:
         assert rotate(ORIGIN, Cyc.one(), Turn(1, 2)) == Cyc.rational(2)
 
     def test_quarter_turn(self):
-        assert rotate(Cyc.one(), ORIGIN, Turn(1, 4)) == Cyc.imag_unit()
+        assert rotate(Cyc.one(), ORIGIN, Turn(1, 4)) == cyc_root(4, 1)
 
     def test_composition(self):
         rng = random.Random(17)
@@ -110,8 +109,8 @@ class TestRotate:
 
 class TestSignedAreaTri:
     def test_unit_right_triangle(self):
-        val = signed_area_tri(ORIGIN, Cyc.one(), Cyc.imag_unit())
-        assert val == 2 * Cyc.imag_unit()
+        val = signed_area_tri(ORIGIN, Cyc.one(), cyc_root(4, 1))
+        assert val == 2 * cyc_root(4, 1)
         assert abs(area_approx(val) - 0.5) < 1e-12
 
     def test_collinear_is_exact_zero(self):
@@ -119,7 +118,7 @@ class TestSignedAreaTri:
         assert val.is_zero() and area_approx(val) == 0
 
     def test_clockwise_flips_sign(self):
-        val = signed_area_tri(ORIGIN, Cyc.imag_unit(), Cyc.one())
+        val = signed_area_tri(ORIGIN, cyc_root(4, 1), Cyc.one())
         assert abs(area_approx(val) + 0.5) < 1e-12
 
     def test_scaled_is_purely_imaginary(self):
@@ -154,13 +153,13 @@ class TestSignedAreaTri:
 
 class TestSignedAreaPolygon:
     def test_unit_square(self):
-        square = [ORIGIN, Cyc.one(), point_xy(1, 1), Cyc.imag_unit()]
+        square = [ORIGIN, Cyc.one(), point_xy(1, 1), cyc_root(4, 1)]
         val = signed_area_polygon(square)
-        assert val == 4 * Cyc.imag_unit()
+        assert val == 4 * cyc_root(4, 1)
         assert abs(area_approx(val) - 1.0) < 1e-12
 
     def test_base_point_independence(self):
-        square = [ORIGIN, Cyc.one(), point_xy(1, 1), Cyc.imag_unit()]
+        square = [ORIGIN, Cyc.one(), point_xy(1, 1), cyc_root(4, 1)]
         far = point_xy(5, 3)
         assert signed_area_polygon(square, far) == signed_area_polygon(square)
         rng = random.Random(11)
@@ -173,7 +172,7 @@ class TestSignedAreaPolygon:
         assert signed_area_polygon([ORIGIN, Cyc.one()]).is_zero()
 
     def test_debug_check_passes(self):
-        verts = [ORIGIN, Cyc.one(), Cyc.imag_unit()]
+        verts = [ORIGIN, Cyc.one(), cyc_root(4, 1)]
         assert signed_area_polygon(verts) == signed_area_tri(*verts)
 
 
@@ -195,10 +194,21 @@ def test_polygon_matches_fan_of_triangles(vertices, o):
     assert same_coordinates(signed_area_polygon(vertices, o), fan_sum(vertices, o))
 
 
+def boundary_area_check(x, y, z, w):
+    """s(y,z,w) - s(x,z,w) + s(x,y,w) - s(x,y,z): the boundary of the
+    tetrahedron (x, y, z, w), on which signed areas sum to exactly zero."""
+    return (
+        signed_area_tri(y, z, w)
+        - signed_area_tri(x, z, w)
+        + signed_area_tri(x, y, w)
+        - signed_area_tri(x, y, z)
+    )
+
+
 class TestBoundaryCheck:
     def test_named_examples(self):
         assert boundary_area_check(
-            ORIGIN, Cyc.one(), Cyc.imag_unit(), point_xy(1, 1)
+            ORIGIN, Cyc.one(), cyc_root(4, 1), point_xy(1, 1)
         ).is_zero()
         assert boundary_area_check(
             ORIGIN, Cyc.one(), Cyc.rational(2), Cyc.rational(3)
@@ -217,7 +227,7 @@ class TestPolygonWalk:
             ORIGIN,
             Cyc.one(),
             point_xy(1, 1),
-            Cyc.imag_unit(),
+            cyc_root(4, 1),
         ]
 
     def test_degenerate_two_gon(self):
@@ -312,7 +322,7 @@ class TestPointXY:
     )
     def test_matches_sum_of_parts(self, re, im):
         z = point_xy(re, im)
-        ref = Cyc.rational(re) + Cyc.imag_unit() * Fraction(im)
+        ref = Cyc.rational(re) + cyc_root(4, 1) * Fraction(im)
         assert z.level == 4
         assert same_coordinates(z, ref)
 

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 from rotknot.exactnum import Cyc, Turn
 from rotknot.geom import ORIGIN, point_xy, rotate, signed_area_tri
-from rotknot.quandle import (
-    ROT,
-    DihedralElem,
-    DihedralQuandle,
-    RotElem,
-    cocycle_phi,
-    verify_qc1,
-)
+from rotknot.quandle import ROT, RotElem, cocycle_phi
+from rotknot.verify import DihedralElem, DihedralQuandle, verify_qc1
 
 
 def rand_rot(rng: random.Random, level: int = 12) -> RotElem:
@@ -46,7 +40,7 @@ def points(draw):
             max_size=4,
         )
     )
-    return Cyc.from_terms(level, terms)
+    return Cyc(level, [terms.get(e, 0) for e in range(level)])
 
 
 turns = st.builds(Turn, st.integers(0, 23), st.integers(1, 24))

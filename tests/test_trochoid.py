@@ -1,15 +1,16 @@
 """Tests for trochoid construction, moves, the lattice, and classification."""
 
 import random
+import runpy
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotknot import trochoid
-from rotknot.cli import FULL_GRID
+from rotknot import verify
 from rotknot.diagram import (
     breadth_first,
     check_coloring,
@@ -28,6 +29,7 @@ from rotknot.exactnum import (
 )
 from rotknot.geom import ORIGIN, point_xy, polygon_vertices, rotate
 from rotknot.trochoid import (
+    _bfs_witness,
     _group_witness,
     ClassificationResult,
     KL_MISMATCH,
@@ -46,8 +48,6 @@ from rotknot.trochoid import (
     lattice_contains,
     lattice_for,
     lattice_generators,
-    orbit_bfs,
-    recover_trochoid,
     replay,
     replay_spec,
     same_trochoid,
@@ -55,12 +55,14 @@ from rotknot.trochoid import (
     shift,
     spec_from_json,
     spec_to_json,
+    state_key,
     switch,
     theta,
     trochoid_vertices,
     unit_neighbors,
     v_sets_sigma_tau,
 )
+from rotknot.verify import FULL_GRID, orbit_bfs
 from tests.test_diagram import rot_coloring_3211
 
 GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
@@ -235,54 +237,6 @@ def random_spec(rng, chirality=None):
     side = rng.choice([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)])
     chi = chirality if chirality is not None else rng.choice([1, -1])
     return TrochoidSpec(p, q, k, l, anchor, direction, side, chi)
-
-
-class TestRecover:
-    def test_round_trip_exact(self):
-        rng = random.Random(20240817)
-        for _ in range(15):
-            s = random_spec(rng, chirality=1)
-            assert recover_trochoid(derive_coloring(s)) == s
-
-    def test_round_trip_flipped(self):
-        rng = random.Random(7)
-        for _ in range(5):
-            s = random_spec(rng, chirality=-1)
-            r = recover_trochoid(derive_coloring(s))
-            assert r.chirality == 1
-            assert same_trochoid(r, s)
-            assert derive_coloring(r) == derive_coloring(s)
-
-    def test_rejects_trivial(self):
-        from rotknot.diagram import build_diagram, trivial_coloring
-        from rotknot.quandle import ROT, RotElem
-
-        d = build_diagram(2, 3)
-        c = trivial_coloring(d, ROT, RotElem(ORIGIN, Turn(1, 6)))
-        with pytest.raises(ValueError):
-            recover_trochoid(c)
-
-    def test_rejects_mixed_angles(self):
-        from rotknot.diagram import Coloring
-        from rotknot.quandle import ROT, RotElem
-
-        c = derive_coloring(TrochoidSpec(3, 2, 1, 1))
-        colors = dict(c.colors)
-        bad = RotElem(colors[(0, 0)].center, Turn(1, 4))
-        colors[(0, 0)] = bad
-        with pytest.raises(ValueError):
-            recover_trochoid(Coloring(c.diagram, ROT, colors))
-
-    def test_rejects_tampered_center(self):
-        from rotknot.diagram import Coloring
-        from rotknot.quandle import ROT, RotElem
-
-        c = derive_coloring(TrochoidSpec(3, 2, 1, 1))
-        colors = dict(c.colors)
-        old = colors[(0, 0)]
-        colors[(0, 0)] = RotElem(old.center + Cyc.one(), old.angle)
-        with pytest.raises(ValueError):
-            recover_trochoid(Coloring(c.diagram, ROT, colors))
 
 
 class TestMoves:
@@ -497,6 +451,72 @@ class TestBreadthFirst:
         assert len(want[-1][1]) == 6  # the search did reach depth 6
 
 
+def bfs_witness_by_canonical_key(a, b, max_moves):
+    """The witness search as it was before `state_key`: every state keyed
+    by `canonical_key`, kept as the reference for the words it returns."""
+    target = b.canonical_key()
+    for k, _, word in breadth_first(a, apply_move, TrochoidSpec.canonical_key, max_moves):
+        if k == target:
+            return MoveSeq(word)
+    return None
+
+
+def benchmark_classify_cases():
+    """(a, b) of every classify job the benchmark builds: the fixed and
+    traced-only cases, and the seeded targets of seeds 0-10 and 501-510."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    cases = workloads["CLASSIFY_FIXED"] + workloads["CLASSIFY_TRACED_ONLY"]
+    for seed in [*range(11), *range(501, 511)]:
+        cases += workloads["classify_seeded"](seed)
+    return [(case.a.trochoid(), case.b.trochoid()) for case in cases]
+
+
+class TestStateKey:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TrochoidSpec(3, 2, 1, 1, point_xy(1, 2), Turn(1, 4)),  # p'q' = 6, even
+            TrochoidSpec(5, 3, 2, 1),  # p'q' = 15, odd
+            TrochoidSpec(4, 3, 1, 2, point_xy(Fraction(1, 2), -1), side=Fraction(3, 2)),
+            TrochoidSpec(3, -2, 1, 1, Cyc.one(), Turn(1, 6), chirality=-1),
+            TrochoidSpec(-5, 3, 2, 1, point_xy(Fraction(1, 3), 0), Turn(1, 8),
+                         Fraction(3, 2), -1),
+        ],
+        ids=["even", "odd", "side-3/2", "negative-q-chirality-1",
+             "odd-negative-p-chirality-1-side-3/2"],
+    )
+    def test_same_search_as_canonical_key(self, spec):
+        """Keyed by integers at the session level, the search visits the
+        same states with the same words, in the same order."""
+        key = state_key(session_level(spec))
+        want = [
+            (s.canonical_key(), w)
+            for _, s, w in breadth_first(spec, apply_move, TrochoidSpec.canonical_key, 8)
+        ]
+        got = [(s.canonical_key(), w) for _, s, w in breadth_first(spec, apply_move, key, 8)]
+        assert got == want
+        assert len(want[-1][1]) == 8  # the search did reach depth 8
+
+    def test_anchor_outside_level_raises(self):
+        key = state_key(4)
+        key(TrochoidSpec(3, 2, 1, 1, point_xy(1, 2)))
+        with pytest.raises(LevelError):
+            key(TrochoidSpec(3, 2, 1, 1, cyc_root(3)))
+
+    def test_witness_words_unchanged_on_benchmark_cases(self):
+        searched = 0
+        for a, b in benchmark_classify_cases():
+            if (a.k, a.l, a.side) != (b.k, b.l, b.side):
+                continue
+            max_moves = 4 if a.p_prime * a.q_prime % 2 == 0 else 12
+            assert _bfs_witness(a, b, max_moves) == bfs_witness_by_canonical_key(
+                a, b, max_moves
+            )
+            searched += 1
+        assert searched >= 80
+
+
 class TestOrbitBFS:
     def test_words_replay_and_parity(self):
         s = TrochoidSpec(2, 3, 1, 1)
@@ -525,11 +545,11 @@ class TestOrbitBFS:
         assert a == b
 
     def test_budget_error(self, monkeypatch):
-        monkeypatch.setattr(trochoid, "NODE_BUDGET", 5)
+        monkeypatch.setattr(verify, "NODE_BUDGET", 5)
         s = TrochoidSpec(2, 3, 1, 1)
         with pytest.raises(
             BudgetError,
-            match="orbit search exceeded 5 states .*; trochoid.NODE_BUDGET caps it",
+            match="orbit search exceeded 5 states .*; verify.NODE_BUDGET caps it",
         ):
             orbit_bfs(s, 12)
 

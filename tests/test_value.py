@@ -17,13 +17,14 @@ import pytest
 from rotknot.diagram import Crossing, TorusDiagram
 from rotknot.exactnum import Cyc, Turn, cyc_root
 from rotknot.geom import point_xy, polygon_vertices
-from rotknot.quandle import DihedralElem, RotElem
+from rotknot.quandle import RotElem
 from rotknot.trochoid import (
     ClassificationResult,
     LatticeSpec,
     MoveSeq,
     TrochoidSpec,
 )
+from rotknot.verify import DihedralElem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -178,6 +179,36 @@ def test_cli_import_loads_no_heavy_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def _loaded(code: str, *args: str) -> str:
+    """stdout of `python <args> -c code` with the package on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, *args, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_only_verify_loads_the_suites():
+    """Importing the CLI loads neither `verify` nor `render`, a classify
+    run does not load `verify`, and a verify run does."""
+    code = (
+        "import sys, rotknot.cli; "
+        "print([m for m in ('rotknot.verify', 'rotknot.render') if m in sys.modules])"
+    )
+    assert _loaded(code, "-S") == "[]"
+    code = (
+        "import os, sys\n"
+        "from rotknot.cli import main\n"
+        "argv = ['--p', '3', '--q', '2', '--b-anchor', '1,0', '--b-direction', '1/2']\n"
+        "code = main(['classify', *argv, '--out', os.devnull])\n"
+        "print(code, 'rotknot.verify' in sys.modules)\n"
+        "code = main(['verify', 'orbit', '--out', os.devnull])\n"
+        "print(code, 'rotknot.verify' in sys.modules)\n"
+    )
+    assert _loaded(code).split("\n") == ["0 False", "0 True"]
 
 
 def test_package_has_no_assert_statements():
