@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
 
 from .diagram import build_diagram, closed_form_weight
@@ -79,16 +80,42 @@ def _spec_from_args(args, prefix: str) -> TrochoidSpec:
     )
 
 
+# Output is written as it is encoded, one batch per `write`: a whole
+# document would cost as much memory as the table it prints, and one write
+# per encoder chunk is one syscall each when stdout is unbuffered.
+JSON_BATCH = 8192  # encoder chunks per write
+CSV_BATCH = 64  # table rows per write
+
+
+def _batches(items, size: int):
+    """Lists of up to size consecutive items; ends on the first empty one."""
+    items = iter(items)
+    while batch := list(islice(items, size)):
+        yield batch
+
+
+def _json_pieces(data):
+    """The text of `json.dumps(data, sort_keys=True, indent=2)` and a final
+    newline, as the stdlib encoder makes it, in batches of JSON_BATCH
+    chunks."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+    for batch in _batches(chain(chunks, ("\n",)), JSON_BATCH):
+        yield "".join(batch)
+
+
 def _dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return "".join(_json_pieces(data))
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces, out: str | None) -> None:
+    """Write the texts in order to stdout or, if out is given, to a new
+    file there.  Callers build what they print first, so a bad spec exits
+    before the file is created."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +148,28 @@ def cmd_enumerate(p: int, q: int) -> dict:
     return {"p": p, "q": q, "rows": rows}
 
 
-def _enumerate_csv(table: dict) -> str:
+def _enumerate_csv(table: dict):
+    """The CSV text of an `enumerate` table, in batches of CSV_BATCH rows."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    header = [
+        "p", "q", "k", "l", "theta", "p_prime", "q_prime",
+        "alpha", "parity", "weight_float", "weight_exact",
+    ]
+    rows = (
         [
-            "p", "q", "k", "l", "theta", "p_prime", "q_prime",
-            "alpha", "parity", "weight_float", "weight_exact",
+            table["p"], table["q"], row["k"], row["l"], row["theta"],
+            row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
+            row["weight_float"],
+            json.dumps(row["weight_scaled_4i"], sort_keys=True,
+                       separators=(",", ":")),
         ]
+        for row in table["rows"]
     )
-    for row in table["rows"]:
-        writer.writerow(
-            [
-                table["p"], table["q"], row["k"], row["l"], row["theta"],
-                row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
-                row["weight_float"],
-                json.dumps(row["weight_scaled_4i"], sort_keys=True,
-                           separators=(",", ":")),
-            ]
-        )
-    return buf.getvalue()
+    for batch in _batches(chain((header,), rows), CSV_BATCH):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(batch)
+        yield buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +257,28 @@ def main(argv=None) -> int:
     try:
         if args.command == "enumerate":
             table = cmd_enumerate(args.p, args.q)
-            text = (
-                _dump_json(table) if args.format == "json" else _enumerate_csv(table)
+            pieces = (
+                _json_pieces(table) if args.format == "json" else _enumerate_csv(table)
             )
-            _write_output(text, args.out)
+            _write_output(pieces, args.out)
             return 0
         if args.command == "classify":
             spec_a = _spec_from_args(args, "")
             spec_b = _spec_from_args(args, "b_")
             data, code = cmd_classify(spec_a, spec_b)
-            _write_output(_dump_json(data), args.out)
+            _write_output(_json_pieces(data), args.out)
             return code
         if args.command == "verify":
             from .verify import cmd_verify
 
             text, code = cmd_verify(args.suite, args)
-            _write_output(text, args.out)
+            _write_output((text,), args.out)
             return code
         if args.command == "render":
             from .render import render_trochoid_svg
 
             svg = render_trochoid_svg(_spec_from_args(args, ""), args.size)
-            _write_output(svg, args.out)
+            _write_output((svg,), args.out)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except (ValueError, OverflowError, BudgetError, OSError) as exc:

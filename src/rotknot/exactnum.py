@@ -635,7 +635,12 @@ class Turn(Frozen):
     __slots__ = _fields = ("fraction",)
 
     def __init__(self, fraction: Fraction | int, _den: int | None = None):
-        f = Fraction(fraction, _den) if _den is not None else Fraction(fraction)
+        if _den is not None:
+            f = Fraction(fraction, _den)
+        elif type(fraction) is Fraction:
+            f = fraction
+        else:
+            f = Fraction(fraction)
         n, d = f.numerator, f.denominator
         if not 0 <= n < d:
             f = Fraction(n % d, d)

@@ -90,7 +90,8 @@ class TrochoidSpec(Frozen):
             raise ValueError(f"k={k} outside [1, {abs(p) - 1}]")
         if not 1 <= l <= abs(q) - 1:
             raise ValueError(f"l={l} outside [1, {abs(q) - 1}]")
-        side = Fraction(side)
+        if type(side) is not Fraction:
+            side = Fraction(side)
         if side <= 0:
             raise ValueError("side must be positive")
         if chirality not in (1, -1):

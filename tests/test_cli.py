@@ -14,10 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotknot.cli import (
+    CSV_BATCH,
     EXIT_EQUIVALENT,
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
+    JSON_BATCH,
+    _batches,
+    _dump_json,
+    _enumerate_csv,
+    _json_pieces,
+    _spec_from_args,
+    _write_output,
     build_parser,
+    cmd_classify,
     cmd_enumerate,
     main,
     parse_anchor,
@@ -98,6 +107,126 @@ class TestEnumerate:
         ):
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
+
+
+def _whole_csv(table):
+    """The CSV text of a table built in one StringIO, as before streaming."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["p", "q", "k", "l", "theta", "p_prime", "q_prime",
+         "alpha", "parity", "weight_float", "weight_exact"]
+    )
+    for row in table["rows"]:
+        writer.writerow(
+            [table["p"], table["q"], row["k"], row["l"], row["theta"],
+             row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
+             row["weight_float"],
+             json.dumps(row["weight_scaled_4i"], sort_keys=True,
+                        separators=(",", ":"))]
+        )
+    return buf.getvalue()
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+class TestStreamedOutput:
+    """JSON and CSV are written in bounded batches with the stdlib bytes."""
+
+    @pytest.mark.parametrize("p,q,batches", [(3, 2, 1), (-7, 5, 1), (13, 11, 10)])
+    def test_json_pieces_are_the_stdlib_bytes(self, p, q, batches):
+        table = cmd_enumerate(p, q)
+        pieces = list(_json_pieces(table))
+        assert "".join(pieces) == json.dumps(table, sort_keys=True, indent=2) + "\n"
+        assert _dump_json(table) == "".join(pieces)
+        # one write per JSON_BATCH encoder chunks, the final newline counted:
+        # (13, 11) has 78,136 chunks, (-7, 5) 4,120
+        chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(table))
+        assert len(pieces) == -(-(chunks + 1) // JSON_BATCH) == batches
+
+    def test_batches_end_on_an_empty_batch_only(self):
+        assert list(_batches(["", "", "a", ""], 2)) == [["", ""], ["a", ""]]
+        assert list(_batches([], 2)) == []
+
+    @pytest.mark.parametrize("argv", [["--p", "3", "--q", "2"], ["--p", "13", "--q", "11"]])
+    def test_enumerate_stdout_and_out_file(self, argv, tmp_path, capsys):
+        assert main(["enumerate", *argv]) == 0
+        stdout = capsys.readouterr().out
+        p, q = int(argv[1]), int(argv[3])
+        assert stdout == json.dumps(cmd_enumerate(p, q), sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "table.json"
+        assert main(["enumerate", *argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--p", "3", "--q", "2", "--b-anchor", "1,0", "--b-direction", "1/2"],
+             EXIT_EQUIVALENT),
+            (["--p", "3", "--q", "2", "--b-anchor", "1/2,0"], EXIT_NOT_EQUIVALENT),
+            (["--p", "3", "--q", "5", "--b-chirality=-1"], EXIT_UNDETERMINED),
+        ],
+    )
+    def test_classify_stdout_and_out_file(self, argv, code, tmp_path, capsys):
+        assert main(["classify", *argv]) == code
+        stdout = capsys.readouterr().out
+        args = build_parser().parse_args(["classify", *argv])
+        data, _ = cmd_classify(_spec_from_args(args, ""), _spec_from_args(args, "b_"))
+        assert stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "result.json"
+        assert main(["classify", *argv, "--out", str(path)]) == code
+        assert path.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (11, 7), (13, 11)])
+    def test_csv_batches_are_the_whole_text(self, p, q, tmp_path, capsys):
+        table = cmd_enumerate(p, q)
+        pieces = list(_enumerate_csv(table))
+        assert "".join(pieces) == _whole_csv(table)
+        # a header line and CSV_BATCH - 1 rows, then CSV_BATCH rows a write
+        assert len(pieces) == 1 + len(table["rows"]) // CSV_BATCH
+        argv = ["enumerate", "--p", str(p), "--q", str(q), "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _whole_csv(table)
+        path = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == _whole_csv(table)
+
+    def test_streaming_peak_is_one_batch(self, monkeypatch):
+        import tracemalloc
+
+        table = cmd_enumerate(13, 11)
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            _write_output(_json_pieces(table), None)
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _write_output((json.dumps(table, sort_keys=True, indent=2) + "\n",), None)
+            whole = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed < 2 * 2**20
+        # the whole text of (13, 11) is 0.9 MB, and the encoder's list of
+        # its 78,136 chunks more than that again
+        assert whole > 2 * 2**20
+
+    def test_bad_spec_creates_no_file(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        assert main(["enumerate", "--p", "2", "--q", "4", "--out", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestClassify:

@@ -499,6 +499,15 @@ class TestTurn:
         assert t.fraction == Fraction(x) % 1
         assert type(t.fraction) is Fraction
 
+    def test_keeps_a_fraction_in_range(self):
+        f = Fraction(1, 3)
+        assert Turn(f).fraction is f
+
+        class Sub(Fraction):
+            pass
+
+        assert type(Turn(Sub(1, 3)).fraction) is Fraction
+
     @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (2, 4), (5, 3), (-1, 3), (3, -4), (-6, 4)])
     def test_two_argument_form(self, n, d):
         assert Turn(n, d).fraction == Fraction(n, d) % 1

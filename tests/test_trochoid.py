@@ -109,6 +109,12 @@ class TestSpecBasics:
         with pytest.raises(ValueError):
             TrochoidSpec(3, 2, 1, 1, chirality=2)
 
+    def test_side_is_a_fraction(self):
+        side = Fraction(3, 2)
+        assert TrochoidSpec(3, 2, 1, 1, side=side).side is side
+        s = TrochoidSpec(3, 2, 1, 1, side=2)
+        assert type(s.side) is Fraction and s.side == 2
+
     def test_primed_parameters(self):
         s = TrochoidSpec(4, 3, 2, 2)
         assert s.p_prime == 2
