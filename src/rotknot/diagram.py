@@ -7,6 +7,11 @@ same arc.  Row i contributes |p|-1 crossings, all of sign +1 when
 pq > 0 and -1 otherwise; in each of them the long arc a_{i0} passes
 over.  The incidence below is the one validated by trochoid-derived
 colorings and by the dihedral coloring counts of the trefoil.
+
+A crossing is the triple (arc_x, arc_over, arc_xy) of its representative
+arcs, with color(arc_xy) = color(arc_x) * color(arc_over) whatever its
+sign, which is the diagram's and decides only which of arc_x / arc_xy is
+the incoming under-arc.  `_propagate` is the one walk over them.
 """
 
 from __future__ import annotations
@@ -23,27 +28,6 @@ from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
 Arc = tuple[int, int]
-
-
-class Crossing(Frozen):
-    """One crossing of D(p, q).
-
-    The coloring condition is color(arc_xy) = color(arc_x) * color(arc_over)
-    regardless of sign; the sign only decides which of arc_x / arc_xy is
-    the incoming under-arc.  Weights read the (arc_x, arc_over) slots.
-    """
-
-    __slots__ = _fields = ("row", "t", "arc_x", "arc_over", "arc_xy", "sign")
-
-    def __init__(
-        self, row: int, t: int, arc_x: Arc, arc_over: Arc, arc_xy: Arc, sign: int
-    ):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "arc_x", arc_x)
-        object.__setattr__(self, "arc_over", arc_over)
-        object.__setattr__(self, "arc_xy", arc_xy)
-        object.__setattr__(self, "sign", sign)
 
 
 class TorusDiagram(Frozen):
@@ -92,17 +76,13 @@ class TorusDiagram(Frozen):
         return self._rep_arcs
 
     @property
-    def crossings(self) -> tuple[Crossing, ...]:
+    def crossings(self) -> tuple[tuple[Arc, Arc, Arc], ...]:
+        """The (arc_x, arc_over, arc_xy) triples of the crossings, row by
+        row: crossing t of row i, 1 <= t <= |p|-1, has index
+        i*(|p|-1) + t-1.  Every crossing's sign is `sign`."""
         if self._crossings is None:
             crossings = tuple(
-                Crossing(
-                    row=i,
-                    t=t,
-                    arc_x=self.rep(i, t),
-                    arc_over=self.rep(i, 0),
-                    arc_xy=self.rep(i + 1, t - 1),
-                    sign=self.sign,
-                )
+                (self.rep(i, t), self.rep(i, 0), self.rep(i + 1, t - 1))
                 for i in range(self.abs_q)
                 for t in range(1, self.abs_p)
             )
@@ -118,11 +98,11 @@ def build_diagram(p: int, q: int) -> TorusDiagram:
 class Coloring:
     """An assignment of quandle elements to the arcs of a diagram.
 
-    Stored on representative labels; `color` resolves any a_{ij}.
-    Equality and hashing use the representative assignment in arc order.
+    Stored on representative labels, in arc order; `color` resolves any
+    a_{ij}.  Equality and hashing use the diagram and that assignment.
     """
 
-    __slots__ = ("diagram", "quandle", "_colors", "_key")
+    __slots__ = ("diagram", "quandle", "_colors")
 
     def __init__(self, diagram: TorusDiagram, quandle, colors: dict[Arc, object]):
         reps = diagram.rep_arcs
@@ -132,7 +112,6 @@ class Coloring:
         self.diagram = diagram
         self.quandle = quandle
         self._colors = {a: colors[a] for a in reps}
-        self._key = (diagram.p, diagram.q, tuple(self._colors[a] for a in reps))
 
     def color(self, i: int, j: int):
         return self._colors[self.diagram.rep(i, j)]
@@ -148,10 +127,10 @@ class Coloring:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coloring):
             return NotImplemented
-        return self._key == other._key
+        return self.diagram == other.diagram and self._colors == other._colors
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.diagram, *self._colors.values()))
 
     def __repr__(self) -> str:
         return f"Coloring(D({self.diagram.p},{self.diagram.q}), {len(self._colors)} arcs)"
@@ -160,25 +139,28 @@ class Coloring:
 def check_coloring(c: Coloring) -> None:
     """Check the coloring condition at every crossing, exactly; raise
     ValueError naming the first crossing where c is not valid."""
-    q = c.quandle
-    for cr in c.diagram.crossings:
-        if c.color(*cr.arc_xy) != q.op(c.color(*cr.arc_x), c.color(*cr.arc_over)):
-            d = c.diagram
-            raise ValueError(
-                f"not a valid coloring of D({d.p},{d.q}): "
-                f"crossing (row {cr.row}, t {cr.t}): color{cr.arc_xy} differs "
-                f"from color{cr.arc_x} * color{cr.arc_over}"
-            )
+    d = c.diagram
+    # every arc is colored already, so the walk only compares
+    bad = _propagate(d, c.quandle.op, c._colors)
+    if bad is not None:
+        row, t = divmod(bad, d.abs_p - 1)
+        arc_x, arc_over, arc_xy = d.crossings[bad]
+        raise ValueError(
+            f"not a valid coloring of D({d.p},{d.q}): "
+            f"crossing (row {row}, t {t + 1}): color{arc_xy} differs "
+            f"from color{arc_x} * color{arc_over}"
+        )
 
 
-def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> bool:
+def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> int | None:
     """Color every arc from row 0 by the crossing condition, in place;
-    False as soon as a crossing clashes with a color already set."""
-    for cr in diagram.crossings:
-        val = op(colors[cr.arc_x], colors[cr.arc_over])
-        if colors.setdefault(cr.arc_xy, val) != val:
-            return False
-    return True
+    the index in `diagram.crossings` of the first crossing that clashes
+    with a color already set, or None."""
+    for n, (x, over, xy) in enumerate(diagram.crossings):
+        val = op(colors[x], colors[over])
+        if colors.setdefault(xy, val) != val:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +175,9 @@ def total_weight(c: Coloring, o: Point) -> Cyc:
     (`quandle._phi_pair`, swapped for sign -1) go to the area kernel
     `exactnum._area_sum` together: one accumulator and one fold.
     """
-    pairs = []
-    for cr in c.diagram.crossings:
-        v, w = _phi_pair(o, c.color(*cr.arc_x), c.color(*cr.arc_over))
-        pairs.append((v, w) if cr.sign > 0 else (w, v))
-    return _area_sum(pairs)
+    d, colors = c.diagram, c._colors
+    pairs = [_phi_pair(o, colors[x], colors[over]) for x, over, _ in d.crossings]
+    return _area_sum(pairs if d.sign > 0 else [(w, v) for v, w in pairs])
 
 
 def closed_form_weight(
@@ -244,7 +224,7 @@ def switch_generic(c: Coloring) -> Coloring:
     d = c.diagram
     nd = build_diagram(d.q, d.p)
     colors = {nd.rep(0, t): c.color(-t, d.abs_p - 1) for t in range(d.abs_q)}
-    if not _propagate(nd, c.quandle.op, colors):
+    if _propagate(nd, c.quandle.op, colors) is not None:
         raise ValueError(f"switch: not a valid coloring of D({d.p},{d.q})")
     return Coloring(nd, c.quandle, colors)
 

@@ -18,8 +18,9 @@ A `Cyc` stores its coordinates as integer numerators `num` over one
 positive denominator `den` with gcd(den, *num) == 1; zero has `den`
 1.  So `den` is the least positive integer taking the value into
 Z[zeta], equal values at one level have identical `(num, den)`, and
-lifting or a Galois action leaves `den` unchanged.  `Fraction` is
-used only where values enter or leave (`coeffs`, `min_form`, JSON).
+lifting or a Galois action leaves `den` unchanged: both are the one
+scatter-and-fold `_scatter`.  `Fraction` is used only where values
+enter or leave (`coeffs`, `min_form`, JSON).
 
 `Cyc.min_form` finds the least level holding a value one prime p | N at
 a time.
@@ -183,7 +184,7 @@ class Cyc:
     ((3, -4), 6)
     """
 
-    __slots__ = ("level", "num", "den", "_minform")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs: Iterable[Fraction | int]):
         if level < 1:
@@ -195,7 +196,6 @@ class Cyc:
         _set_level(self, level)
         _set_num(self, num)
         _set_den(self, den)
-        _set_minform(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
@@ -222,7 +222,6 @@ class Cyc:
         _set_level(out, level)
         _set_num(out, num)
         _set_den(out, den)
-        _set_minform(out, None)
         return out
 
     @staticmethod
@@ -262,13 +261,7 @@ class Cyc:
             )
         if self.level == 1:
             return Cyc._raw(level, self.num + (0,) * (_phi(level) - 1), self.den)
-        step = level // self.level
-        acc = [0] * level
-        for e, c in enumerate(self.num):
-            acc[e * step] = c
-        # Z[zeta_level] meets Q(zeta_self.level) in Z[zeta_self.level], so
-        # the least denominator stays the same
-        return Cyc._raw(level, tuple(_fold(level, acc)), self.den)
+        return _scatter(self, level, level // self.level)
 
     # -- ring operations -----------------------------------------------------
 
@@ -331,7 +324,7 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugate (the Galois action zeta -> zeta^-1)."""
-        return _permute(self, -1)
+        return _scatter(self, self.level, -1)
 
     # -- predicates and conversions -------------------------------------------
 
@@ -369,13 +362,8 @@ class Cyc:
 
     def min_form(self) -> tuple[int, tuple[Fraction, ...]]:
         """(N, coefficients) at the smallest level N containing the value."""
-        cached = self._minform
-        if cached is not None:
-            return cached
         low = _descend(self)
-        out = (low.level, low.coeffs)
-        _set_minform(self, out)
-        return out
+        return (low.level, low.coeffs)
 
     def sort_key(self):
         n, coeffs = self.min_form()
@@ -428,9 +416,7 @@ class Cyc:
 
 
 _new = object.__new__
-_set_level, _set_num, _set_den, _set_minform = (
-    Cyc.__dict__[name].__set__ for name in Cyc.__slots__
-)
+_set_level, _set_num, _set_den = (Cyc.__dict__[n].__set__ for n in Cyc.__slots__)
 
 
 def _coerce(value) -> "Cyc | type(NotImplemented)":
@@ -491,10 +477,11 @@ def _scale(a: Cyc, f: Fraction) -> Cyc:
     )
 
 
-def _permute(a: Cyc, j: int) -> Cyc:
-    """a under zeta -> zeta^j for j coprime to the level.  A Galois action
-    maps Z[zeta] onto itself, so the least denominator stays the same."""
-    n = a.level
+def _scatter(a: Cyc, n: int, j: int) -> Cyc:
+    """a with coordinate e put at exponent e*j mod n and folded: a lifted
+    to a multiple n of its level for j = n/a.level, or a under the Galois
+    action zeta -> zeta^j for n = a.level and j coprime to it.  Neither
+    changes the least denominator, so `den` is kept."""
     acc = [0] * n
     for e, c in enumerate(a.num):
         acc[e * j % n] = c

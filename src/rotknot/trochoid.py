@@ -140,8 +140,7 @@ class TrochoidSpec(Frozen):
         """The (anchor, direction) of the actual first edge walk."""
         if self.chirality == 1:
             return (self.anchor, self.direction)
-        step = turn_to_root(self.direction) * self.side
-        return (self.anchor + step, self.direction + HALF_TURN)
+        return _walk(self.anchor, self.direction, self.side, HALF_TURN)
 
     def canonical_key(self):
         """Exact identity of the trochoid: chirality folded into the
@@ -270,20 +269,19 @@ def derive_coloring(spec: TrochoidSpec) -> Coloring:
 # moves
 
 
+def _walk(
+    anchor: Point, direction: Turn, side: Fraction, turn: Turn
+) -> tuple[Point, Turn]:
+    """One edge step of a move: the far end of the edge of length side
+    leaving anchor in direction, and that direction turned by turn."""
+    return (anchor + turn_to_root(direction) * side, direction + turn)
+
+
 def shift(spec: TrochoidSpec) -> TrochoidSpec:
     """Re-anchor at the next base vertex; the moving polygon becomes the
     next rolled copy.  Derived colorings transform by the generic shift."""
-    a, d = spec.resolved()
-    return TrochoidSpec(
-        spec.p,
-        spec.q,
-        spec.k,
-        spec.l,
-        a + turn_to_root(d) * spec.side,
-        d + Turn(spec.l, spec.abs_q),
-        spec.side,
-        1,
-    )
+    a, d = _walk(*spec.resolved(), spec.side, Turn(spec.l, spec.abs_q))
+    return TrochoidSpec(spec.p, spec.q, spec.k, spec.l, a, d, spec.side, 1)
 
 
 def switch(spec: TrochoidSpec) -> TrochoidSpec:
@@ -293,16 +291,9 @@ def switch(spec: TrochoidSpec) -> TrochoidSpec:
     (|p|, |p|-k)) anchored at the far end of the shared edge; applying
     switch twice gives back the original trochoid.
     """
-    a, d = spec.resolved()
+    a, d = _walk(*spec.resolved(), spec.side, HALF_TURN)
     return TrochoidSpec(
-        spec.q,
-        spec.p,
-        spec.abs_q - spec.l,
-        spec.abs_p - spec.k,
-        a + turn_to_root(d) * spec.side,
-        d + HALF_TURN,
-        spec.side,
-        1,
+        spec.q, spec.p, spec.abs_q - spec.l, spec.abs_p - spec.k, a, d, spec.side, 1
     )
 
 

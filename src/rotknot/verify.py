@@ -127,7 +127,7 @@ def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]
     found = []
     for combo in itertools.product(elements, repeat=len(seeds)):
         colors = dict(zip(seeds, combo))
-        if _propagate(diagram, quandle.op, colors):
+        if _propagate(diagram, quandle.op, colors) is None:
             found.append(Coloring(diagram, quandle, colors))
     found.sort(key=lambda c: tuple(index[c.color(*a)] for a in diagram.rep_arcs))
     return found
@@ -194,7 +194,9 @@ def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, Mo
 # the suites
 
 
-def _random_rot(rng: random.Random) -> RotElem:
+def _random_rot(rng) -> RotElem:
+    """A rotation with a random center and turn, drawn from rng, a
+    `random.Random`."""
     center = point_xy(
         Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3])),
         Fraction(rng.randrange(-4, 5), rng.choice([1, 2])),

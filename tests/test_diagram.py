@@ -84,7 +84,7 @@ class TestBuildDiagram:
         d = build_diagram(2, 3)
         assert len(d.rep_arcs) == 3
         assert len(d.crossings) == 3
-        assert all(cr.sign == 1 for cr in d.crossings)
+        assert d.sign == 1
 
     def test_three_two_counts(self):
         d = build_diagram(3, 2)
@@ -94,7 +94,7 @@ class TestBuildDiagram:
     def test_negative_q_signs(self):
         d = build_diagram(3, -2)
         assert len(d.crossings) == 4
-        assert all(cr.sign == -1 for cr in d.crossings)
+        assert d.sign == -1
 
     def test_identification(self):
         d = build_diagram(3, 2)
@@ -109,7 +109,47 @@ class TestBuildDiagram:
             build_diagram(1, 3)
 
 
+def first_failing_crossing(c: Coloring) -> tuple[int, int] | None:
+    """(row, t) of the first crossing, row by row, whose condition
+    color(a_{i+1, t-1}) = color(a_{it}) * color(a_{i0}) fails, read off
+    the braid one crossing at a time; the reference for the crossing
+    `check_coloring` names."""
+    d = c.diagram
+    for i in range(d.abs_q):
+        for t in range(1, d.abs_p):
+            if c.color(i + 1, t - 1) != c.quandle.op(c.color(i, t), c.color(i, 0)):
+                return i, t
+    return None
+
+
+def valid_rot_colorings() -> list[Coloring]:
+    """A valid coloring of D(4,3) from a trochoid and one of D(3,-2)."""
+    mirrored = Coloring(build_diagram(3, -2), ROT, rot_coloring_3211().colors)
+    return [derive_coloring(TrochoidSpec(4, 3, 1, 1)), mirrored]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("c", valid_rot_colorings(), ids=["D(4,3)", "D(3,-2)"])
+    def test_broken_arc_names_first_failing_crossing(self, c):
+        check_coloring(c)
+        assert first_failing_crossing(c) is None
+        d = c.diagram
+        for arc in d.rep_arcs:
+            colors = c.colors
+            x = colors[arc]
+            colors[arc] = RotElem(x.center + 1, x.angle)
+            broken = Coloring(d, ROT, colors)
+            row, t = first_failing_crossing(broken)
+            arc_x, arc_over, arc_xy = d.rep(row, t), d.rep(row, 0), d.rep(row + 1, t - 1)
+            message = (
+                f"not a valid coloring of D({d.p},{d.q}): "
+                f"crossing (row {row}, t {t}): color{arc_xy} differs "
+                f"from color{arc_x} * color{arc_over}"
+            )
+            with pytest.raises(ValueError) as exc:
+                check_coloring(broken)
+            assert str(exc.value) == message, arc
+
     def test_trivial_always_valid(self):
         q3 = DihedralQuandle(3)
         for p, q in ((2, 3), (3, 2), (4, 3), (3, -2)):
@@ -127,6 +167,20 @@ class TestValidation:
 
     def test_frozen_rot_coloring_is_valid(self):
         check_coloring(rot_coloring_3211())
+
+
+class TestColoringValue:
+    def test_insertion_order_does_not_matter(self):
+        c = rot_coloring_3211()
+        reversed_colors = dict(reversed(c.colors.items()))
+        assert list(reversed_colors) != list(c.colors)
+        other = Coloring(c.diagram, ROT, reversed_colors)
+        assert other == c and not other != c
+        assert hash(other) == hash(c)
+
+    def test_other_diagram_differs(self):
+        c = rot_coloring_3211()
+        assert Coloring(build_diagram(3, -2), ROT, c.colors) != c
 
 
 class TestEnumeration:
@@ -217,9 +271,9 @@ def crossing_by_crossing(c: Coloring, o) -> Cyc:
     """The crossing sum one signed `cocycle_phi` term at a time, the
     reference for `total_weight`'s single accumulator."""
     total = Cyc.zero()
-    for cr in c.diagram.crossings:
-        term = cocycle_phi(o, c.color(*cr.arc_x), c.color(*cr.arc_over))
-        total = total + (term if cr.sign > 0 else -term)
+    for arc_x, arc_over, _ in c.diagram.crossings:
+        term = cocycle_phi(o, c.color(*arc_x), c.color(*arc_over))
+        total = total + (term if c.diagram.sign > 0 else -term)
     return total
 
 

@@ -216,7 +216,7 @@ class TestMinimalForm:
         ]
         for p in primes:
             assert any(
-                exactnum._permute(y, j) != y
+                exactnum._scatter(y, least, j) != y
                 for j in range(1, least, least // p)
                 if math.gcd(j, least) == 1
             ), (least, p)

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import ast
 import copy
+import importlib
+import inspect
 import operator
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rotknot.diagram import Crossing, TorusDiagram
+import rotknot
+from rotknot.diagram import TorusDiagram
 from rotknot.exactnum import Cyc, Turn, cyc_root
 from rotknot.geom import point_xy, polygon_vertices
 from rotknot.quandle import RotElem
@@ -33,7 +38,6 @@ _T = Turn(1, 4)
 
 # each class with its fields and one value for each, in constructor order
 CASES = [
-    (Crossing, dict(row=0, t=1, arc_x=(0, 1), arc_over=(0, 0), arc_xy=(1, 0), sign=1)),
     (TorusDiagram, dict(p=3, q=2)),
     (Turn, dict(fraction=Fraction(1, 3))),
     (DihedralElem, dict(n=5, value=2)),
@@ -223,3 +227,43 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _annotated(module):
+    """The functions and methods defined in module, with the functions
+    under properties and static and class methods."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, type):
+            for attr in vars(value).values():
+                if isinstance(attr, property):
+                    yield from (f for f in (attr.fget, attr.fset) if f is not None)
+                elif isinstance(attr, (staticmethod, classmethod)):
+                    yield attr.__func__
+                elif callable(attr):
+                    yield attr
+        elif callable(value):
+            yield value
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        info.name
+        for info in pkgutil.iter_modules(rotknot.__path__)
+        if not info.name.startswith("_")
+    ),
+)
+def test_annotations_resolve(name):
+    """Every annotation in the package names something its module can
+    see, so `typing.get_type_hints` resolves it.  (`__main__` runs the
+    CLI on import and defines nothing.)"""
+    module = importlib.import_module(f"rotknot.{name}")
+    failed = []
+    for func in _annotated(module):
+        try:
+            typing.get_type_hints(inspect.unwrap(func))
+        except NameError as exc:
+            failed.append(f"{func.__qualname__}: {exc}")
+    assert failed == []
