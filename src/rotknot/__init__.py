@@ -2,11 +2,13 @@
 
 Modules by role:
 
-- exactnum: cyclotomic field arithmetic, rational turns, unit scans
+- exactnum: cyclotomic field arithmetic, rational turns, unit scans, the
+  session level cap
 - geom: points, exact signed areas, rigid rotations, polygon builders
 - quandle: the rotation quandle, the area two-cocycle
-- diagram: torus-knot diagram combinatorics, colorings, weights, and the
-  breadth-first search under shift and switch
+- diagram: torus-knot diagram combinatorics, colorings, weights, the
+  turn and reduced types of a coloring family, and the breadth-first
+  search under shift and switch
 - trochoid: trochoid data, deformation moves, equivalence classifier
 - render: SVG drawings of trochoid diagrams
 - verify: the `verify` suites, dihedral quandles, finite coloring search

@@ -8,6 +8,13 @@ trochoid colorings, `verify` runs the built-in property suites, and
 All output is a pure function of the flags: JSON keys are sorted, floats
 are printed as 12-significant-digit strings, and no timestamps or
 machine state leak into the bytes.
+
+A command loads only the modules it runs.  Importing this module loads
+`exactnum` and `geom`; `enumerate` adds `diagram`, `classify` and
+`render` add `trochoid` (which loads `diagram`), `render` adds `render`
+and `verify` adds `verify`, whose suites load `diagram` and `trochoid`
+only where they use them.  Without cached bytecode every module loaded
+is compiled, so this is start-up time saved.
 """
 
 from __future__ import annotations
@@ -20,10 +27,8 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 
-from .diagram import build_diagram, closed_form_weight
-from .exactnum import BudgetError, Turn, cyc_to_json
+from .exactnum import BudgetError, Turn, check_level_cap, cyc_to_json
 from .geom import area_approx, fmt12, point_xy
-from .trochoid import TrochoidSpec, check_level_cap, classify, spec_to_json
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 10
@@ -59,10 +64,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _spec_from_args(args, prefix: str) -> TrochoidSpec:
-    """The spec of the flags whose names start with prefix: "" for spec a,
-    "b_" for the `--b-*` flags of spec b, each of which, when absent,
-    takes spec a's value."""
+def _spec_from_args(args, prefix: str):
+    """The `TrochoidSpec` of the flags whose names start with prefix: ""
+    for spec a, "b_" for the `--b-*` flags of spec b, each of which, when
+    absent, takes spec a's value."""
+    from .trochoid import TrochoidSpec
 
     def flag(name: str):
         value = getattr(args, prefix + name)
@@ -124,23 +130,30 @@ def _write_output(pieces, out: str | None) -> None:
 
 def cmd_enumerate(p: int, q: int) -> dict:
     """One row per (k, l): turn, reduced types, parity, and both weights."""
+    from .diagram import (
+        build_diagram,
+        closed_form_weight,
+        lattice_alpha,
+        reduced_types,
+        theta,
+    )
+
     build_diagram(p, q)
     check_level_cap(lcm(abs(p), abs(q)))
     rows = []
     for k in range(1, abs(p)):
         for l in range(1, abs(q)):
-            s = TrochoidSpec(p, q, k, l)
+            p_prime, q_prime = reduced_types(p, q, k, l)
             w = closed_form_weight(p, q, k, l)
-            pq = s.p_prime * s.q_prime
             rows.append(
                 {
                     "k": k,
                     "l": l,
-                    "theta": str(s.theta),
-                    "p_prime": s.p_prime,
-                    "q_prime": s.q_prime,
-                    "alpha": s.alpha,
-                    "parity": "even" if pq % 2 == 0 else "odd",
+                    "theta": str(theta(abs(p), k, abs(q), l)),
+                    "p_prime": p_prime,
+                    "q_prime": q_prime,
+                    "alpha": lattice_alpha(p, q, k, l),
+                    "parity": "even" if p_prime * q_prime % 2 == 0 else "odd",
                     "weight_float": fmt12(area_approx(w)),
                     "weight_scaled_4i": cyc_to_json(w),
                 }
@@ -176,7 +189,11 @@ def _enumerate_csv(table: dict):
 # classify
 
 
-def cmd_classify(a: TrochoidSpec, b: TrochoidSpec) -> tuple[dict, int]:
+def cmd_classify(a, b) -> tuple[dict, int]:
+    """The JSON of the verdict on the `TrochoidSpec`s a and b, and its exit
+    code."""
+    from .trochoid import classify, spec_to_json
+
     result = classify(a, b)
     data = {
         "spec_a": spec_to_json(a),

@@ -1,5 +1,10 @@
 """Torus-knot diagrams, colorings, cocycle weights, and generic moves.
 
+The numbers of a coloring family (k, l) of D(p, q) live here too: its
+rolling turn `theta`, its reduced types p', q' and its `lattice_alpha`.
+`enumerate` reads them without building a trochoid, and
+`trochoid.TrochoidSpec` derives its own from them.
+
 The diagram D(p, q) is realized as the closure of the |p|-strand braid
 (sigma_1 ... sigma_{|p|-1})^{|q|}: arcs carry labels a_{ij} for
 0 <= i < |q|, 0 <= j < |p|, with a_{i0} and a_{[i+1], |p|-1} marking the
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactnum import Cyc, _area_sum
+from .exactnum import Cyc, Turn, _area_sum
 from .geom import Point, polygon_area
 from .quandle import _phi_pair
 from .value import Frozen
@@ -34,7 +39,7 @@ class TorusDiagram(Frozen):
     """The diagram D(p, q); its arc and crossing lists are built on first use."""
 
     _fields = ("p", "q")
-    __slots__ = _fields + ("_rep_arcs", "_crossings")
+    __slots__ = _fields + ("_rep_arcs", "_crossings", "_shift_sources")
 
     def __init__(self, p: int, q: int):
         if abs(p) < 2 or abs(q) < 2:
@@ -45,6 +50,7 @@ class TorusDiagram(Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_rep_arcs", None)
         object.__setattr__(self, "_crossings", None)
+        object.__setattr__(self, "_shift_sources", None)
 
     @property
     def abs_p(self) -> int:
@@ -88,6 +94,16 @@ class TorusDiagram(Frozen):
             )
             object.__setattr__(self, "_crossings", crossings)
         return self._crossings
+
+    @property
+    def shift_sources(self) -> tuple[Arc, ...]:
+        """The representative arc a_{[i+1], j} of each arc a_{ij} of
+        `rep_arcs`, in the same order: `shift_generic` gives each arc the
+        old color of its source."""
+        if self._shift_sources is None:
+            sources = tuple(self.rep(i + 1, j) for (i, j) in self.rep_arcs)
+            object.__setattr__(self, "_shift_sources", sources)
+        return self._shift_sources
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +207,31 @@ def closed_form_weight(
     return val if p * q > 0 else -val
 
 
+def theta(m: int, k: int, n: int, l: int) -> Turn:
+    """The rolling turn for a type-(m,k) polygon around a type-(n,l) one.
+
+    Equals ((m-2k)/m - (n-2l)/n)/2 of a full turn, i.e. l/n - k/m.  The
+    family (k, l) of D(p, q) rolls with theta(|p|, k, |q|, l).
+    """
+    return Turn(Fraction(l, n) - Fraction(k, m))
+
+
+def reduced_types(p: int, q: int, k: int, l: int) -> tuple[int, int]:
+    """The reduced types (p', q') = (|p| / gcd(|p|, k), |q| / gcd(|q|, l))
+    of the family (k, l) of D(p, q)."""
+    ap, aq = abs(p), abs(q)
+    return ap // gcd(ap, k), aq // gcd(aq, l)
+
+
+def lattice_alpha(p: int, q: int, k: int, l: int) -> int:
+    """alpha = p'q'/2 when p'q' is even and p'q' when it is odd: the anchor
+    lattice of the family (k, l) of D(p, q) is spanned by 2*alpha unit
+    directions."""
+    pp, qp = reduced_types(p, q, k, l)
+    pq = pp * qp
+    return pq // 2 if pq % 2 == 0 else pq
+
+
 # ---------------------------------------------------------------------------
 # generic moves (any quandle)
 
@@ -199,8 +240,8 @@ def shift_generic(c: Coloring) -> Coloring:
     """The row-rotation relabeling induced by the planar isotopy that
     slides the braid closure one over-strand forward: the new color of
     a_{ij} is the old color of a_{[i+1], j}."""
-    d = c.diagram
-    new_colors = {(i, j): c.color(i + 1, j) for (i, j) in d.rep_arcs}
+    d, colors = c.diagram, c._colors
+    new_colors = dict(zip(d.rep_arcs, [colors[a] for a in d.shift_sources]))
     return Coloring(d, c.quandle, new_colors)
 
 

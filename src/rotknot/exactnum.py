@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +45,35 @@ class LevelError(ValueError):
     def __init__(self, message: str, required_level: int):
         super().__init__(message)
         self.required_level = required_level
+
+
+DEFAULT_LEVEL_CAP = 240
+
+
+def check_level_cap(level: int) -> int:
+    """The level itself; LevelError when it exceeds QT_SESSION_LEVEL_CAP.
+
+    ValueError when the variable is set to anything but a positive integer.
+    """
+    raw = os.environ.get("QT_SESSION_LEVEL_CAP")
+    if raw is None:
+        cap = DEFAULT_LEVEL_CAP
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(
+                f"QT_SESSION_LEVEL_CAP must be a positive integer, got {raw!r}"
+            )
+    if level > cap:
+        raise LevelError(
+            f"session level {level} exceeds cap {cap} "
+            "(raise QT_SESSION_LEVEL_CAP to allow)",
+            required_level=level,
+        )
+    return level
 
 
 class BudgetError(RuntimeError):

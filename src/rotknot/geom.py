@@ -37,7 +37,10 @@ def point_xy(re: Fraction | int, im: Fraction | int = 0) -> Point:
     prime power p^k exactly divides L, it exactly divides b, say; then p
     divides neither a (coprime to b) nor L/b, so not a*L/b.
     """
-    re, im = Fraction(re), Fraction(im)
+    if type(re) is not Fraction:
+        re = Fraction(re)
+    if type(im) is not Fraction:
+        im = Fraction(im)
     b, d = re.denominator, im.denominator
     den = lcm(b, d)
     return Cyc._raw(4, (re.numerator * (den // b), im.numerator * (den // d)), den)

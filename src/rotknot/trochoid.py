@@ -12,7 +12,6 @@ R-equivalent colorings, exactly when the parity invariant p'q' allows.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,16 +20,19 @@ from .diagram import (
     breadth_first,
     build_diagram,
     check_coloring,
+    lattice_alpha,
+    reduced_types,
     shift_generic,
     switch_generic,
+    theta,
 )
 from .exactnum import (
     ContradictionError,
     Cyc,
     HALF_TURN,
-    LevelError,
     Turn,
     _descend,
+    check_level_cap,
     cyc_root,
     enumerate_unit_elements,
     turn_from_json,
@@ -47,16 +49,6 @@ from .geom import (
 )
 from .quandle import ROT, RotElem
 from .value import Frozen
-
-DEFAULT_LEVEL_CAP = 240
-
-
-def theta(m: int, k: int, n: int, l: int) -> Turn:
-    """The rolling turn for a type-(m,k) polygon around a type-(n,l) one.
-
-    Equals ((m-2k)/m - (n-2l)/n)/2 of a full turn, i.e. l/n - k/m.
-    """
-    return Turn(Fraction(l, n) - Fraction(k, m))
 
 
 class TrochoidSpec(Frozen):
@@ -117,11 +109,11 @@ class TrochoidSpec(Frozen):
 
     @property
     def p_prime(self) -> int:
-        return self.abs_p // gcd(self.abs_p, self.k)
+        return reduced_types(self.p, self.q, self.k, self.l)[0]
 
     @property
     def q_prime(self) -> int:
-        return self.abs_q // gcd(self.abs_q, self.l)
+        return reduced_types(self.p, self.q, self.k, self.l)[1]
 
     @property
     def l_prime(self) -> int:
@@ -133,8 +125,7 @@ class TrochoidSpec(Frozen):
 
     @property
     def alpha(self) -> int:
-        pq = self.p_prime * self.q_prime
-        return pq // 2 if pq % 2 == 0 else pq
+        return lattice_alpha(self.p, self.q, self.k, self.l)
 
     def resolved(self) -> tuple[Point, Turn]:
         """The (anchor, direction) of the actual first edge walk."""
@@ -179,32 +170,6 @@ def session_level(spec: TrochoidSpec) -> int:
         spec.direction.denominator,
     )
     return check_level_cap(level)
-
-
-def check_level_cap(level: int) -> int:
-    """The level itself; LevelError when it exceeds QT_SESSION_LEVEL_CAP.
-
-    ValueError when the variable is set to anything but a positive integer.
-    """
-    raw = os.environ.get("QT_SESSION_LEVEL_CAP")
-    if raw is None:
-        cap = DEFAULT_LEVEL_CAP
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(
-                f"QT_SESSION_LEVEL_CAP must be a positive integer, got {raw!r}"
-            )
-    if level > cap:
-        raise LevelError(
-            f"session level {level} exceeds cap {cap} "
-            "(raise QT_SESSION_LEVEL_CAP to allow)",
-            required_level=level,
-        )
-    return level
 
 
 # ---------------------------------------------------------------------------

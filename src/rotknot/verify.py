@@ -7,7 +7,9 @@ conditions, `weights` the direct crossing sum against the closed form,
 the move orbit of a trefoil coloring and the replay of trochoid words.
 
 `cli` imports this module only for `verify`, so no other command
-compiles it.
+compiles it.  The diagram and trochoid machinery is imported by the
+functions that use it, so `axioms`, `cocycle` and `appendix` compile
+neither `diagram` nor `trochoid`.
 """
 
 from __future__ import annotations
@@ -15,32 +17,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .diagram import (
-    Coloring,
-    TorusDiagram,
-    _propagate,
-    breadth_first,
-    build_diagram,
-    check_coloring,
-    closed_form_weight,
-    shift_generic,
-    switch_generic,
-    total_weight,
+from .exactnum import (
+    BudgetError,
+    Cyc,
+    Turn,
+    check_level_cap,
+    cyc_root,
+    enumerate_unit_elements,
 )
-from .exactnum import BudgetError, Cyc, Turn, cyc_root, enumerate_unit_elements
 from .geom import ORIGIN, Point, point_xy
 from .quandle import ROT, RotElem, cocycle_phi
-from .trochoid import (
-    MoveSeq,
-    TrochoidSpec,
-    apply_move,
-    check_level_cap,
-    derive_coloring,
-    replay_spec,
-    same_trochoid,
-    session_level,
-    state_key,
-)
 from .value import Frozen
 
 SMALL_GRID = [(2, 3), (3, 2), (3, 4), (4, 3)]
@@ -109,13 +95,16 @@ def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
 SEED_BUDGET = 1_000_000
 
 
-def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]:
-    """All valid colorings by a finite quandle, deterministically ordered.
+def enumerate_colorings_finite(quandle, diagram) -> list:
+    """All valid colorings of the `TorusDiagram` by a finite quandle, as
+    `Coloring`s, deterministically ordered.
 
     Row 0 determines the rest through `diagram._propagate`, shared with
     `switch_generic`, so the search space is |X|^{|p|}, not
     |X|^{arc count}; guarded by SEED_BUDGET.
     """
+    from .diagram import Coloring, _propagate
+
     elements = quandle.elements()
     seeds = [diagram.rep(0, j) for j in range(diagram.abs_p)]
     if len(elements) ** len(seeds) > SEED_BUDGET:
@@ -136,14 +125,16 @@ def enumerate_colorings_finite(quandle, diagram: TorusDiagram) -> list[Coloring]
 ORBIT_BUDGET = 10_000
 
 
-def coloring_orbit(c: Coloring) -> list[Coloring]:
-    """Closure of a coloring under shift and switch, in discovery order.
+def coloring_orbit(c) -> list:
+    """Closure of a `Coloring` under shift and switch, in discovery order.
 
     Explores both diagram sides but returns only the colorings living on
     the starting diagram, i.e. those reached by an even number of
     switches.  Finite for finite quandles; guarded by ORBIT_BUDGET.
     c is checked once: shift and switch keep a coloring valid.
     """
+    from .diagram import breadth_first, check_coloring, shift_generic, switch_generic
+
     check_coloring(c)
     start_side = (c.diagram.p, c.diagram.q)
     states = breadth_first(
@@ -166,15 +157,18 @@ def coloring_orbit(c: Coloring) -> list[Coloring]:
 NODE_BUDGET = 100_000
 
 
-def orbit_bfs(spec: TrochoidSpec, max_moves: int) -> list[tuple[TrochoidSpec, MoveSeq]]:
-    """Breadth-first closure of a trochoid under shift and switch.
+def orbit_bfs(spec, max_moves: int) -> list[tuple]:
+    """Breadth-first closure of a `TrochoidSpec` under shift and switch.
 
     Expands every state (both diagram sides) within max_moves moves,
     deduplicating exactly by `trochoid.state_key` at the session level,
     and returns the states that live on the original diagram (even
-    switch count), each with one shortest move word, sorted canonically.
-    Guarded by NODE_BUDGET expanded states.
+    switch count), each with one shortest move word as a `MoveSeq`,
+    sorted canonically.  Guarded by NODE_BUDGET expanded states.
     """
+    from .diagram import breadth_first
+    from .trochoid import MoveSeq, apply_move, session_level, state_key
+
     key = state_key(session_level(spec))
     same_side = []
     states = breadth_first(spec, apply_move, key, max_moves)
@@ -274,6 +268,9 @@ def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_weights(args) -> list[tuple[str, bool, str]]:
+    from .diagram import closed_form_weight, total_weight
+    from .trochoid import TrochoidSpec, derive_coloring
+
     grid = FULL_GRID if args.grid == "full" else SMALL_GRID
     extra_o = [point_xy(2, -1), point_xy(Fraction(-1, 2), 3)]
     checks = []
@@ -322,6 +319,9 @@ def _suite_appendix(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_orbit(args) -> list[tuple[str, bool, str]]:
+    from .diagram import build_diagram
+    from .trochoid import TrochoidSpec, replay_spec, same_trochoid
+
     checks = []
     d = build_diagram(2, 3)
     quandle = DihedralQuandle(3)

@@ -295,6 +295,26 @@ def test_total_weight_matches_crossing_sum(p, q):
                 assert (got.level, got.num, got.den) == (ref.level, ref.num, ref.den)
 
 
+def shift_by_loop(c: Coloring) -> dict:
+    """The shifted colors arc by arc, each resolved through
+    `Coloring.color`: the reference for the cached source arcs that
+    `shift_generic` reads."""
+    return {(i, j): c.color(i + 1, j) for (i, j) in c.diagram.rep_arcs}
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (3, -2), (5, 2)])
+def test_shift_matches_per_arc_loop(p, q):
+    """On a labeling with one label per arc, which shows the whole
+    permutation, and on a trochoid coloring."""
+    d = build_diagram(p, q)
+    labels = Coloring(d, None, {a: n for n, a in enumerate(d.rep_arcs)})
+    derived = derive_coloring(TrochoidSpec(p, q, 1, 1))
+    for c in (labels, derived):
+        s = shift_generic(c)
+        assert s.diagram == d and s.quandle is c.quandle
+        assert list(s.colors.items()) == list(shift_by_loop(c).items())
+
+
 class TestGenericMoves:
     def test_shift_preserves_validity_and_weight(self):
         c = rot_coloring_3211()

@@ -326,6 +326,31 @@ class TestPointXY:
         assert z.level == 4
         assert same_coordinates(z, ref)
 
+    def test_keeps_a_fraction_and_converts_a_subclass(self, monkeypatch):
+        """A `Fraction` is read as it is, with no new one made; an instance
+        of a subclass is converted to a `Fraction` first."""
+
+        class Sub(Fraction):
+            pass
+
+        re, im = Fraction(1, 6), Fraction(-5, 4)
+        sub_re, sub_im = Sub(1, 6), Sub(-5, 4)
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        z = point_xy(re, im)
+        assert made == []
+        w = point_xy(sub_re, sub_im)
+        assert made == [(sub_re,), (sub_im,)]
+        monkeypatch.undo()
+        assert same_coordinates(z, w)
+        assert same_coordinates(z, Cyc.rational(re) + cyc_root(4, 1) * im)
+
 
 class TestSerialization:
     def test_point_round_trip(self):

@@ -215,6 +215,38 @@ def test_only_verify_loads_the_suites():
     assert _loaded(code).split("\n") == ["0 False", "0 True"]
 
 
+MOVE_MODULES = ("rotknot.diagram", "rotknot.trochoid")
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("", []),
+        ("verify axioms", []),
+        ("verify cocycle", []),
+        ("verify appendix", []),
+        ("enumerate --p -7 --q 5", ["rotknot.diagram"]),
+        ("classify --p 3 --q 2 --b-anchor 1,0", list(MOVE_MODULES)),
+        ("render --p 3 --q 2", list(MOVE_MODULES)),
+        ("verify orbit", list(MOVE_MODULES)),
+        ("verify weights", list(MOVE_MODULES)),
+    ],
+)
+def test_each_command_loads_the_move_modules_it_runs(command, loaded):
+    """Importing the CLI and the `verify` suites that touch no diagram
+    compile neither `diagram` nor `trochoid`; `enumerate` needs only
+    `diagram`; the commands that build trochoids or move colorings load
+    both."""
+    code = (
+        "import os, sys\n"
+        "from rotknot.cli import main\n"
+        f"argv = {command.split()!r}\n"
+        "code = main([*argv, '--out', os.devnull]) if argv else 0\n"
+        f"print(code, [m for m in {MOVE_MODULES!r} if m in sys.modules])\n"
+    )
+    assert _loaded(code, "-S") == f"0 {loaded!r}"
+
+
 def test_package_has_no_assert_statements():
     """Checks of proved statements raise ContradictionError, which
     `python -O` keeps; it strips `assert` statements."""
