@@ -16,7 +16,9 @@ colorings and by the dihedral coloring counts of the trefoil.
 A crossing is the triple (arc_x, arc_over, arc_xy) of its representative
 arcs, with color(arc_xy) = color(arc_x) * color(arc_over) whatever its
 sign, which is the diagram's and decides only which of arc_x / arc_xy is
-the incoming under-arc.  `_propagate` is the one walk over them.
+the incoming under-arc.  `TorusDiagram` builds its arc, crossing and
+shift tables once, from (p, q) alone; `_propagate` is the one walk over
+the crossings.
 """
 
 from __future__ import annotations
@@ -36,33 +38,43 @@ Arc = tuple[int, int]
 
 
 class TorusDiagram(Frozen):
-    """The diagram D(p, q); its arc and crossing lists are built on first use."""
+    """The diagram D(p, q) with its arc, crossing and shift tables, built
+    once in the constructor; equality, hash, repr and pickling use (p, q)
+    alone, and `build_diagram` keeps one diagram per (p, q).
+
+    `crossings` holds the (arc_x, arc_over, arc_xy) triples row by row:
+    crossing t of row i, 1 <= t <= |p|-1, has index i*(|p|-1) + t-1, and
+    every crossing's sign is `sign`.  `shift_sources` holds the
+    representative arc a_{[i+1], j} of each arc a_{ij} of `rep_arcs`, in
+    the same order: `shift_generic` gives each arc the old color of its
+    source.
+    """
 
     _fields = ("p", "q")
-    __slots__ = _fields + ("_rep_arcs", "_crossings", "_shift_sources")
+    __slots__ = _fields + (
+        "abs_p", "abs_q", "sign", "rep_arcs", "crossings", "shift_sources"
+    )
 
     def __init__(self, p: int, q: int):
         if abs(p) < 2 or abs(q) < 2:
             raise ValueError("need |p|, |q| >= 2")
         if gcd(p, q) != 1:
             raise ValueError(f"({p}, {q}) is not coprime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_rep_arcs", None)
-        object.__setattr__(self, "_crossings", None)
-        object.__setattr__(self, "_shift_sources", None)
-
-    @property
-    def abs_p(self) -> int:
-        return abs(self.p)
-
-    @property
-    def abs_q(self) -> int:
-        return abs(self.q)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.p * self.q > 0 else -1
+        ap, aq = abs(p), abs(q)
+        arcs = tuple((i, j) for i in range(aq) for j in range(ap - 1))
+        for name, value in (
+            ("p", p), ("q", q), ("abs_p", ap), ("abs_q", aq),
+            ("sign", 1 if p * q > 0 else -1), ("rep_arcs", arcs),
+        ):
+            object.__setattr__(self, name, value)
+        rep = self.rep
+        crossings = tuple(
+            (rep(i, t), rep(i, 0), rep(i + 1, t - 1))
+            for i in range(aq)
+            for t in range(1, ap)
+        )
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "shift_sources", tuple(rep(i + 1, j) for i, j in arcs))
 
     def rep(self, i: int, j: int) -> Arc:
         """Representative label of the arc a_{ij}."""
@@ -71,39 +83,6 @@ class TorusDiagram(Frozen):
         if j == self.abs_p - 1:
             return ((i - 1) % self.abs_q, 0)
         return (i, j)
-
-    @property
-    def rep_arcs(self) -> tuple[Arc, ...]:
-        if self._rep_arcs is None:
-            arcs = tuple(
-                (i, j) for i in range(self.abs_q) for j in range(self.abs_p - 1)
-            )
-            object.__setattr__(self, "_rep_arcs", arcs)
-        return self._rep_arcs
-
-    @property
-    def crossings(self) -> tuple[tuple[Arc, Arc, Arc], ...]:
-        """The (arc_x, arc_over, arc_xy) triples of the crossings, row by
-        row: crossing t of row i, 1 <= t <= |p|-1, has index
-        i*(|p|-1) + t-1.  Every crossing's sign is `sign`."""
-        if self._crossings is None:
-            crossings = tuple(
-                (self.rep(i, t), self.rep(i, 0), self.rep(i + 1, t - 1))
-                for i in range(self.abs_q)
-                for t in range(1, self.abs_p)
-            )
-            object.__setattr__(self, "_crossings", crossings)
-        return self._crossings
-
-    @property
-    def shift_sources(self) -> tuple[Arc, ...]:
-        """The representative arc a_{[i+1], j} of each arc a_{ij} of
-        `rep_arcs`, in the same order: `shift_generic` gives each arc the
-        old color of its source."""
-        if self._shift_sources is None:
-            sources = tuple(self.rep(i + 1, j) for (i, j) in self.rep_arcs)
-            object.__setattr__(self, "_shift_sources", sources)
-        return self._shift_sources
 
 
 @lru_cache(maxsize=None)
@@ -121,13 +100,13 @@ class Coloring:
     __slots__ = ("diagram", "quandle", "_colors")
 
     def __init__(self, diagram: TorusDiagram, quandle, colors: dict[Arc, object]):
-        reps = diagram.rep_arcs
-        missing = [a for a in reps if a not in colors]
-        if missing:
-            raise ValueError(f"missing colors for arcs {missing}")
+        try:
+            self._colors = {a: colors[a] for a in diagram.rep_arcs}
+        except KeyError:
+            missing = [a for a in diagram.rep_arcs if a not in colors]
+            raise ValueError(f"missing colors for arcs {missing}") from None
         self.diagram = diagram
         self.quandle = quandle
-        self._colors = {a: colors[a] for a in reps}
 
     def color(self, i: int, j: int):
         return self._colors[self.diagram.rep(i, j)]

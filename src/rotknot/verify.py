@@ -163,8 +163,9 @@ def orbit_bfs(spec, max_moves: int) -> list[tuple]:
     Expands every state (both diagram sides) within max_moves moves,
     deduplicating exactly by `trochoid.state_key` at the session level,
     and returns the states that live on the original diagram (even
-    switch count), each with one shortest move word as a `MoveSeq`,
-    sorted canonically.  Guarded by NODE_BUDGET expanded states.
+    switch count), each with one shortest move word as a `MoveSeq`, in
+    breadth-first order, which does not depend on the hash seed.
+    Guarded by NODE_BUDGET expanded states.
     """
     from .diagram import breadth_first
     from .trochoid import MoveSeq, apply_move, session_level, state_key
@@ -180,7 +181,6 @@ def orbit_bfs(spec, max_moves: int) -> list[tuple]:
             )
         if (state.p, state.q) == (spec.p, spec.q):
             same_side.append((state, MoveSeq(word)))
-    same_side.sort(key=lambda pair: pair[0].canonical_key())
     return same_side
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from rotknot.cli import (
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
     JSON_BATCH,
+    MAX_EXPONENT,
     _batches,
     _dump_json,
     _enumerate_csv,
@@ -30,13 +32,14 @@ from rotknot.cli import (
     cmd_enumerate,
     main,
     parse_anchor,
+    parse_fraction,
     parse_turn,
 )
 from rotknot.exactnum import Turn
 from rotknot.geom import point_xy
 
 
-def run_cli(argv, env_extra=None):
+def run_cli(argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -44,13 +47,12 @@ def run_cli(argv, env_extra=None):
         [sys.executable, "-m", "rotknot", *argv],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
 class TestParsing:
     def test_anchor(self):
-        from fractions import Fraction
-
         assert parse_anchor("3/2,-1") == point_xy(Fraction(3, 2), -1)
         assert parse_anchor(" 0 , 2 ") == point_xy(0, 2)
         with pytest.raises(ValueError):
@@ -242,6 +244,35 @@ class TestClassify:
             assert anchor["value"] == {
                 "level": 4, "coeffs": [["1" + "0" * digits, "1"], ["0", "1"]]
             }
+
+    @pytest.mark.parametrize(
+        "flag, value, literal",
+        [
+            ("--anchor", "1e999999999,0", "1e999999999"),
+            ("--b-anchor", "0,-1E-999999999", "-1E-999999999"),
+            ("--side", "1e999_999_999", "1e999_999_999"),
+            ("--b-side", "1e-999999999", "1e-999999999"),
+            ("--direction", "1e999999999", "1e999999999"),
+            ("--b-direction", "1.5e+999999999", "1.5e+999999999"),
+        ],
+    )
+    def test_huge_exponent_refused(self, flag, value, literal):
+        # `Fraction` alone would build 10**999999999; the timeout makes a
+        # hang fail instead of stalling the suite
+        out = run_cli(["classify", "--p", "3", "--q", "2", f"{flag}={value}"], timeout=20)
+        assert out.returncode == 2 and out.stdout == b""
+        assert out.stderr.decode() == (
+            f"error: decimal exponent of {literal!r} exceeds {MAX_EXPONENT}\n"
+        )
+
+    def test_exponent_bound(self):
+        big = 10**MAX_EXPONENT
+        assert parse_fraction(f"2e{MAX_EXPONENT}") == 2 * big
+        assert parse_fraction(f"2E+{MAX_EXPONENT}") == 2 * big
+        assert parse_fraction(f"2e-{MAX_EXPONENT}") == Fraction(2, big)
+        for text in (f"2e{MAX_EXPONENT + 1}", f"2e-{MAX_EXPONENT + 1}"):
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_fraction(text)
 
     def test_same_spec_exit_0(self, capsys):
         code = main(["classify", "--p", "3", "--q", "2"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 from collections import deque
 from fractions import Fraction
 
@@ -297,7 +299,7 @@ def test_total_weight_matches_crossing_sum(p, q):
 
 def shift_by_loop(c: Coloring) -> dict:
     """The shifted colors arc by arc, each resolved through
-    `Coloring.color`: the reference for the cached source arcs that
+    `Coloring.color`: the reference for the source arcs that
     `shift_generic` reads."""
     return {(i, j): c.color(i + 1, j) for (i, j) in c.diagram.rep_arcs}
 
@@ -313,6 +315,46 @@ def test_shift_matches_per_arc_loop(p, q):
         s = shift_generic(c)
         assert s.diagram == d and s.quandle is c.quandle
         assert list(s.colors.items()) == list(shift_by_loop(c).items())
+
+
+def tables_by_loop(d) -> tuple[list, list, list]:
+    """rep_arcs, crossings and shift_sources of d, resolved label by label
+    through `rep`: every representative label in (i, j) order, the
+    crossing (a_{it}, a_{i0}, a_{i+1,t-1}) for each row i and
+    1 <= t <= |p|-1, and the source a_{i+1,j} of each arc."""
+    labels = [(i, j) for i in range(d.abs_q) for j in range(d.abs_p)]
+    arcs = sorted({d.rep(i, j) for i, j in labels})
+    crossings = [
+        (d.rep(i, t), d.rep(i, 0), d.rep(i + 1, t - 1))
+        for i in range(d.abs_q)
+        for t in range(1, d.abs_p)
+    ]
+    return arcs, crossings, [d.rep(i + 1, j) for i, j in arcs]
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (3, -2), (5, 2), (2, -7)])
+def test_tables_match_loops_over_rep(p, q):
+    """The tables the constructor builds, and those of a deep copy and a
+    pickle round trip, which rebuild the diagram from (p, q)."""
+    d = build_diagram(p, q)
+    assert (d.abs_p, d.abs_q, d.sign) == (abs(p), abs(q), 1 if p * q > 0 else -1)
+    arcs, crossings, sources = tables_by_loop(d)
+    for clone in (d, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert clone == d
+        assert list(clone.rep_arcs) == arcs
+        assert list(clone.crossings) == crossings
+        assert list(clone.shift_sources) == sources
+
+
+def test_missing_colors_named_in_arc_order():
+    d = build_diagram(4, 3)
+    labels = {a: n for n, a in enumerate(d.rep_arcs)}
+    for left_out in ([d.rep_arcs[4]], [d.rep_arcs[1], d.rep_arcs[7]]):
+        # the missing arcs are named in arc order, not in the order given
+        colors = {a: labels[a] for a in reversed(d.rep_arcs) if a not in left_out}
+        with pytest.raises(ValueError) as err:
+            Coloring(d, None, colors)
+        assert str(err.value) == f"missing colors for arcs {left_out}"
 
 
 class TestGenericMoves:

@@ -162,11 +162,14 @@ def test_normalized_fields():
 
 
 def test_diagram_lists_cached_outside_equality():
-    fresh, used = TorusDiagram(4, 3), TorusDiagram(4, 3)
-    assert used.crossings is used.crossings and used.rep_arcs is used.rep_arcs
-    assert len(used.crossings) == 9 and len(used.rep_arcs) == 9
-    assert fresh == used and hash(fresh) == hash(used) == hash((4, 3))
-    assert repr(used) == "TorusDiagram(p=4, q=3)"
+    """The constructor builds the tables; equality, hash and repr read
+    (p, q) alone."""
+    d = TorusDiagram(4, 3)
+    assert (d.abs_p, d.abs_q, d.sign) == (4, 3, 1)
+    assert len(d.rep_arcs) == len(d.crossings) == len(d.shift_sources) == 9
+    assert d == TorusDiagram(4, 3) and hash(d) == hash((4, 3))
+    assert d != TorusDiagram(4, -3)
+    assert repr(d) == "TorusDiagram(p=4, q=3)"
 
 
 def test_cli_import_loads_no_heavy_modules():
