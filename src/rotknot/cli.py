@@ -142,14 +142,14 @@ def _write_output(pieces, out: str | None) -> None:
 def cmd_enumerate(p: int, q: int) -> dict:
     """One row per (k, l): turn, reduced types, parity, and both weights."""
     from .diagram import (
-        build_diagram,
+        check_torus_type,
         closed_form_weight,
         lattice_alpha,
         reduced_types,
         theta,
     )
 
-    build_diagram(p, q)
+    check_torus_type(p, q)
     check_level_cap(lcm(abs(p), abs(q)))
     rows = []
     for k in range(1, abs(p)):

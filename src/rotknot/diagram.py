@@ -1,9 +1,8 @@
 """Torus-knot diagrams, colorings, cocycle weights, and generic moves.
 
-The numbers of a coloring family (k, l) of D(p, q) live here too: its
-rolling turn `theta`, its reduced types p', q' and its `lattice_alpha`.
-`enumerate` reads them without building a trochoid, and
-`trochoid.TrochoidSpec` derives its own from them.
+The numbers of a coloring family (k, l) of D(p, q) live here too, so that
+`enumerate` reads them without building a trochoid: its rolling turn
+`theta`, its reduced types p', q' and its `lattice_alpha`.
 
 The diagram D(p, q) is realized as the closure of the |p|-strand braid
 (sigma_1 ... sigma_{|p|-1})^{|q|}: arcs carry labels a_{ij} for
@@ -26,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .exactnum import Cyc, Turn, _area_sum
 from .geom import Point, polygon_area
@@ -35,6 +34,14 @@ from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
 Arc = tuple[int, int]
+
+
+def check_torus_type(p: int, q: int) -> None:
+    """ValueError unless |p|, |q| >= 2 and p, q are coprime; builds nothing."""
+    if abs(p) < 2 or abs(q) < 2:
+        raise ValueError("need |p|, |q| >= 2")
+    if gcd(p, q) != 1:
+        raise ValueError(f"({p}, {q}) is not coprime")
 
 
 class TorusDiagram(Frozen):
@@ -56,17 +63,15 @@ class TorusDiagram(Frozen):
     )
 
     def __init__(self, p: int, q: int):
-        if abs(p) < 2 or abs(q) < 2:
-            raise ValueError("need |p|, |q| >= 2")
-        if gcd(p, q) != 1:
-            raise ValueError(f"({p}, {q}) is not coprime")
+        check_torus_type(p, q)
         ap, aq = abs(p), abs(q)
         arcs = tuple((i, j) for i in range(aq) for j in range(ap - 1))
-        for name, value in (
-            ("p", p), ("q", q), ("abs_p", ap), ("abs_q", aq),
-            ("sign", 1 if p * q > 0 else -1), ("rep_arcs", arcs),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "abs_p", ap)
+        object.__setattr__(self, "abs_q", aq)
+        object.__setattr__(self, "sign", 1 if p * q > 0 else -1)
+        object.__setattr__(self, "rep_arcs", arcs)
         rep = self.rep
         crossings = tuple(
             (rep(i, t), rep(i, 0), rep(i + 1, t - 1))
@@ -78,11 +83,8 @@ class TorusDiagram(Frozen):
 
     def rep(self, i: int, j: int) -> Arc:
         """Representative label of the arc a_{ij}."""
-        i %= self.abs_q
-        j %= self.abs_p
-        if j == self.abs_p - 1:
-            return ((i - 1) % self.abs_q, 0)
-        return (i, j)
+        i, j = i % self.abs_q, j % self.abs_p
+        return ((i - 1) % self.abs_q, 0) if j == self.abs_p - 1 else (i, j)
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +208,7 @@ def lattice_alpha(p: int, q: int, k: int, l: int) -> int:
     """alpha = p'q'/2 when p'q' is even and p'q' when it is odd: the anchor
     lattice of the family (k, l) of D(p, q) is spanned by 2*alpha unit
     directions."""
-    pp, qp = reduced_types(p, q, k, l)
-    pq = pp * qp
+    pq = prod(reduced_types(p, q, k, l))
     return pq // 2 if pq % 2 == 0 else pq
 
 

@@ -20,6 +20,7 @@ from .diagram import (
     breadth_first,
     build_diagram,
     check_coloring,
+    check_torus_type,
     lattice_alpha,
     reduced_types,
     shift_generic,
@@ -77,7 +78,7 @@ class TrochoidSpec(Frozen):
         side: Fraction = Fraction(1),
         chirality: int = 1,
     ):
-        build_diagram(p, q)
+        check_torus_type(p, q)
         if not 1 <= k <= abs(p) - 1:
             raise ValueError(f"k={k} outside [1, {abs(p) - 1}]")
         if not 1 <= l <= abs(q) - 1:

@@ -327,6 +327,33 @@ class TestClassify:
         assert main(["verify", "appendix", "--level", "241"]) == 2
         assert "session level 241 exceeds cap 240" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, level", [("enumerate", 900720143), ("classify", 3602880572)]
+    )
+    def test_level_cap_checked_before_diagram_tables(self, command, level, monkeypatch):
+        # D(30011, 30013) has about 9e8 crossings: building its tables before
+        # the cap would run out of memory, and the timeout catches a slow build
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        out = run_cli([command, "--p", "30011", "--q", "30013"], timeout=20)
+        assert out.returncode == 2 and out.stdout == b""
+        assert out.stderr.decode() == (
+            f"error: session level {level} exceeds cap 240 "
+            "(raise QT_SESSION_LEVEL_CAP to allow)\n"
+        )
+
+    def test_validation_builds_no_diagram(self, monkeypatch):
+        from rotknot.diagram import build_diagram
+        from rotknot.exactnum import LevelError
+        from rotknot.trochoid import TrochoidSpec
+
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        info = build_diagram.cache_info()
+        TrochoidSpec(1009, 1013, 1, 1)
+        with pytest.raises(LevelError):
+            cmd_enumerate(1009, 1013)
+        after = build_diagram.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses
+
     @pytest.mark.parametrize("value", ["abc", "", "0", "-5"])
     def test_bad_level_cap_named(self, value, capsys, monkeypatch):
         monkeypatch.setenv("QT_SESSION_LEVEL_CAP", value)
