@@ -515,21 +515,28 @@ _FD = ("switch", "shift", "switch", "shift")
 
 def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
     """A move word carrying a to b, built from the move group, or None
-    when b lies outside the group orbit of a.
+    when b lies outside the orbit of a.
 
     A word acts on the resolved (anchor, direction) as a pair (x, r):
     the anchor gains side * u(d) * x and the direction gains r, and
-    (x1, r1)(x2, r2) = (x1 + u(r1) x2, r1 + r2).  Shift is (1, l/|q|),
-    switch is (1, 1/2), and the fundamental deformation is F = (0, theta)
-    with theta of order N = p'q'.  For m with m theta = l/|q|, the words
-    step = shift F^(N-m) and back = F^m shift^(q'-1) are the translations
-    (1, 0) and (-1, 0), so the group is Z[zeta_N] x| <F>.  Writing
-    x = sum_i c_i u(i theta), the Horner word
+    (x1, r1)(x2, r2) = (x1 + u(r1) x2, r1 + r2).  Shift is (1, l/|q|) on
+    D(p, q) and (1, -k/|p|) on D(q, p), switch is (1, 1/2), and the
+    fundamental deformation is F = (0, theta) with theta of order
+    N = p'q'.  For m with m theta = l/|q|, the words step = shift F^(N-m)
+    and back = F^m shift^(q'-1) are the translations (1, 0) and (-1, 0).
+    Writing x = sum_i c_i u(i theta), the Horner word
     step^c_0 F step^c_1 F ... step^c_last reaches b's anchor, and a final
-    power of F turns to b's direction.  So b is in the orbit exactly when
-    its anchor is in the lattice and its direction is a's plus whole
-    turns theta; for odd N the lattice level 2N changes nothing, as a
-    minimal level is never 2 mod 4.
+    power of F turns to b's direction.
+
+    The orbit is exactly what this test accepts, for both parities of
+    N.  A same-side word has an even number of switches, so its r lies
+    in (1/q')Z + (1/p')Z = (1/N)Z, and its x, a sum of units u(r') with
+    r' in (1/N)Z or 1/2 + (1/N)Z, lies in Z[zeta_N].  The test accepts
+    whole turns theta and x in Z[zeta_(2 alpha)], which is Z[zeta_N]:
+    2 alpha = N for even N, and zeta_2N = -zeta_N^((N+1)/2) for odd N,
+    where x's least level, never 2 mod 4, divides N.
+    Conversely the Horner words reach all of Z[zeta_N] x| <F>.  So every
+    word that any search finds carries a to a target this test accepts.
     """
     n = a.p_prime * a.q_prime
     lat = lattice_for(a)
@@ -560,13 +567,16 @@ def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
     """Decide whether the colorings of a and b are R-equivalent.
 
     Necessary conditions first: same (k, l) and same side length; then
-    both session levels are checked against the cap.  When
-    p'q' is even, membership in the move group decides the question
-    (it coincides with the anchor-lattice and direction test); the word
-    is a shortest one when one of at most 4 moves exists, and the
+    both session levels are checked against the cap.  When p'q' is
+    even, membership in the move group decides the question (it
+    coincides with the anchor-lattice and direction test); the word is
+    a shortest one when one of at most 4 moves exists, and the
     group-built word otherwise.  When p'q' is odd only a breadth-first
-    search of at most 12 moves runs; failure to find a word is reported
-    as Undetermined, never as NotEquivalent.  Every Equivalent verdict's
+    search of at most 12 moves runs, and finding no word is reported as
+    Undetermined, never as NotEquivalent.  By the orbit theorem of
+    `_group_witness`, that search never finds a word for a target
+    outside the group orbit, so deciding odd p'q' by the group could
+    only turn Undetermined into Equivalent.  Every Equivalent verdict's
     word is replayed against the actual colorings before being returned.
     """
     if (a.p, a.q) != (b.p, b.q):

@@ -201,30 +201,31 @@ def _random_rot(rng) -> RotElem:
     return RotElem(center, Turn(rng.randrange(1, den), den))
 
 
+def _check(name: str, cases: list, holds) -> tuple[str, bool, str]:
+    """The (name, ok, detail) row of one check: ok when holds(*case) is
+    true for every case, tried in order up to the first counterexample,
+    which the detail names with the case count.  No cases is a failure."""
+    if not cases:
+        return name, False, "no cases"
+    bad = next((case for case in cases if not holds(*case)), None)
+    return name, bad is None, f"counterexample {bad} among {len(cases)} cases"
+
+
 def _axiom_checks(name: str, quandle, triples) -> list[tuple[str, bool, str]]:
-    """Quandle axioms Q1-Q3 over the given (x, y, z) triples, each with
-    its first counterexample."""
+    """Quandle axioms Q1-Q3 over the given (x, y, z) triples."""
     op, inv = quandle.op, quandle.inv_op
-    bad1 = next((x for (x, _, _) in triples if op(x, x) != x), None)
-    bad2 = next(
-        (
-            (x, y)
-            for (x, y, _) in triples
-            if op(inv(x, y), y) != x or inv(op(x, y), y) != x
-        ),
-        None,
-    )
-    bad3 = next(
-        (
-            (x, y, z)
-            for (x, y, z) in triples
-            if op(op(x, y), z) != op(op(x, z), op(y, z))
-        ),
-        None,
-    )
     return [
-        (f"axioms.{name}.Q{i}", bad is None, f"counterexample {bad}")
-        for i, bad in enumerate((bad1, bad2, bad3), 1)
+        _check(f"axioms.{name}.Q1", triples, lambda x, y, z: op(x, x) == x),
+        _check(
+            f"axioms.{name}.Q2",
+            triples,
+            lambda x, y, z: op(inv(x, y), y) == x and inv(op(x, y), y) == x,
+        ),
+        _check(
+            f"axioms.{name}.Q3",
+            triples,
+            lambda x, y, z: op(op(x, y), z) == op(op(x, z), op(y, z)),
+        ),
     ]
 
 
@@ -247,24 +248,19 @@ def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
     import random
 
     rng = random.Random(20240823)
-    checks = []
-    bad_diag = None
-    for _ in range(200):
-        o = point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-        x = _random_rot(rng)
-        if not cocycle_phi(o, x, x).is_zero():
-            bad_diag = (o, x)
-            break
-    checks.append(("cocycle.QC2", bad_diag is None, f"counterexample {bad_diag}"))
-    bad_qc1 = None
-    for _ in range(200):
-        o = point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-        x, y, z = _random_rot(rng), _random_rot(rng), _random_rot(rng)
-        if not verify_qc1(o, x, y, z).is_zero():
-            bad_qc1 = (o, x, y, z)
-            break
-    checks.append(("cocycle.QC1", bad_qc1 is None, f"counterexample {bad_qc1}"))
-    return checks
+
+    def base_point() -> Point:
+        return point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+
+    pairs = [(base_point(), _random_rot(rng)) for _ in range(200)]
+    quads = [
+        (base_point(), _random_rot(rng), _random_rot(rng), _random_rot(rng))
+        for _ in range(200)
+    ]
+    return [
+        _check("cocycle.QC2", pairs, lambda o, x: cocycle_phi(o, x, x).is_zero()),
+        _check("cocycle.QC1", quads, lambda *case: verify_qc1(*case).is_zero()),
+    ]
 
 
 def _suite_weights(args) -> list[tuple[str, bool, str]]:
@@ -273,29 +269,25 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
 
     grid = FULL_GRID if args.grid == "full" else SMALL_GRID
     extra_o = [point_xy(2, -1), point_xy(Fraction(-1, 2), 3)]
-    checks = []
-    for (p, q) in grid:
-        detail = ""
-        ok = True
-        for k in range(1, abs(p)):
-            for l in range(1, abs(q)):
-                s = TrochoidSpec(p, q, k, l)
-                c = derive_coloring(s)
-                direct = total_weight(c, ORIGIN)
-                closed = closed_form_weight(p, q, k, l)
-                if direct != closed:
-                    ok, detail = False, f"(k={k}, l={l}) direct != closed form"
-                    break
-                if direct.is_zero():
-                    ok, detail = False, f"(k={k}, l={l}) weight is zero"
-                    break
-                if any(total_weight(c, o) != direct for o in extra_o):
-                    ok, detail = False, f"(k={k}, l={l}) depends on base point"
-                    break
-            if not ok:
-                break
-        checks.append((f"weights.D({p},{q})", ok, detail))
-    return checks
+
+    def holds(p: int, q: int, k: int, l: int) -> bool:
+        """The crossing sum is the closed form, nonzero, at every base point."""
+        c = derive_coloring(TrochoidSpec(p, q, k, l))
+        direct = total_weight(c, ORIGIN)
+        return (
+            direct == closed_form_weight(p, q, k, l)
+            and not direct.is_zero()
+            and all(total_weight(c, o) == direct for o in extra_o)
+        )
+
+    return [
+        _check(
+            f"weights.D({p},{q})",
+            [(p, q, k, l) for k in range(1, abs(p)) for l in range(1, abs(q))],
+            holds,
+        )
+        for (p, q) in grid
+    ]
 
 
 def _suite_appendix(args) -> list[tuple[str, bool, str]]:
@@ -339,11 +331,13 @@ def _suite_orbit(args) -> list[tuple[str, bool, str]]:
     )
     s = TrochoidSpec(2, 3, 1, 1)
     depth = 4 if args.depth is None else args.depth
-    words_ok = all(
-        same_trochoid(replay_spec(word, s), spec)
-        for spec, word in orbit_bfs(s, depth)
+    checks.append(
+        _check(
+            "orbit.trochoid-words",
+            orbit_bfs(s, depth),
+            lambda spec, word: same_trochoid(replay_spec(word, s), spec),
+        )
     )
-    checks.append(("orbit.trochoid-words", words_ok, "a witness failed to replay"))
     return checks
 
 
@@ -361,15 +355,7 @@ def cmd_verify(suite: str, args) -> tuple[str, int]:
         if getattr(args, flag) is not None and suite != owner:
             raise ValueError(f"--{flag} applies only to verify {owner}")
     checks = SUITES[suite](args)
-    lines = []
-    failures = 0
-    for name, ok, detail in checks:
-        if ok:
-            lines.append(f"PASS {name}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {name}: {detail}")
-    lines.append(
-        f"suite {suite}: {len(checks) - failures}/{len(checks)} checks passed"
-    )
-    return "\n".join(lines) + "\n", 0 if failures == 0 else 1
+    lines = [f"PASS {name}" if ok else f"FAIL {name}: {detail}" for name, ok, detail in checks]
+    passed = sum(ok for _, ok, _ in checks)
+    lines.append(f"suite {suite}: {passed}/{len(checks)} checks passed")
+    return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1

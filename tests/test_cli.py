@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,8 @@ from rotknot.cli import (
     parse_fraction,
     parse_turn,
 )
-from rotknot.exactnum import Turn
+from rotknot import trochoid, verify
+from rotknot.exactnum import Cyc, Turn
 from rotknot.geom import point_xy
 
 
@@ -418,12 +421,78 @@ class TestVerify:
             main(["verify", "nonsense"])
 
     def test_suite_choices_match_the_suites(self):
-        from rotknot import verify
-
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")
         suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
         assert list(suite.choices) == sorted(verify.SUITES)
+
+    def test_check_with_no_cases_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "orbit_bfs", lambda spec, depth: [])
+        assert main(["verify", "orbit"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL orbit.trochoid-words: no cases\n" in out
+        assert out.endswith("suite orbit: 1/2 checks passed\n")
+
+    def test_fail_line_names_first_case_and_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "cocycle_phi", lambda o, x, y: Cyc.one())
+        assert main(["verify", "cocycle"]) == 1
+        pairs, _ = cocycle_cases()
+        assert f"FAIL cocycle.QC2: counterexample {pairs[0]} among 200 cases\n" in (
+            capsys.readouterr().out
+        )
+
+    def test_suites_keep_every_case(self, monkeypatch):
+        """The cocycle and weights suites try every case, in order, against
+        reference lists built here one case at a time."""
+        phi, derive = verify.cocycle_phi, trochoid.derive_coloring
+        calls = []
+
+        def record_phi(o, x, y):
+            calls.append(("phi", o, x, y))
+            return phi(o, x, y)
+
+        def record_qc1(*case):
+            calls.append(("qc1", *case))
+            return Cyc.zero()
+
+        def record_derive(spec):
+            calls.append((spec.p, spec.q, spec.k, spec.l))
+            return derive(spec)
+
+        monkeypatch.setattr(verify, "cocycle_phi", record_phi)
+        monkeypatch.setattr(verify, "verify_qc1", record_qc1)
+        monkeypatch.setattr(trochoid, "derive_coloring", record_derive)
+        verify._suite_cocycle(SimpleNamespace())
+        pairs, quads = cocycle_cases()
+        assert calls == [("phi", o, x, x) for o, x in pairs] + [("qc1", *c) for c in quads]
+        for grid, diagrams in (
+            (None, [(2, 3), (3, 2), (3, 4), (4, 3)]),
+            ("full", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]),
+        ):
+            calls.clear()
+            verify._suite_weights(SimpleNamespace(grid=grid))
+            expected = []
+            for (p, q) in diagrams:
+                for k in range(1, abs(p)):
+                    for l in range(1, abs(q)):
+                        expected.append((p, q, k, l))
+            assert calls == expected, grid
+
+
+def cocycle_cases():
+    """The (o, x) pairs and (o, x, y, z) quadruples of `verify cocycle`,
+    drawn one at a time from its seeded generator."""
+    rng = random.Random(20240823)
+    pairs, quads = [], []
+    for _ in range(200):
+        o = point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+        x = verify._random_rot(rng)
+        pairs.append((o, x))
+    for _ in range(200):
+        o = point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+        x, y, z = verify._random_rot(rng), verify._random_rot(rng), verify._random_rot(rng)
+        quads.append((o, x, y, z))
+    return pairs, quads
 
 
 class TestRender:

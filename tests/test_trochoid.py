@@ -661,6 +661,30 @@ class TestClassifyByGroup:
                         group_word = _group_witness(s, state)
                         assert same_trochoid(replay_spec(group_word, s), state)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            TrochoidSpec(3, 2, 1, 1),
+            TrochoidSpec(4, 3, 1, 2),
+            TrochoidSpec(5, 3, 2, 1),
+            TrochoidSpec(3, 5, 1, 1),
+            TrochoidSpec(7, 3, 2, 1),
+            TrochoidSpec(3, -2, 1, 1, point_xy(1, 2), Turn(1, 3), Fraction(3, 2), -1),
+            TrochoidSpec(-5, 3, 2, 1, point_xy(Fraction(1, 2), -1), Turn(1, 4), Fraction(2), -1),
+            TrochoidSpec(3, -5, 1, 1, point_xy(-1, 3), Turn(5, 12), Fraction(3, 2), -1),
+        ],
+    )
+    def test_bounded_search_finds_only_group_members(self, a):
+        # every state within 6 moves has a group word, at odd p'q' too, so
+        # deciding odd p'q' by the group can only turn Undetermined into
+        # a replayed Equivalent
+        states = orbit_bfs(a, 6)
+        assert len(states) > 1
+        for state, _ in states:
+            word = _group_witness(a, state)
+            assert word is not None
+            assert same_trochoid(replay_spec(word, a), state)
+
     @settings(max_examples=90, deadline=None, derandomize=True)
     @given(st.data())
     def test_even_verdict_is_lattice_membership(self, data):
