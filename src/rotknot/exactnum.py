@@ -68,8 +68,15 @@ def check_level_cap(level: int) -> int:
                 f"QT_SESSION_LEVEL_CAP must be a positive integer, got {raw!r}"
             )
     if level > cap:
+        shown = level
+        if level > 2**64:
+            # named by its digit count: the estimate from the bit length
+            # is off by at most one either way, and the powers correct it
+            digits = int((level.bit_length() - 1) * math.log10(2)) + 1
+            digits += (level >= 10**digits) - (level < 10 ** (digits - 1))
+            shown = f"of {digits} digits"
         raise LevelError(
-            f"session level {level} exceeds cap {cap} "
+            f"session level {shown} exceeds cap {cap} "
             "(raise QT_SESSION_LEVEL_CAP to allow)",
             required_level=level,
         )

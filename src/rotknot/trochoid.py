@@ -513,38 +513,42 @@ def _bfs_witness(a: TrochoidSpec, b: TrochoidSpec, max_moves: int) -> MoveSeq | 
 _FD = ("switch", "shift", "switch", "shift")
 
 
-def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
-    """A move word carrying a to b, built from the move group, or None
-    when b lies outside the orbit of a.
+def _group_element(a: TrochoidSpec, b: TrochoidSpec) -> tuple[Cyc, int] | None:
+    """The move-group element (x, r/N) carrying a to b, or None when b
+    lies outside the orbit of a.
 
     A word acts on the resolved (anchor, direction) as a pair (x, r):
     the anchor gains side * u(d) * x and the direction gains r, and
     (x1, r1)(x2, r2) = (x1 + u(r1) x2, r1 + r2).  Shift is (1, l/|q|) on
     D(p, q) and (1, -k/|p|) on D(q, p), switch is (1, 1/2), and the
     fundamental deformation is F = (0, theta) with theta of order
-    N = p'q'.  For m with m theta = l/|q|, the words step = shift F^(N-m)
-    and back = F^m shift^(q'-1) are the translations (1, 0) and (-1, 0).
-    Writing x = sum_i c_i u(i theta), the Horner word
-    step^c_0 F step^c_1 F ... step^c_last reaches b's anchor, and a final
-    power of F turns to b's direction.
-
-    The orbit is exactly what this test accepts, for both parities of
-    N.  A same-side word has an even number of switches, so its r lies
-    in (1/q')Z + (1/p')Z = (1/N)Z, and its x, a sum of units u(r') with
-    r' in (1/N)Z or 1/2 + (1/N)Z, lies in Z[zeta_N].  The test accepts
-    whole turns theta and x in Z[zeta_(2 alpha)], which is Z[zeta_N]:
-    2 alpha = N for even N, and zeta_2N = -zeta_N^((N+1)/2) for odd N,
-    where x's least level, never 2 mod 4, divides N.
-    Conversely the Horner words reach all of Z[zeta_N] x| <F>.  So every
-    word that any search finds carries a to a target this test accepts.
+    N = p'q'.  The orbit is exactly what this test accepts, for both
+    parities of N.  A same-side word has an even number of switches, so
+    its r lies in (1/q')Z + (1/p')Z = (1/N)Z, and its x, a sum of units
+    u(r') with r' in (1/N)Z or 1/2 + (1/N)Z, lies in Z[zeta_N].  The
+    test accepts whole turns theta and x in Z[zeta_(2 alpha)], which is
+    Z[zeta_N]: 2 alpha = N for even N, and zeta_2N = -zeta_N^((N+1)/2)
+    for odd N, where x's least level, never 2 mod 4, divides N.
+    Conversely the words of `_group_witness` reach all of
+    Z[zeta_N] x| <F>, so no search finds a word for a rejected target.
     """
     n = a.p_prime * a.q_prime
     lat = lattice_for(a)
     b0, d1 = b.resolved()
     turns = (d1 - lat.base_direction).fraction * n
     x = _lattice_coordinate(lat, b0) if turns.denominator == 1 else None
-    if x is None:
-        return None
+    return None if x is None else (x, int(turns))
+
+
+def _group_witness(a: TrochoidSpec, x: Cyc, turns: int) -> MoveSeq:
+    """A move word carrying a by the group element (x, turns/N) of
+    `_group_element`.  For m with m theta = l/|q|, the words
+    step = shift F^(N-m) and back = F^m shift^(q'-1) are the
+    translations (1, 0) and (-1, 0).  Writing x = sum_i c_i u(i theta),
+    the Horner word step^c_0 F step^c_1 F ... step^c_last reaches the
+    anchor, and a final power of F turns to the direction.
+    """
+    n = a.p_prime * a.q_prime
     # u(i theta) = zeta_N^(i j0): the coefficient of zeta_N^e goes to slot e / j0
     inv = pow(int(a.theta.fraction * n), -1, n)
     m = a.l_prime * (n // a.q_prime) * inv % n
@@ -559,25 +563,22 @@ def _group_witness(a: TrochoidSpec, b: TrochoidSpec) -> MoveSeq | None:
         if i:
             word += _FD
         word += (step if slots[i] > 0 else back) * abs(slots[i])
-    word += _FD * ((int(turns) * inv - last) % n)
+    word += _FD * ((turns * inv - last) % n)
     return MoveSeq(tuple(word))
 
 
 def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
     """Decide whether the colorings of a and b are R-equivalent.
 
-    Necessary conditions first: same (k, l) and same side length; then
-    both session levels are checked against the cap.  When p'q' is
-    even, membership in the move group decides the question (it
-    coincides with the anchor-lattice and direction test); the word is
-    a shortest one when one of at most 4 moves exists, and the
-    group-built word otherwise.  When p'q' is odd only a breadth-first
-    search of at most 12 moves runs, and finding no word is reported as
-    Undetermined, never as NotEquivalent.  By the orbit theorem of
-    `_group_witness`, that search never finds a word for a target
-    outside the group orbit, so deciding odd p'q' by the group could
-    only turn Undetermined into Equivalent.  Every Equivalent verdict's
-    word is replayed against the actual colorings before being returned.
+    In order: (k, l) and the side length must agree, and both session
+    levels must pass the cap.  Then the move group decides at both
+    parities of p'q': b outside the orbit of a is NotEquivalent
+    (LatticeMismatch) for even p'q' and Undetermined for odd, and no
+    word reaches it (`_group_element`), so nothing is searched.  For b
+    in the orbit, a search of at most 4 moves (12 for odd p'q') gives a
+    shortest word; failing that, the group word, whose length grows with
+    the distance, stands in for even p'q', and odd p'q' is Undetermined.
+    Every Equivalent verdict's word is replayed on the colorings first.
     """
     if (a.p, a.q) != (b.p, b.q):
         raise ValueError("classification needs two colorings of one diagram")
@@ -589,23 +590,20 @@ def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
     session_level(a)
     session_level(b)
     pq = a.p_prime * a.q_prime
-    if pq % 2 == 0:
-        group_word = _group_witness(a, b)
-        if group_word is None:
+    element = _group_element(a, b)
+    witness = None if element is None else _bfs_witness(a, b, 12 if pq % 2 else 4)
+    if witness is None and pq % 2 == 0:
+        if element is None:
             return ClassificationResult("NotEquivalent", reason=LATTICE_MISMATCH)
-        witness = _bfs_witness(a, b, 4)
-        if witness is None:
-            witness = group_word
-    else:
-        witness = _bfs_witness(a, b, 12)
-        if witness is None:
-            v_sigma, v_tau = v_sets_sigma_tau(a)
-            note = (
-                f"p'q' = {pq} is odd: bounded search found no move word; "
-                "the theory leaves this case open. "
-                f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
-            )
-            return ClassificationResult("Undetermined", note=note)
+        witness = _group_witness(a, *element)
+    if witness is None:
+        v_sigma, v_tau = v_sets_sigma_tau(a)
+        note = (
+            f"p'q' = {pq} is odd: bounded search found no move word; "
+            "the theory leaves this case open. "
+            f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
+        )
+        return ClassificationResult("Undetermined", note=note)
     if replay(witness, derive_coloring(a)) != derive_coloring(b):
         raise ContradictionError("witness replay failed")
     return ClassificationResult("Equivalent", witness=witness)

@@ -27,7 +27,6 @@ from .exactnum import (
 )
 from .geom import ORIGIN, Point, point_xy
 from .quandle import ROT, RotElem, cocycle_phi
-from .value import Frozen
 
 SMALL_GRID = [(2, 3), (3, 2), (3, 4), (4, 3)]
 FULL_GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
@@ -37,40 +36,22 @@ FULL_GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
 # the dihedral quandles and the cocycle condition
 
 
-class DihedralElem(Frozen):
-    """An element of the dihedral quandle on Z/nZ."""
-
-    __slots__ = _fields = ("n", "value")
-
-    def __init__(self, n: int, value: int):
-        if n < 3:
-            raise ValueError("dihedral quandle needs n >= 3")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value % n)
-
-
 class DihedralQuandle:
-    """x * y = 2y - x mod n; involutory, so inv_op coincides with op."""
+    """The dihedral quandle R_n on the residues 0..n-1: x * y = 2y - x
+    mod n; involutory, so inv_op coincides with op."""
 
     def __init__(self, n: int):
         if n < 3:
             raise ValueError("dihedral quandle needs n >= 3")
         self.n = n
 
-    def _check(self, *xs: DihedralElem):
-        for x in xs:
-            if not isinstance(x, DihedralElem) or x.n != self.n:
-                raise ValueError(f"element {x!r} not in dihedral quandle of order {self.n}")
+    def op(self, x: int, y: int) -> int:
+        return (2 * y - x) % self.n
 
-    def op(self, x: DihedralElem, y: DihedralElem) -> DihedralElem:
-        self._check(x, y)
-        return DihedralElem(self.n, 2 * y.value - x.value)
+    inv_op = op
 
-    def inv_op(self, x: DihedralElem, y: DihedralElem) -> DihedralElem:
-        return self.op(x, y)
-
-    def elements(self) -> list[DihedralElem]:
-        return [DihedralElem(self.n, v) for v in range(self.n)]
+    def elements(self) -> list[int]:
+        return list(range(self.n))
 
     def __repr__(self) -> str:
         return f"DihedralQuandle({self.n})"

@@ -27,7 +27,6 @@ from rotknot.quandle import ROT, RotElem, cocycle_phi
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 from rotknot.verify import (
     FULL_GRID,
-    DihedralElem,
     DihedralQuandle,
     coloring_orbit,
     enumerate_colorings_finite,
@@ -156,14 +155,14 @@ class TestValidation:
         q3 = DihedralQuandle(3)
         for p, q in ((2, 3), (3, 2), (4, 3), (3, -2)):
             d = build_diagram(p, q)
-            c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
+            c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, 1))
             check_coloring(c)
 
     def test_perturbed_trivial_reports_crossing(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(2, 3)
-        colors = {a: DihedralElem(3, 0) for a in d.rep_arcs}
-        colors[(1, 0)] = DihedralElem(3, 1)
+        colors = {a: 0 for a in d.rep_arcs}
+        colors[(1, 0)] = 1
         with pytest.raises(ValueError, match=r"crossing \(row \d+, t \d+\).*differs"):
             check_coloring(Coloring(d, q3, colors))
 
@@ -212,7 +211,7 @@ class TestEnumeration:
         assert a == b
         first = a[0]
         assert first.is_trivial()
-        assert first.color(0, 0) == DihedralElem(3, 0)
+        assert first.color(0, 0) == 0
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(verify, "SEED_BUDGET", 5)
@@ -367,7 +366,7 @@ class TestGenericMoves:
     def test_shift_of_trivial(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(2, 3)
-        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 2)))
+        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, 2))
         assert shift_generic(c) == c
 
     def test_shift_orbit_is_finite(self):
@@ -392,7 +391,7 @@ class TestGenericMoves:
     def test_switch_of_trivial(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(2, 3)
-        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
+        c = Coloring(d, q3, dict.fromkeys(d.rep_arcs, 1))
         s = switch_generic(c)
         assert (s.diagram.p, s.diagram.q) == (3, 2)
         assert s.is_trivial()
@@ -433,8 +432,7 @@ class TestGenericMoves:
     def test_switch_rejects_invalid_coloring(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(2, 3)
-        colors = {(0, 0): DihedralElem(3, 0), (1, 0): DihedralElem(3, 0),
-                  (2, 0): DihedralElem(3, 1)}
+        colors = {(0, 0): 0, (1, 0): 0, (2, 0): 1}
         with pytest.raises(ValueError, match="not a valid coloring"):
             switch_generic(Coloring(d, q3, colors))
 
@@ -457,8 +455,8 @@ class TestGenericMoves:
     def test_orbit_rejects_invalid_coloring(self):
         q3 = DihedralQuandle(3)
         d = build_diagram(3, 2)
-        colors = dict.fromkeys(d.rep_arcs, DihedralElem(3, 0))
-        colors[(0, 0)] = DihedralElem(3, 1)
+        colors = dict.fromkeys(d.rep_arcs, 0)
+        colors[(0, 0)] = 1
         with pytest.raises(ValueError, match="not a valid coloring"):
             coloring_orbit(Coloring(d, q3, colors))
 
@@ -467,7 +465,7 @@ class TestGenericMoves:
         # spends 252 operations here
         counter = CountingQuandle(DihedralQuandle(3))
         d = build_diagram(9, 8)
-        c = Coloring(d, counter, dict.fromkeys(d.rep_arcs, DihedralElem(3, 1)))
+        c = Coloring(d, counter, dict.fromkeys(d.rep_arcs, 1))
         s = switch_generic(c)
         assert s.is_trivial() and len(s.diagram.crossings) == 63
         assert counter.calls == 63

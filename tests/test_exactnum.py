@@ -16,6 +16,7 @@ from rotknot import exactnum
 from rotknot.exactnum import (
     ContradictionError,
     Cyc,
+    LevelError,
     NonIntegralError,
     Turn,
     cyc_from_json,
@@ -25,6 +26,7 @@ from rotknot.exactnum import (
     enumerate_unit_elements,
     turn_from_json,
     turn_to_json,
+    check_level_cap,
     turn_to_root,
 )
 
@@ -482,6 +484,30 @@ class TestEnumerateUnits:
         a = enumerate_unit_elements(4)
         b = enumerate_unit_elements(4)
         assert a == b
+
+
+class TestLevelCap:
+    def refusal(self, level, monkeypatch):
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        with pytest.raises(LevelError) as exc:
+            check_level_cap(level)
+        assert exc.value.required_level == level
+        return str(exc.value)
+
+    def test_huge_level_named_by_digit_count(self, monkeypatch):
+        # a level past 2**64 is named by its digit count, not written out
+        tail = " exceeds cap 240 (raise QT_SESSION_LEVEL_CAP to allow)"
+        assert self.refusal(2**64, monkeypatch) == f"session level {2**64}{tail}"
+        assert self.refusal(2**64 + 1, monkeypatch) == f"session level of 20 digits{tail}"
+        assert self.refusal(10**100000, monkeypatch) == (
+            f"session level of 100001 digits{tail}"
+        )
+
+    def test_digit_count_exact_at_every_power_of_ten(self, monkeypatch):
+        for k in range(20, 1200):
+            for level in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k):
+                digits = int(self.refusal(level, monkeypatch).split()[3])
+                assert digits == len(str(level)), level
 
 
 class TestTurn:

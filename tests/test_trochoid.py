@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotknot import verify
+from rotknot import trochoid, verify
 from rotknot.diagram import (
     breadth_first,
     check_coloring,
@@ -30,6 +30,7 @@ from rotknot.exactnum import (
 from rotknot.geom import ORIGIN, point_xy, polygon_vertices, rotate
 from rotknot.trochoid import (
     _bfs_witness,
+    _group_element,
     _group_witness,
     ClassificationResult,
     KL_MISMATCH,
@@ -658,7 +659,7 @@ class TestClassifyByGroup:
                     for state, word in orbit_bfs(s, 4):
                         r = classify(s, state)
                         assert r.verdict == "Equivalent" and r.witness == word
-                        group_word = _group_witness(s, state)
+                        group_word = _group_witness(s, *_group_element(s, state))
                         assert same_trochoid(replay_spec(group_word, s), state)
 
     @pytest.mark.parametrize(
@@ -681,15 +682,17 @@ class TestClassifyByGroup:
         states = orbit_bfs(a, 6)
         assert len(states) > 1
         for state, _ in states:
-            word = _group_witness(a, state)
-            assert word is not None
-            assert same_trochoid(replay_spec(word, a), state)
+            element = _group_element(a, state)
+            assert element is not None
+            assert same_trochoid(replay_spec(_group_witness(a, *element), a), state)
 
     @settings(max_examples=90, deadline=None, derandomize=True)
     @given(st.data())
     def test_even_verdict_is_lattice_membership(self, data):
-        # the group witness exists exactly on lattice membership plus whole
-        # turns theta for both parities of p'q'; only even p'q' decides by it
+        # the group element exists exactly on lattice membership plus whole
+        # turns theta for both parities of p'q'; at odd p'q' a member
+        # without a short word is Undetermined, so only even p'q' is
+        # checked against the verdict
         a = data.draw(st.sampled_from(list(grid_specs())))
         a = TrochoidSpec(
             a.p, a.q, a.k, a.l,
@@ -711,10 +714,10 @@ class TestClassifyByGroup:
         b = TrochoidSpec(a.p, a.q, a.k, a.l, anchor, lat.base_direction + offset, a.side)
         n = a.p_prime * a.q_prime
         in_group = lattice_contains(lat, anchor) and offset.fraction * n % 1 == 0
-        group_word = _group_witness(a, b)
-        assert (group_word is not None) == in_group
+        element = _group_element(a, b)
+        assert (element is not None) == in_group
         if in_group:
-            assert same_trochoid(replay_spec(group_word, a), b)
+            assert same_trochoid(replay_spec(_group_witness(a, *element), a), b)
         if n % 2:
             return
         r = classify(a, b)
@@ -724,6 +727,98 @@ class TestClassifyByGroup:
             assert same_trochoid(replay_spec(r.witness, a), b)
         else:
             assert r.reason == LATTICE_MISMATCH
+
+
+def classify_search_first(a, b):
+    """classify at odd p'q' as it was before the move group came first:
+    a search of at most 12 moves, and Undetermined when it finds no
+    word.  Kept as the reference for the group-first verdicts."""
+    witness = _bfs_witness(a, b, 12)
+    if witness is not None:
+        return ClassificationResult("Equivalent", witness=witness)
+    v_sigma, v_tau = v_sets_sigma_tau(a)
+    note = (
+        f"p'q' = {a.p_prime * a.q_prime} is odd: bounded search found no move "
+        "word; the theory leaves this case open. "
+        f"Direction classes: V_sigma={sorted(v_sigma)}, V_tau={sorted(v_tau)}"
+    )
+    return ClassificationResult("Undetermined", note=note)
+
+
+def odd_cases(count, seed):
+    """(a, b) pairs at odd p'q' with one (k, l) and side: b is a's image
+    under a random same-side word of 2 to 16 moves, then in some cases
+    mirrored, moved by an integer point or turned by 1/2N."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, q = rng.choice([(3, 5), (5, 3), (7, 3), (3, -5), (-5, 3)])
+        re = Fraction(rng.randrange(-3, 4), rng.choice([1, 2]))
+        a = TrochoidSpec(
+            p, q, rng.randrange(1, abs(p)), rng.randrange(1, abs(q)),
+            point_xy(re, rng.randrange(-2, 3)),
+            Turn(rng.randrange(12), 12),
+            rng.choice([Fraction(1), Fraction(3, 2)]),
+            rng.choice([1, -1]),
+        )
+        moves = [rng.choice(["shift", "switch"]) for _ in range(rng.randrange(2, 17))]
+        if moves.count("switch") % 2:
+            moves.append("switch")
+        b = replay_spec(MoveSeq(tuple(moves)), a)
+        change = rng.randrange(4)
+        if change == 1:
+            b = flip_chirality(b)
+        elif change == 2:
+            moved = b.anchor + point_xy(rng.randrange(-1, 2), rng.randrange(-1, 2))
+            b = TrochoidSpec(p, q, a.k, a.l, moved, b.direction, a.side, b.chirality)
+        elif change == 3:
+            turn = Turn(1, 2 * a.p_prime * a.q_prime)
+            b = TrochoidSpec(p, q, a.k, a.l, b.anchor, b.direction + turn, a.side, b.chirality)
+        yield a, b
+
+
+class TestGroupFirst:
+    """The move group decides first at both parities; the search only
+    shortens the words of group members."""
+
+    @pytest.mark.parametrize("params, n", [((3, 5, 1, 1), 15), ((7, 5, 2, 3), 35)])
+    def test_odd_flip_never_searches(self, params, n, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched for a target outside the orbit")
+
+        monkeypatch.setattr(trochoid, "_bfs_witness", no_search)
+        s = TrochoidSpec(*params)
+        # the JSON the search-first classifier gave for criterion 10(d)'s flips
+        note = (
+            f"p'q' = {n} is odd: bounded search found no move word; the theory "
+            "leaves this case open. Direction classes: "
+            f"V_sigma={list(range(0, 2 * n, 2))}, V_tau={list(range(1, 2 * n, 2))}"
+        )
+        want = {"verdict": "Undetermined", "note": note}
+        assert classify(s, flip_chirality(s)).to_json() == want
+
+    def test_odd_members_never_build_the_group_word(self, monkeypatch):
+        # the word for a member 10**17 unit steps away would have about
+        # 2e18 moves; odd p'q' needs only membership to answer Undetermined
+        def no_word(*args):
+            raise AssertionError("built a group word at odd p'q'")
+
+        monkeypatch.setattr(trochoid, "_group_witness", no_word)
+        a = TrochoidSpec(5, 3, 2, 1)
+        far = TrochoidSpec(5, 3, 2, 1, point_xy(10**17))
+        assert _group_element(a, far) is not None
+        assert classify(a, far).verdict == "Undetermined"
+        assert classify(a, shift(shift(a))).witness == MoveSeq(("shift", "shift"))
+
+    def test_odd_verdicts_match_search_first(self):
+        verdicts = set()
+        for a, b in odd_cases(100, 23):
+            got = classify(a, b).to_json()
+            assert got == classify_search_first(a, b).to_json(), (a, b)
+            verdicts.add((got["verdict"], _group_element(a, b) is not None))
+        # members with and without a short word, and non-members
+        assert verdicts == {
+            ("Equivalent", True), ("Undetermined", True), ("Undetermined", False)
+        }
 
 
 class TestSerialization:

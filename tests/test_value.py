@@ -29,7 +29,7 @@ from rotknot.trochoid import (
     MoveSeq,
     TrochoidSpec,
 )
-from rotknot.verify import DihedralElem
+from rotknot.verify import DihedralQuandle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,7 +40,6 @@ _T = Turn(1, 4)
 CASES = [
     (TorusDiagram, dict(p=3, q=2)),
     (Turn, dict(fraction=Fraction(1, 3))),
-    (DihedralElem, dict(n=5, value=2)),
     (RotElem, dict(center=_P, angle=_T)),
     (
         TrochoidSpec,
@@ -89,7 +88,7 @@ def round_trip(obj):
 @pytest.mark.parametrize(
     "obj",
     [
-        Turn(1, 3), DihedralElem(5, 2), MoveSeq(("switch",)), TorusDiagram(3, 2),
+        Turn(1, 3), MoveSeq(("switch",)), TorusDiagram(3, 2),
         Cyc.zero(), _P, cyc_root(12, 5) * Fraction(2, 3),
     ],
     ids=repr,
@@ -111,8 +110,9 @@ def test_cyc_immutable():
 
 
 def test_other_class_with_equal_fields_differs():
-    assert DihedralElem(3, 2) != TorusDiagram(3, 2)
-    assert not DihedralElem(3, 2) == TorusDiagram(3, 2)
+    # RotElem stores its fields unchecked, so both hold the tuple (3, 2)
+    assert RotElem(3, 2) != TorusDiagram(3, 2)
+    assert not RotElem(3, 2) == TorusDiagram(3, 2)
 
 
 def test_turn_ordering():
@@ -127,7 +127,6 @@ def test_turn_ordering():
 
 
 def test_reprs():
-    assert repr(DihedralElem(3, 1)) == "DihedralElem(n=3, value=1)"
     assert repr(RotElem(point_xy(1), Turn(1, 2))) == (
         "RotElem(center=Cyc(1), angle=Turn(fraction=Fraction(1, 2)))"
     )
@@ -143,7 +142,7 @@ def test_reprs():
         (lambda: TrochoidSpec(3, 2, 1, 2), "l=2 outside [1, 1]"),
         (lambda: TrochoidSpec(3, 2, 1, 1, side=-1), "side must be positive"),
         (lambda: TrochoidSpec(3, 2, 1, 1, chirality=0), "chirality must be +1 or -1"),
-        (lambda: DihedralElem(2, 1), "dihedral quandle needs n >= 3"),
+        (lambda: DihedralQuandle(2), "dihedral quandle needs n >= 3"),
         (lambda: MoveSeq(("shift", "twist")), "unknown move 'twist'"),
         (lambda: TorusDiagram(1, 3), "need |p|, |q| >= 2"),
         (lambda: TorusDiagram(3, 6), "(3, 6) is not coprime"),
@@ -156,7 +155,7 @@ def test_validation_messages(build, message):
 
 
 def test_normalized_fields():
-    assert DihedralElem(5, -3).value == 2
+    assert DihedralQuandle(5).op(1, 0) == 4
     assert TrochoidSpec(3, 2, 1, 1, side=2).side == Fraction(2)
     assert Turn(5, 4) == Turn(1, 4)
 
