@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import lcm
 
 from .exactnum import BudgetError, Turn, check_level_cap, cyc_to_json
@@ -97,10 +98,10 @@ def _spec_from_args(args, prefix: str):
     )
 
 
-# Output is written as it is encoded, one batch per `write`: a whole
-# document would cost as much memory as the table it prints, and one write
-# per encoder chunk is one syscall each when stdout is unbuffered.
-JSON_BATCH = 8192  # encoder chunks per write
+# Output is written as it is made: a whole document would cost as much
+# memory as the table it prints.  JSON goes out a row per `write` (see
+# `_json_pieces`); CSV rows are short, and one write per row would be one
+# syscall each when stdout is unbuffered, so they go out in batches.
 CSV_BATCH = 64  # table rows per write
 
 
@@ -111,13 +112,49 @@ def _batches(items, size: int):
         yield batch
 
 
+def _encode(o, ind: str) -> str:
+    """The text of `json.dumps(o, sort_keys=True, indent=2)` for a value
+    nested in a line indented by ind; dict keys must be str.  With an indent
+    the stdlib encodes in pure Python, one generator chunk at a time;
+    joining each container's items instead takes half the time."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    inner = ind + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_encode(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
+    return json.dumps(o)
+
+
 def _json_pieces(data):
     """The text of `json.dumps(data, sort_keys=True, indent=2)` and a final
-    newline, as the stdlib encoder makes it, in batches of JSON_BATCH
-    chunks."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
-    for batch in _batches(chain(chunks, ("\n",)), JSON_BATCH):
-        yield "".join(batch)
+    newline: one piece per member of a top-level dict, except that a list
+    member gives one piece per element (one `enumerate` row)."""
+    if not isinstance(data, dict) or not data:
+        yield _encode(data, "") + "\n"
+        return
+    opening = "{"
+    for key, value in sorted(data.items()):
+        head = opening + "\n  " + _encode_str(key) + ": "
+        if isinstance(value, (list, tuple)) and value:
+            head += "["
+            for item in value:
+                yield head + "\n    " + _encode(item, "    ")
+                head = ","
+            yield "\n  ]"
+        else:
+            yield head + _encode(value, "  ")
+        opening = ","
+    yield "\n}\n"
 
 
 def _dump_json(data) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotknot.cli import (
@@ -21,7 +21,6 @@ from rotknot.cli import (
     EXIT_EQUIVALENT,
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
-    JSON_BATCH,
     MAX_EXPONENT,
     _batches,
     _dump_json,
@@ -146,19 +145,63 @@ class _Discard:
             self.write(piece)
 
 
-class TestStreamedOutput:
-    """JSON and CSV are written in bounded batches with the stdlib bytes."""
+_JSON_LEAVES = (
+    st.text()
+    | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "é ü 中 😀 \u2028"])
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, float("nan"), float("inf"), float("-inf")])
+)
 
-    @pytest.mark.parametrize("p,q,batches", [(3, 2, 1), (-7, 5, 1), (13, 11, 10)])
-    def test_json_pieces_are_the_stdlib_bytes(self, p, q, batches):
+
+def _json_trees(depth: int):
+    """JSON values with str keys, containers nested up to depth deep."""
+    if depth == 0:
+        return _JSON_LEAVES
+    children = _json_trees(depth - 1)
+    return (
+        _JSON_LEAVES
+        | st.lists(children, max_size=3)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=3)
+    )
+
+
+_DEEP = {"rows": [{"a": [(), {}, [[{"b": ["\\\"é", -0.0, None]}]]]}, []], "x": (1, True)}
+
+
+class TestStreamedOutput:
+    """JSON is written a row at a time and CSV in batches of rows, with the
+    stdlib bytes."""
+
+    @pytest.mark.parametrize("p,q,rows", [(3, 2, 2), (-7, 5, 24), (13, 11, 120)])
+    def test_json_pieces_are_the_stdlib_bytes(self, p, q, rows):
         table = cmd_enumerate(p, q)
         pieces = list(_json_pieces(table))
         assert "".join(pieces) == json.dumps(table, sort_keys=True, indent=2) + "\n"
         assert _dump_json(table) == "".join(pieces)
-        # one write per JSON_BATCH encoder chunks, the final newline counted:
-        # (13, 11) has 78,136 chunks, (-7, 5) 4,120
-        chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(table))
-        assert len(pieces) == -(-(chunks + 1) // JSON_BATCH) == batches
+        # one write per row, and one each for "p", "q", the bracket that
+        # closes "rows" and the brace that closes the table
+        assert len(table["rows"]) == rows
+        assert len(pieces) == rows + 4
+        # a piece is at most the longest row, nested two deep, with the text
+        # that opens the list before it
+        longest = max(
+            len(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    "))
+            for row in table["rows"]
+        )
+        assert max(map(len, pieces)) <= longest + len(',\n  "rows": [\n    ')
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_trees(5))
+    @example(_DEEP)
+    @example([_DEEP, _DEEP["rows"]])
+    def test_json_pieces_match_json_dumps(self, data):
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert "".join(_json_pieces(data)) == text
+        assert _dump_json(data) == text
 
     def test_batches_end_on_an_empty_batch_only(self):
         assert list(_batches(["", "", "a", ""], 2)) == [["", ""], ["a", ""]]
@@ -182,6 +225,10 @@ class TestStreamedOutput:
              EXIT_EQUIVALENT),
             (["--p", "3", "--q", "2", "--b-anchor", "1/2,0"], EXIT_NOT_EQUIVALENT),
             (["--p", "3", "--q", "5", "--b-chirality=-1"], EXIT_UNDETERMINED),
+            # witnesses of 1047 and 130,000 moves
+            (["--p", "9", "--q", "8", "--k", "2", "--l", "3", "--b-anchor", "2,1"],
+             EXIT_EQUIVALENT),
+            (["--p", "3", "--q", "2", "--b-anchor", "10000,0"], EXIT_EQUIVALENT),
         ],
     )
     def test_classify_stdout_and_out_file(self, argv, code, tmp_path, capsys):
