@@ -13,8 +13,14 @@ A command loads only the modules it runs.  Importing this module loads
 `exactnum` and `geom`; `enumerate` adds `diagram`, `classify` and
 `render` add `trochoid` (which loads `diagram`), `render` adds `render`
 and `verify` adds `verify`, whose suites load `diagram` and `trochoid`
-only where they use them.  Without cached bytecode every module loaded
-is compiled, so this is start-up time saved.
+only where they use them; only `verify appendix` loads `units`.  Without
+cached bytecode every module loaded is compiled, so this is start-up
+time saved.
+
+`python -m rotknot` and the installed `rotknot` script run `main` through
+`rotknot.__main__.main`, which then skips the interpreter's exit-time
+garbage collection.  `main` itself leaves the collector alone, so tests
+and library callers can run it in their own process.
 """
 
 from __future__ import annotations

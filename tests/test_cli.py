@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -602,31 +603,99 @@ class TestDeterminism:
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
 )
-# the classify keys that hold today's stdout, with their exit codes.  Three
-# keys are stale: "--p 4 --q 3 --b-anchor 2,0", "--p 4 --q 3 --b-anchor 3,1"
-# and "--p 5 --q 2 --b-anchor 2,0" hold the words from before classify built
-# them from the move group, and are re-recorded with the benchmark.
+# the exit codes of the classify keys.  Three hashes are stale: they hold
+# the words from before classify built them from the move group, and are
+# re-recorded with the benchmark.  Those keys are checked by exit code and by
+# being the text of json.dumps, as CI checks every classify key.
 GOLDEN_CLASSIFY = {
     "classify --p 3 --q 2 --b-anchor 1,0 --b-direction 1/2": EXIT_EQUIVALENT,
     "classify --p 3 --q 2 --b-anchor 1/2,0": EXIT_NOT_EQUIVALENT,
     "classify --p 3 --q 2 --b-chirality=-1": EXIT_EQUIVALENT,
     "classify --p 3 --q 2 --b-direction 1/12": EXIT_NOT_EQUIVALENT,
     "classify --p 3 --q 2 --b-side 2": EXIT_NOT_EQUIVALENT,
+    "classify --p 4 --q 3 --b-anchor 2,0": EXIT_EQUIVALENT,
+    "classify --p 4 --q 3 --b-anchor 3,1": EXIT_EQUIVALENT,
     "classify --p 4 --q 3 --b-l 2": EXIT_NOT_EQUIVALENT,
+    "classify --p 5 --q 2 --b-anchor 2,0": EXIT_EQUIVALENT,
     "classify --p 5 --q 3 --k 2 --b-anchor 1,0": EXIT_UNDETERMINED,
+}
+STALE_GOLDEN = (
+    "classify --p 4 --q 3 --b-anchor 2,0",
+    "classify --p 4 --q 3 --b-anchor 3,1",
+    "classify --p 5 --q 2 --b-anchor 2,0",
+)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_stdout(key):
+    """Every key of the golden file, through `python -m rotknot`: its exit
+    code, an empty stderr and the stdout bytes of the golden hash."""
+    proc = run_cli(key.split())
+    assert proc.returncode == GOLDEN_CLASSIFY.get(key, 0), proc.stderr
+    assert proc.stderr == b""
+    if key in STALE_GOLDEN:
+        text = proc.stdout.decode("utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    else:
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[key]
+
+
+# a -c script that reports at exit whether the collector is frozen; the
+# atexit handler runs after the entry returns and before modules are torn down
+FREEZE_PROBE = (
+    "import atexit, gc, os, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+)
+ENTRIES = {
+    "python -m rotknot": "import runpy; runpy.run_module('rotknot', run_name='__main__')",
+    "console script": "from rotknot.__main__ import main; sys.exit(main())",
 }
 
 
-@pytest.mark.parametrize(
-    "key",
-    sorted(k for k in GOLDEN if k in GOLDEN_CLASSIFY or not k.startswith("classify")),
-)
-def test_golden_stdout(key):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(key.split())
-    assert code == GOLDEN_CLASSIFY.get(key, 0), err.getvalue()
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[key]
+def _run_entry(script: str, argv, *flags: str):
+    return subprocess.run(
+        [sys.executable, *flags, "-c", f"{FREEZE_PROBE}sys.argv = {argv!r}\n{script}"],
+        capture_output=True,
+    )
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["rotknot", "verify", "axioms", "--out", os.devnull], 0),
+            (["rotknot", "classify", "--p", "3", "--q", "2", "--b-side", "2"], 10),
+            (["rotknot", "classify", "--p", "3"], 2),
+        ],
+    )
+    def test_entry_freezes_before_exit(self, entry, argv, code):
+        """Both entries skip the exit-time collection, whichever way the
+        job ends."""
+        proc = _run_entry(ENTRIES[entry], argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.decode().endswith("frozen True\n")
+
+    def test_main_in_process_freezes_nothing(self):
+        before = gc.get_freeze_count()
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "axioms"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_dev_mode_keeps_the_exit_collection(self):
+        """Under -X dev nothing is frozen, so a file left open in a
+        reference cycle still warns when shutdown collects the cycle."""
+        leak = (
+            "class Node:\n"
+            "    pass\n"
+            "node = Node()\n"
+            "node.self, node.file = node, open(os.devnull)\n"
+        )
+        argv = ["rotknot", "verify", "axioms", "--out", os.devnull]
+        proc = _run_entry(leak + ENTRIES["console script"], argv, "-X", "dev")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == "frozen False\n"
+        assert b"ResourceWarning: unclosed file" in proc.stderr
 
 
 def _fraction(dens):

@@ -218,6 +218,7 @@ def test_only_verify_loads_the_suites():
 
 
 MOVE_MODULES = ("rotknot.diagram", "rotknot.trochoid")
+LAZY_MODULES = (*MOVE_MODULES, "rotknot.units")
 
 
 @pytest.mark.parametrize(
@@ -226,7 +227,7 @@ MOVE_MODULES = ("rotknot.diagram", "rotknot.trochoid")
         ("", []),
         ("verify axioms", []),
         ("verify cocycle", []),
-        ("verify appendix", []),
+        ("verify appendix", ["rotknot.units"]),
         ("enumerate --p -7 --q 5", ["rotknot.diagram"]),
         ("classify --p 3 --q 2 --b-anchor 1,0", list(MOVE_MODULES)),
         ("render --p 3 --q 2", list(MOVE_MODULES)),
@@ -238,13 +239,14 @@ def test_each_command_loads_the_move_modules_it_runs(command, loaded):
     """Importing the CLI and the `verify` suites that touch no diagram
     compile neither `diagram` nor `trochoid`; `enumerate` needs only
     `diagram`; the commands that build trochoids or move colorings load
-    both."""
+    both.  Only `verify appendix` runs the unit scan, so only it loads
+    `units`."""
     code = (
         "import os, sys\n"
         "from rotknot.cli import main\n"
         f"argv = {command.split()!r}\n"
         "code = main([*argv, '--out', os.devnull]) if argv else 0\n"
-        f"print(code, [m for m in {MOVE_MODULES!r} if m in sys.modules])\n"
+        f"print(code, [m for m in {LAZY_MODULES!r} if m in sys.modules])\n"
     )
     assert _loaded(code, "-S") == f"0 {loaded!r}"
 
@@ -291,8 +293,8 @@ def _annotated(module):
 )
 def test_annotations_resolve(name):
     """Every annotation in the package names something its module can
-    see, so `typing.get_type_hints` resolves it.  (`__main__` runs the
-    CLI on import and defines nothing.)"""
+    see, so `typing.get_type_hints` resolves it.  (`__main__`, the
+    program entry, is left out with the private names.)"""
     module = importlib.import_module(f"rotknot.{name}")
     failed = []
     for func in _annotated(module):
