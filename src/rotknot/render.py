@@ -51,8 +51,11 @@ def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
         z = w.embed()
         return complex(z.real, -z.imag)
 
-    base_pts = [flip(v) for v in base]
-    row_pts = [[flip(w) for w in row] for row in rows]
+    try:
+        base_pts = [flip(v) for v in base]
+        row_pts = [[flip(w) for w in row] for row in rows]
+    except OverflowError:
+        raise ValueError("the figure is too large for floating point") from None
     everything = base_pts + [z for row in row_pts for z in row]
     x0, x1, y0, y1 = _corners(everything)
     width, height = x1 - x0, y1 - y0

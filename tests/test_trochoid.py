@@ -745,13 +745,18 @@ def classify_search_first(a, b):
     return ClassificationResult("Undetermined", note=note)
 
 
+# types whose p'q' is odd, and types whose p'q' is even, for every (k, l)
+ODD_TYPES = [(3, 5), (5, 3), (7, 3), (3, -5), (-5, 3)]
+EVEN_TYPES = [(3, 2), (2, 3), (4, 3), (-3, 4), (5, 2), (5, 4)]
+
+
 def odd_cases(count, seed):
     """(a, b) pairs at odd p'q' with one (k, l) and side: b is a's image
     under a random same-side word of 2 to 16 moves, then in some cases
     mirrored, moved by an integer point or turned by 1/2N."""
     rng = random.Random(seed)
     for _ in range(count):
-        p, q = rng.choice([(3, 5), (5, 3), (7, 3), (3, -5), (-5, 3)])
+        p, q = rng.choice(ODD_TYPES)
         re = Fraction(rng.randrange(-3, 4), rng.choice([1, 2]))
         a = TrochoidSpec(
             p, q, rng.randrange(1, abs(p)), rng.randrange(1, abs(q)),
@@ -819,6 +824,96 @@ class TestGroupFirst:
         assert verdicts == {
             ("Equivalent", True), ("Undetermined", True), ("Undetermined", False)
         }
+
+
+@st.composite
+def related_pairs(draw, types):
+    """(a, b) of one diagram, (k, l) and side: b is a's image under a
+    same-side word of up to 8 moves, then in some cases mirrored, moved by
+    a half-integer point or turned by a multiple of 1/2N."""
+    p, q = draw(st.sampled_from(types))
+    a = TrochoidSpec(
+        p, q, draw(st.integers(1, abs(p) - 1)), draw(st.integers(1, abs(q) - 1)),
+        point_xy(draw(st.fractions(-3, 3, max_denominator=2)),
+                 draw(st.fractions(-2, 2, max_denominator=3))),
+        Turn(draw(st.integers(0, 11)), 12),
+        draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)])),
+        draw(st.sampled_from([1, -1])),
+    )
+    b = replay_spec(draw(same_side_words()), a)
+    n = a.p_prime * a.q_prime
+    change = draw(st.sampled_from(["none", "mirror", "move", "turn"]))
+    if change == "mirror":
+        b = flip_chirality(b)
+    elif change == "move":
+        step = point_xy(Fraction(draw(st.integers(-2, 2)), 2), draw(st.integers(-1, 1)))
+        b = TrochoidSpec(p, q, a.k, a.l, b.anchor + step, b.direction, a.side, b.chirality)
+    elif change == "turn":
+        turn = Turn(draw(st.integers(1, 3)), 2 * n)
+        b = TrochoidSpec(p, q, a.k, a.l, b.anchor, b.direction + turn, a.side, b.chirality)
+    return a, b
+
+
+def same_side_words():
+    """Words of up to 8 moves with an even number of switches."""
+    return st.lists(st.sampled_from(["shift", "switch"]), max_size=8).map(
+        lambda moves: MoveSeq(tuple(moves + ["switch"] * (moves.count("switch") % 2)))
+    )
+
+
+def moved(spec, turn, offset):
+    """spec under the isometry z -> u(turn) z + offset, its direction turned."""
+    return TrochoidSpec(
+        spec.p, spec.q, spec.k, spec.l, rotate(spec.anchor, ORIGIN, turn) + offset,
+        spec.direction + turn, spec.side, spec.chirality,
+    )
+
+
+class TestRelation:
+    """`classify` as a relation: it commutes with isometries, and at even
+    p'q' it is symmetric and blind to the representative of b's orbit
+    (metamorphic tests: Chen, Cheung and Yiu, HKUST-CS98-01, 1998)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(related_pairs(ODD_TYPES + EVEN_TYPES), st.data())
+    def test_isometry_keeps_the_json(self, pair, data):
+        # a rotation about the origin by j/2N of a turn keeps both session
+        # levels, which already hold 2N, and a rational offset keeps them too
+        a, b = pair
+        n = a.p_prime * a.q_prime
+        turn = Turn(data.draw(st.integers(0, 2 * n - 1)), 2 * n)
+        offset = point_xy(data.draw(st.fractions(-3, 3, max_denominator=3)),
+                          data.draw(st.fractions(-3, 3, max_denominator=2)))
+        assert classify(moved(a, turn, offset), moved(b, turn, offset)).to_json() == (
+            classify(a, b).to_json()
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(related_pairs(EVEN_TYPES), same_side_words())
+    def test_even_verdicts_symmetric_and_orbit_blind(self, pair, word):
+        a, b = pair
+        verdicts = {
+            (r.verdict, r.reason)
+            for r in (classify(a, b), classify(b, a), classify(a, replay_spec(word, b)))
+        }
+        assert len(verdicts) == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(related_pairs(ODD_TYPES + EVEN_TYPES))
+    def test_membership_symmetric(self, pair):
+        a, b = pair
+        assert (_group_element(a, b) is None) == (_group_element(b, a) is None)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at odd p'q' a member with no word of at most 12 moves is "
+        "Undetermined, and the search is not symmetric (ROADMAP item 1)",
+    )
+    def test_odd_verdicts_symmetric(self):
+        a = TrochoidSpec(3, 5, 1, 2, point_xy(1), Turn(1, 4))
+        b = replay_spec(MoveSeq(("switch", "shift") * 4 + ("shift",)), a)
+        assert len(classify(a, b).witness) == 9
+        assert classify(b, a).verdict == "Equivalent"
 
 
 class TestSerialization:
