@@ -163,10 +163,6 @@ def _json_pieces(data):
     yield "\n}\n"
 
 
-def _dump_json(data) -> str:
-    return "".join(_json_pieces(data))
-
-
 def _write_output(pieces, out: str | None) -> None:
     """Write the texts in order to stdout or, if out is given, to a new
     file there.  Callers build what they print first, so a bad spec exits

@@ -5,10 +5,7 @@ its wall-clock budget, and prints one PASS line; a failed assertion is
 the FAIL line.  Run with `pytest -v tests/test_acceptance.py`.
 """
 
-import json
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -48,14 +45,7 @@ from rotknot.verify import (
     verify_qc1,
 )
 
-GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
-
-
-def grid_cells():
-    for (p, q) in GRID:
-        for k in range(1, abs(p)):
-            for l in range(1, abs(q)):
-                yield (p, q, k, l)
+from conftest import grid_cells, run
 
 
 def finish(number: int, budget: float, t0: float, summary: str):
@@ -274,13 +264,13 @@ def test_criterion_11_determinism():
     t0 = perf_counter()
     script = (
         "import hashlib\n"
-        "from rotknot.cli import cmd_enumerate, _dump_json\n"
+        "from rotknot.cli import cmd_enumerate, _json_pieces\n"
         "from rotknot.render import render_trochoid_svg\n"
         "from rotknot.trochoid import TrochoidSpec\n"
         "from rotknot.verify import orbit_bfs\n"
         "orbit = orbit_bfs(TrochoidSpec(2, 3, 1, 1), 4)\n"
         "out = '\\n'.join([\n"
-        "    _dump_json(cmd_enumerate(4, 3)),\n"
+        "    ''.join(_json_pieces(cmd_enumerate(4, 3))),\n"
         "    render_trochoid_svg(TrochoidSpec(4, 3, 1, 2)),\n"
         "    repr([(s.canonical_key(), tuple(mv)) for s, mv in orbit]),\n"
         "])\n"
@@ -289,11 +279,7 @@ def test_criterion_11_determinism():
     )
     runs = []
     for seed in ("11", "1317"):
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = seed
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, env=env
-        )
+        proc = run([sys.executable, "-c", script], env={"PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)
     assert runs[0] == runs[1]

@@ -1,5 +1,6 @@
-"""The command-line contract: exit code, output bytes and stderr of
-`rotknot` jobs, each run in a fresh interpreter.
+"""The command-line contract, each job in a fresh interpreter: the exit
+code, output bytes and stderr of `rotknot` jobs, what each command loads,
+and how the program entry exits.
 
 Every row of ROWS is a job and what it must give.  `test_row` runs each
 row through two launchers:
@@ -12,19 +13,22 @@ row through two launchers:
   module launcher's exit code and output bytes.  Without a script in
   `sysconfig.get_path("scripts")` these tests are skipped.
 
-A job reads stdin from /dev/null and runs in an empty temporary
-directory, where an `--out` file lands.  Its environment puts the
-directory of the `rotknot` package this test process imported at the
-front of PYTHONPATH: from the checkout with PYTHONPATH=src, tier-1 runs
-the checkout; from outside it with no PYTHONPATH, both launchers run the
+A job runs in an empty temporary directory, where an `--out` file lands.
+LOADS maps each command to the modules it loads, and the entry probes
+check that the program entry freezes the collector before exit.
+
+Every interpreter starts through `conftest.run`, which puts the directory
+of the `rotknot` package this test process imported at the front of
+PYTHONPATH: from the checkout with PYTHONPATH=src, tier-1 runs the
+checkout; from outside it with no PYTHONPATH, everything here runs the
 installed package.
 """
 
 import hashlib
 import json
 import os
+import pkgutil
 import shutil
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -41,6 +45,8 @@ from rotknot.cli import (
     EXIT_UNDETERMINED,
     MAX_EXPONENT,
 )
+
+from conftest import run
 
 # stdout sha256 of the benchmark's jobs; read here, never written
 GOLDEN = json.loads(
@@ -68,7 +74,6 @@ STALE_GOLDEN = (
     "classify --p 5 --q 2 --b-anchor 2,0",
 )
 
-PACKAGE_DIR = str(Path(rotknot.__file__).resolve().parents[1])
 SCRIPT = shutil.which("rotknot", path=sysconfig.get_path("scripts"))
 DEV_PYTHON = [sys.executable, "-X", "dev", "-W", "error"]
 LAUNCHERS = {
@@ -225,13 +230,6 @@ ROWS = [
 ]
 
 
-def _env(extra: dict) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "QT_SESSION_LEVEL_CAP"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_DIR, env.get("PYTHONPATH")]))
-    env.update(extra)
-    return env
-
-
 class Run(NamedTuple):
     code: int
     stdout: bytes
@@ -242,14 +240,7 @@ class Run(NamedTuple):
 def _run(r: Row, launcher: str) -> Run:
     argv = r.argv.split()
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run(
-            [*LAUNCHERS[launcher], *argv],
-            cwd=cwd,
-            env=_env(r.env),
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            timeout=r.timeout,
-        )
+        proc = run([*LAUNCHERS[launcher], *argv], env=r.env, cwd=cwd, timeout=r.timeout)
         output = (
             Path(cwd, argv[argv.index("--out") + 1]).read_bytes()
             if "--out" in argv
@@ -278,34 +269,125 @@ def test_row(r, launcher, module_runs):
     module = module_runs[r.name].result()
     if launcher == "script" and SCRIPT is None:
         pytest.skip(f"no rotknot console script in {sysconfig.get_path('scripts')}")
-    run = module if launcher == "module" else _run(r, launcher)
-    assert run.code == r.code, run.stderr
+    job = module if launcher == "module" else _run(r, launcher)
+    assert job.code == r.code, job.stderr
     if callable(r.stderr):
-        r.stderr(run.stderr)
+        r.stderr(job.stderr)
     else:
-        assert run.stderr == r.stderr
+        assert job.stderr == r.stderr
     if "--out" in r.argv.split():
-        assert run.stdout == b""
+        assert job.stdout == b""
     if callable(r.output):
-        r.output(run.output)
+        r.output(job.output)
     elif r.output is not None:
-        assert run.output == r.output
-    assert (run.code, run.output) == (module.code, module.output)
+        assert job.output == r.output
+    assert (job.code, job.output) == (module.code, module.output)
+
+
+# What each command loads, under `python -S` so that no site hook preloads
+# a module.  A job is mostly interpreter start-up, so a command loads only
+# the package modules it runs, and none loads the heavy standard library
+# modules the value classes were written to avoid.  A row of LOADS names
+# every watched module its command loads: a package module by its name in
+# the package, any other by its own.  Every module of the package is
+# watched, so a new one must stay unloaded until a row lists it.
+WATCHED = (
+    *sorted(f"rotknot.{info.name}" for info in pkgutil.iter_modules(rotknot.__path__)),
+    "ast", "copy", "dataclasses", "inspect", "typing",
+)
+LOAD_PROBE = (
+    "import os, sys\n"
+    "from rotknot.cli import main\n"
+    "argv = sys.argv[1:]\n"
+    "code = main([*argv, '--out', os.devnull]) if argv else 0\n"
+    f"print(code, *(m for m in {WATCHED!r} if m in sys.modules))\n"
+)
+CLI_MODULES = ("cli", "exactnum", "geom", "value")  # import rotknot.cli
+MOVES = ("diagram", "quandle", "trochoid")
+LOADS = {
+    "import rotknot.cli": CLI_MODULES,
+    "enumerate --p -7 --q 5": (*CLI_MODULES, "diagram", "quandle"),
+    "classify --p 3 --q 2 --b-anchor 1,0": (*CLI_MODULES, *MOVES),
+    "render --p 3 --q 2": (*CLI_MODULES, *MOVES, "render"),
+    "verify axioms": (*CLI_MODULES, "quandle", "verify"),
+    "verify cocycle": (*CLI_MODULES, "quandle", "verify"),
+    "verify appendix": (*CLI_MODULES, "quandle", "units", "verify"),
+    "verify orbit": (*CLI_MODULES, *MOVES, "verify"),
+    "verify weights": (*CLI_MODULES, *MOVES, "verify"),
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_loads(command):
+    """The command, run through `cli.main` with `--out` to /dev/null,
+    loads exactly the package modules of its row and none of the watched
+    standard library modules, without a warning."""
+    argv = [] if command.startswith("import ") else command.split()
+    proc = run([*DEV_PYTHON, "-S", "-c", LOAD_PROBE, *argv])
+    loaded = [m for m in WATCHED if m.removeprefix("rotknot.") in LOADS[command]]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().split() == ["0", *loaded]
 
 
 def test_cli_import_loads_no_command_modules():
-    """Importing the CLI loads neither the verify suites nor the move
-    machinery, in the package the launchers run."""
-    probe = (
-        "import sys, rotknot.cli; "
-        "print([m for m in ('rotknot.verify', 'rotknot.trochoid', 'rotknot.diagram') "
-        "if m in sys.modules])"
+    """Without -S, the way the launchers start, site hooks run first;
+    importing the CLI still loads only the package modules of the
+    bare-import row, and neither the verify suites nor the move
+    machinery."""
+    proc = run([*DEV_PYTHON, "-c", LOAD_PROBE])
+    package = [m for m in WATCHED if m.startswith("rotknot.")]
+    expected = [m for m in package if m.removeprefix("rotknot.") in CLI_MODULES]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert [m for m in proc.stdout.decode().split() if m in package] == expected
+
+
+# The program entry, behind `python -m rotknot` and the console script,
+# freezes the collector once `cli.main` returns, so shutdown skips its
+# collection; dev mode keeps that collection.  A -c script reports at exit
+# whether the collector is frozen: its atexit handler runs after the entry
+# returns and before modules are torn down.
+FREEZE_PROBE = (
+    "import atexit, gc, os, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+)
+ENTRIES = {
+    "python -m rotknot": "import runpy; runpy.run_module('rotknot', run_name='__main__')",
+    "console script": "from rotknot.__main__ import main; sys.exit(main())",
+}
+
+
+def _run_entry(script: str, argv, *flags: str):
+    return run([sys.executable, *flags, "-c", f"{FREEZE_PROBE}sys.argv = {argv!r}\n{script}"])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rotknot", "verify", "axioms", "--out", os.devnull], 0),
+        (["rotknot", "classify", "--p", "3", "--q", "2", "--b-side", "2"], 10),
+        (["rotknot", "classify", "--p", "3"], 2),
+    ],
+)
+def test_entry_freezes_before_exit(entry, argv, code):
+    """Both entries skip the exit-time collection, whichever way the job
+    ends."""
+    proc = _run_entry(ENTRIES[entry], argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.decode().endswith("frozen True\n")
+
+
+def test_dev_mode_keeps_the_exit_collection():
+    """Under -X dev nothing is frozen, so a file left open in a reference
+    cycle still warns when shutdown collects the cycle."""
+    leak = (
+        "class Node:\n"
+        "    pass\n"
+        "node = Node()\n"
+        "node.self, node.file = node, open(os.devnull)\n"
     )
-    proc = subprocess.run(
-        [*DEV_PYTHON, "-c", probe],
-        env=_env({}),
-        stdin=subprocess.DEVNULL,
-        capture_output=True,
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+    argv = ["rotknot", "verify", "axioms", "--out", os.devnull]
+    proc = _run_entry(leak + ENTRIES["console script"], argv, "-X", "dev")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "frozen False\n"
+    assert b"ResourceWarning: unclosed file" in proc.stderr

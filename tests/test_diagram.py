@@ -32,21 +32,7 @@ from rotknot.verify import (
     enumerate_colorings_finite,
 )
 
-
-def rot_coloring_3211() -> Coloring:
-    """The coloring of D(3,2) produced by the unit trochoid with
-    parameters (3,2,1,1) anchored at the origin; worked out by hand from
-    the rotation steps and frozen here as an oracle independent of the
-    trochoid builder."""
-    z3 = cyc_root(3)
-    theta = Turn(1, 6)
-    colors = {
-        (0, 0): RotElem(Cyc.one(), theta),
-        (0, 1): RotElem(1 + z3, theta),
-        (1, 0): RotElem(ORIGIN, theta),
-        (1, 1): RotElem(-z3, theta),
-    }
-    return Coloring(build_diagram(3, 2), ROT, colors)
+from conftest import rot_coloring_3211
 
 
 def switch_by_formula(c: Coloring) -> Coloring:

@@ -30,23 +30,7 @@ from rotknot.exactnum import (
     turn_to_root,
 )
 
-
-def from_terms(level: int, terms) -> Cyc:
-    """sum(c * zeta_level^e) over a sparse {exponent: coefficient}
-    mapping, built through the constructor's dense coefficient list."""
-    coeffs = [Fraction(0)] * level
-    for e, c in terms.items():
-        coeffs[e % level] += Fraction(c)
-    return Cyc(level, coeffs)
-
-
-def rand_cyc(rng: random.Random, level: int, span: int = 6) -> Cyc:
-    n_terms = rng.randrange(1, 5)
-    terms = {}
-    for _ in range(n_terms):
-        e = rng.randrange(level)
-        terms[e] = Fraction(rng.randrange(-span, span + 1), rng.randrange(1, 4))
-    return from_terms(level, terms)
+from conftest import from_terms, rand_cyc
 
 
 class TestCyclotomicPoly:
@@ -189,7 +173,7 @@ class TestMinimalForm:
         assert level == 12  # minimal CYCLOTOMIC level is still 12
         assert s.abs_sq() == Cyc.rational(3)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.integers(1, 60).flatmap(
             lambda m: st.tuples(
@@ -253,7 +237,7 @@ class TestIntegerCore:
         assert len(x.num) == len(cyclotomic_poly(x.level)) - 1
         assert all(isinstance(c, int) for c in x.num)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(cyc_triples(), st.fractions(-3, 3, max_denominator=5))
     def test_ring_laws(self, drawn, s):
         m, (x, y, z), k = drawn
@@ -343,7 +327,7 @@ class TestFusedKernels:
     """The one-accumulator kernels give the (level, num, den) of the
     lift-then-operate composition."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(kernel_values(), kernel_values())
     @example(Cyc(4, []), Cyc(3, []))
     @example(Cyc(4, []), Cyc(3, [Fraction(1, 2), 1]))
@@ -355,7 +339,7 @@ class TestFusedKernels:
             for x, y in ((a, b), (b, a)):
                 assert coordinates(op(x, y)) == coordinates(lift_then(op, x, y))
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(kernel_values(), kernel_values()), max_size=4))
     @example([])
     @example([(Cyc(4, []), Cyc(13, []))])
@@ -560,7 +544,7 @@ def cyc_to_json_by_fractions(a: Cyc) -> dict:
 
 
 class TestSerialization:
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(cyc_triples())
     def test_json_matches_fractions(self, drawn):
         _, values, _ = drawn

@@ -28,10 +28,10 @@ from rotknot.geom import (
 from rotknot.quandle import cocycle_phi
 from rotknot.trochoid import TrochoidSpec, derive_coloring
 
+from conftest import grid_cells, rand_cyc, rand_rot
+
 
 def rand_point(rng: random.Random, level: int = 12) -> Cyc:
-    from tests.test_exactnum import rand_cyc
-
     return rand_cyc(rng, level, span=4)
 
 
@@ -74,7 +74,7 @@ turns = st.one_of(
 
 
 class TestRotate:
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(points(), points(), st.booleans(), turns)
     @example(Cyc.zero(), Cyc.zero(), False, Turn(1, 3))
     @example(ZERO_4, Cyc.zero(), False, Turn(1, 7))
@@ -124,9 +124,6 @@ class TestSignedAreaTri:
     def test_scaled_is_purely_imaginary(self):
         # area_approx drops the imaginary part of scaled / 4i, which is
         # only rounding when conj(scaled) = -scaled
-        from tests.test_acceptance import grid_cells
-        from tests.test_quandle import rand_rot
-
         rng = random.Random(5)
         scaled = []
         for _ in range(50):
@@ -185,7 +182,7 @@ def fan_sum(vertices: list[Cyc], o: Cyc) -> Cyc:
     return total
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(st.lists(points(), min_size=2, max_size=6), points())
 @example([ORIGIN, Cyc.one()], ORIGIN)
 @example([ZERO_4, cyc_root(3)], Cyc.zero())

@@ -12,12 +12,7 @@ from rotknot.geom import ORIGIN, point_xy, rotate, signed_area_tri
 from rotknot.quandle import ROT, RotElem, cocycle_phi
 from rotknot.verify import DihedralQuandle, verify_qc1
 
-
-def rand_rot(rng: random.Random, level: int = 12) -> RotElem:
-    from tests.test_exactnum import rand_cyc
-
-    denom = rng.choice([2, 3, 4, 6, 12])
-    return RotElem(rand_cyc(rng, level, span=3), Turn(rng.randrange(denom), denom))
+from conftest import rand_rot
 
 
 def cocycle_by_triangles(o, x: RotElem, y: RotElem):
@@ -121,7 +116,7 @@ class TestCocycle:
         y = RotElem(ORIGIN, Turn(1, 4))
         assert cocycle_phi(ORIGIN, x, y).is_zero()
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(points(), points(), points(), turns, turns)
     def test_one_term_matches_two_triangles(self, o, a, c, s, t):
         x, y = RotElem(a, s), RotElem(c, t)

@@ -64,16 +64,12 @@ from rotknot.trochoid import (
     v_sets_sigma_tau,
 )
 from rotknot.verify import FULL_GRID, orbit_bfs
-from tests.test_diagram import rot_coloring_3211
 
-GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
+from conftest import grid_cells, rot_coloring_3211
 
 
 def grid_specs():
-    for (p, q) in GRID:
-        for k in range(1, abs(p)):
-            for l in range(1, abs(q)):
-                yield TrochoidSpec(p, q, k, l)
+    return (TrochoidSpec(*cell) for cell in grid_cells())
 
 
 class TestTheta:
@@ -229,21 +225,6 @@ class TestDerive:
         assert total_weight(derive_coloring(moved), ORIGIN) == closed_form_weight(
             3, -2, 1, 1, moved.side
         )
-
-
-def random_spec(rng, chirality=None):
-    p, q = rng.choice(GRID)
-    k = rng.randrange(1, abs(p))
-    l = rng.randrange(1, abs(q))
-    anchor = point_xy(
-        Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3])),
-        Fraction(rng.randrange(-6, 7), rng.choice([1, 2])),
-    )
-    den = rng.choice([1, 2, 3, 4, 6, 12])
-    direction = Turn(rng.randrange(den), den)
-    side = rng.choice([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)])
-    chi = chirality if chirality is not None else rng.choice([1, -1])
-    return TrochoidSpec(p, q, k, l, anchor, direction, side, chi)
 
 
 class TestMoves:
@@ -686,7 +667,7 @@ class TestClassifyByGroup:
             assert element is not None
             assert same_trochoid(replay_spec(_group_witness(a, *element), a), state)
 
-    @settings(max_examples=90, deadline=None, derandomize=True)
+    @settings(max_examples=90)
     @given(st.data())
     def test_even_verdict_is_lattice_membership(self, data):
         # the group element exists exactly on lattice membership plus whole
@@ -874,7 +855,7 @@ class TestRelation:
     p'q' it is symmetric and blind to the representative of b's orbit
     (metamorphic tests: Chen, Cheung and Yiu, HKUST-CS98-01, 1998)."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(related_pairs(ODD_TYPES + EVEN_TYPES), st.data())
     def test_isometry_keeps_the_json(self, pair, data):
         # a rotation about the origin by j/2N of a turn keeps both session
@@ -888,7 +869,7 @@ class TestRelation:
             classify(a, b).to_json()
         )
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(related_pairs(EVEN_TYPES), same_side_words())
     def test_even_verdicts_symmetric_and_orbit_blind(self, pair, word):
         a, b = pair
@@ -898,7 +879,7 @@ class TestRelation:
         }
         assert len(verdicts) == 1
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(related_pairs(ODD_TYPES + EVEN_TYPES))
     def test_membership_symmetric(self, pair):
         a, b = pair

@@ -1,4 +1,9 @@
-"""The immutable value classes, and what importing the CLI loads."""
+"""The immutable value classes, and checks over the package's source:
+no `assert` statements, and annotations that resolve.  What importing the
+CLI and running each command loads is a table in `tests/test_contract.py`,
+where each runs in a fresh interpreter.  Two checks stay here: the bare
+import loads none of the heavy modules the value classes avoid, and one
+interpreter loads `verify` only once it runs a verify suite."""
 
 from __future__ import annotations
 
@@ -7,10 +12,8 @@ import copy
 import importlib
 import inspect
 import operator
-import os
 import pickle
 import pkgutil
-import subprocess
 import sys
 import typing
 from fractions import Fraction
@@ -31,7 +34,7 @@ from rotknot.trochoid import (
 )
 from rotknot.verify import DihedralQuandle
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run
 
 _P = point_xy(1, 2)
 _T = Turn(1, 4)
@@ -171,6 +174,20 @@ def test_diagram_lists_cached_outside_equality():
     assert repr(d) == "TorusDiagram(p=4, q=3)"
 
 
+def test_package_has_no_assert_statements():
+    """Checks of proved statements raise ContradictionError, which
+    `python -O` keeps; it strips `assert` statements."""
+    paths = sorted(Path(rotknot.__file__).parent.glob("*.py"))
+    assert "cli.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_cli_import_loads_no_heavy_modules():
     """`python -S` keeps site hooks from preloading modules, so what is
     left loaded comes from the package itself."""
@@ -179,32 +196,22 @@ def test_cli_import_loads_no_heavy_modules():
         "import sys, rotknot.cli; "
         f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
-    )
+    out = run([sys.executable, "-S", "-c", code])
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
-
-
-def _loaded(code: str, *args: str) -> str:
-    """stdout of `python <args> -c code` with the package on the path."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, *args, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    assert out.stdout.strip() == b""
 
 
 def test_only_verify_loads_the_suites():
-    """Importing the CLI loads neither `verify` nor `render`, a classify
-    run does not load `verify`, and a verify run does."""
+    """Importing the CLI loads neither `verify` nor `render`, and in one
+    interpreter a classify run does not load `verify` while a verify run
+    after it does."""
     code = (
         "import sys, rotknot.cli; "
         "print([m for m in ('rotknot.verify', 'rotknot.render') if m in sys.modules])"
     )
-    assert _loaded(code, "-S") == "[]"
+    out = run([sys.executable, "-S", "-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().strip() == "[]"
     code = (
         "import os, sys\n"
         "from rotknot.cli import main\n"
@@ -214,55 +221,9 @@ def test_only_verify_loads_the_suites():
         "code = main(['verify', 'orbit', '--out', os.devnull])\n"
         "print(code, 'rotknot.verify' in sys.modules)\n"
     )
-    assert _loaded(code).split("\n") == ["0 False", "0 True"]
-
-
-MOVE_MODULES = ("rotknot.diagram", "rotknot.trochoid")
-LAZY_MODULES = (*MOVE_MODULES, "rotknot.units")
-
-
-@pytest.mark.parametrize(
-    "command, loaded",
-    [
-        ("", []),
-        ("verify axioms", []),
-        ("verify cocycle", []),
-        ("verify appendix", ["rotknot.units"]),
-        ("enumerate --p -7 --q 5", ["rotknot.diagram"]),
-        ("classify --p 3 --q 2 --b-anchor 1,0", list(MOVE_MODULES)),
-        ("render --p 3 --q 2", list(MOVE_MODULES)),
-        ("verify orbit", list(MOVE_MODULES)),
-        ("verify weights", list(MOVE_MODULES)),
-    ],
-)
-def test_each_command_loads_the_move_modules_it_runs(command, loaded):
-    """Importing the CLI and the `verify` suites that touch no diagram
-    compile neither `diagram` nor `trochoid`; `enumerate` needs only
-    `diagram`; the commands that build trochoids or move colorings load
-    both.  Only `verify appendix` runs the unit scan, so only it loads
-    `units`."""
-    code = (
-        "import os, sys\n"
-        "from rotknot.cli import main\n"
-        f"argv = {command.split()!r}\n"
-        "code = main([*argv, '--out', os.devnull]) if argv else 0\n"
-        f"print(code, [m for m in {LAZY_MODULES!r} if m in sys.modules])\n"
-    )
-    assert _loaded(code, "-S") == f"0 {loaded!r}"
-
-
-def test_package_has_no_assert_statements():
-    """Checks of proved statements raise ContradictionError, which
-    `python -O` keeps; it strips `assert` statements."""
-    paths = sorted((SRC / "rotknot").glob("*.py"))
-    assert "cli.py" in [path.name for path in paths]
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
+    out = run([sys.executable, "-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().strip().split("\n") == ["0 False", "0 True"]
 
 
 def _annotated(module):
