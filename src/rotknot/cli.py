@@ -9,6 +9,15 @@ All output is a pure function of the flags: JSON keys are sorted, floats
 are printed as 12-significant-digit strings, and no timestamps or
 machine state leak into the bytes.
 
+The flags of every command are one table, COMMANDS, and `parse_args`
+reads a command line against it: each flag's converter, default, whether
+it is required and the values it may take.  It reads what argparse read
+with prefixes never expanded, so `--anc` is unknown, and a usage error
+is one `error:` line, in argparse's words, on `main`'s one refusal path
+(exit 2).  `-h` or `--help` prints a synopsis built from the table.
+Neither argparse nor the `gettext` and `locale` modules it loads are
+imported.
+
 A command loads only the modules it runs.  Importing this module loads
 `exactnum` and `geom`; `enumerate` adds `diagram`, `classify` and
 `render` add `trochoid` (which loads `diagram`), `render` adds `render`
@@ -25,7 +34,6 @@ and library callers can run it in their own process.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import re
@@ -34,6 +42,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import lcm
+from types import SimpleNamespace
 
 from .exactnum import BudgetError, Turn, check_level_cap, cyc_to_json
 from .geom import area_approx, fmt12, point_xy
@@ -73,13 +82,6 @@ def parse_anchor(text: str):
 
 def parse_turn(text: str) -> Turn:
     return Turn(parse_fraction(text))
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _spec_from_args(args, prefix: str):
@@ -259,69 +261,230 @@ def cmd_classify(a, b) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# argument parser and dispatch
+# the flag table and its parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rotknot",
-        description="Exact rotation-quandle colorings of torus-knot diagrams",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(ValueError):
+    """A command line the flag table refuses; `main` prints it as its one
+    `error:` line and exits 2."""
 
-    def add_spec_flags(sp, with_b: bool = False):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--k", type=int, default=1)
-        sp.add_argument("--l", type=int, default=1)
-        sp.add_argument("--anchor", default="0,0", help="rational 're,im'")
-        sp.add_argument("--direction", default="0", help="turn as a fraction")
-        sp.add_argument("--chirality", type=int, choices=(1, -1), default=1)
-        sp.add_argument("--side", default="1", help="edge length, rational")
-        if with_b:
-            sp.add_argument("--b-k", type=int, dest="b_k")
-            sp.add_argument("--b-l", type=int, dest="b_l")
-            sp.add_argument("--b-anchor", dest="b_anchor")
-            sp.add_argument("--b-direction", dest="b_direction")
-            sp.add_argument("--b-chirality", type=int, choices=(1, -1),
-                            dest="b_chirality")
-            sp.add_argument("--b-side", dest="b_side")
 
-    sp = sub.add_parser("enumerate", help="tabulate coloring families of D(p,q)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out")
+class HelpRequested(Exception):
+    """`-h` or `--help`; the message is the synopsis to print."""
 
-    sp = sub.add_parser("classify", help="decide R-equivalence of two colorings")
-    add_spec_flags(sp, with_b=True)
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("verify", help="run a built-in property suite")
-    # verify.SUITES, spelled out so that parsing does not load the suites
-    sp.add_argument("suite", choices=("appendix", "axioms", "cocycle", "orbit", "weights"))
-    sp.add_argument("--level", type=positive_int)
-    sp.add_argument("--grid", choices=("small", "full"))
-    sp.add_argument("--depth", type=positive_int)
-    sp.add_argument("--out")
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"must be a positive integer, got {value}")
+    return value
 
-    sp = sub.add_parser("render", help="write an SVG of the trochoid diagram")
-    add_spec_flags(sp)
-    sp.add_argument(
-        "--size", type=positive_int, default=640, help="canvas width in pixels"
-    )
-    sp.add_argument("--out")
 
-    return parser
+class Flag:
+    """One flag of a command: the converter of its text, its value when
+    absent, whether it must be given, and the values it may take."""
+
+    __slots__ = ("convert", "default", "required", "choices")
+
+    def __init__(self, convert=str, default=None, required=False, choices=()):
+        self.convert = convert
+        self.default = default
+        self.required = required
+        self.choices = choices
+
+
+_P_Q = {"--p": Flag(int, required=True), "--q": Flag(int, required=True)}
+_SPEC = {
+    **_P_Q,
+    "--k": Flag(int, 1),
+    "--l": Flag(int, 1),
+    "--anchor": Flag(default="0,0"),  # rational 're,im'
+    "--direction": Flag(default="0"),  # a turn, as a fraction
+    "--chirality": Flag(int, 1, choices=(1, -1)),
+    "--side": Flag(default="1"),  # the edge length, rational
+}
+_OUT = {"--out": Flag()}
+
+# The flags of each command, in the order `--help` lists them.  A name
+# without dashes is a positional argument.  Each sets the attribute of its
+# name without the leading dashes and with `_` for `-` (`--b-k` sets b_k).
+COMMANDS = {
+    "enumerate": {
+        **_P_Q,
+        "--format": Flag(default="json", choices=("json", "csv")),
+        **_OUT,
+    },
+    "classify": {
+        **_SPEC,
+        "--b-k": Flag(int),
+        "--b-l": Flag(int),
+        "--b-anchor": Flag(),
+        "--b-direction": Flag(),
+        "--b-chirality": Flag(int, choices=(1, -1)),
+        "--b-side": Flag(),
+        **_OUT,
+    },
+    "verify": {
+        # verify.SUITES, spelled out so that parsing does not load the suites
+        "suite": Flag(required=True,
+                      choices=("appendix", "axioms", "cocycle", "orbit", "weights")),
+        "--level": Flag(positive_int),
+        "--grid": Flag(choices=("small", "full")),
+        "--depth": Flag(positive_int),
+        **_OUT,
+    },
+    "render": {**_SPEC, "--size": Flag(positive_int, 640), **_OUT},  # width in pixels
+}
+ABOUT = {
+    "enumerate": "tabulate coloring families of D(p,q)",
+    "classify": "decide R-equivalence of two colorings",
+    "verify": "run a built-in property suite",
+    "render": "write an SVG of the trochoid diagram",
+}
+HELP = ("-h", "--help")
+# argparse's pattern of a plain negative number, the one value that may
+# start with `-` and follow its flag as a separate argument
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_flag(arg: str, names) -> bool:
+    """Whether arg is read as a flag rather than a value, the way argparse
+    reads it: a known name, alone or before `=`; `-h` with text attached;
+    or any other word that starts with `-`, unless it is `-`, a plain
+    negative number or has a space in it."""
+    if arg[:1] != "-" or arg == "-":
+        return False
+    if arg.partition("=")[0] in names or arg.startswith("-h"):
+        return True
+    return not _NEGATIVE_NUMBER.match(arg) and " " not in arg
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _check_help(arg: str, command: str | None) -> None:
+    """HelpRequested for `-h` or `--help`; UsageError for either with text
+    attached."""
+    name, _, value = arg.partition("=")
+    if arg in HELP:
+        raise HelpRequested(_synopsis(command))
+    if name in HELP or arg.startswith("-h"):
+        attached = value if name in HELP else arg[2:]
+        raise UsageError(f"argument -h/--help: ignored explicit argument {attached!r}")
+
+
+def _synopsis(command: str | None) -> str:
+    if command is None:
+        lines = [
+            f"usage: rotknot {{{','.join(COMMANDS)}}} [flags]",
+            "",
+            "Exact rotation-quandle colorings of torus-knot diagrams",
+            "",
+            *(f"  {name:<10} {about}" for name, about in ABOUT.items()),
+            "",
+            "`rotknot COMMAND --help` lists the flags of COMMAND.",
+        ]
+    else:
+        lines = [f"usage: rotknot {command} [flags]", "", ABOUT[command], ""]
+        for name, flag in COMMANDS[command].items():
+            a_name = name.replace("--b-", "--")
+            if flag.choices:
+                shown = "{" + ",".join(map(str, flag.choices)) + "}"
+            else:
+                shown = a_name.lstrip("-").upper()
+            if name[0] == "-":
+                shown = f"{name} {shown}"
+            if flag.required:
+                shown = f"{shown:<24} required"
+            elif flag.default is not None:
+                shown = f"{shown:<24} default {flag.default}"
+            elif a_name != name:
+                shown = f"{shown:<24} default {a_name}"
+            lines.append("  " + shown)
+    return "\n".join(lines) + "\n"
+
+
+def _convert(name: str, flag: Flag, text: str):
+    try:
+        value = flag.convert(text)
+    except UsageError as exc:
+        raise UsageError(f"argument {name}: {exc}") from None
+    except ValueError:  # the converters that can fail read an int first
+        raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise UsageError(
+            f"argument {name}: invalid choice: {value!r} "
+            f"(choose from {_choices(flag.choices)})"
+        )
+    return value
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and flag values of argv, read against COMMANDS.
+
+    It reads what argparse read: `--flag value` and `--flag=value`, the
+    last of repeated flags, options on either side of the `verify` suite,
+    and a separate value that starts with `-` only when it is a plain
+    negative number.  A name is never expanded from its prefix.  Each
+    refusal is a UsageError naming the first fault in argparse's words:
+    a bad value, then a missing required flag, then unrecognized words.
+    HelpRequested carries the synopsis for `-h` or `--help`.
+    """
+    args = iter(argv)
+    extras = []
+    for command in args:
+        if not _is_flag(command, HELP):
+            break
+        _check_help(command, None)
+        extras.append(command)
+    else:
+        raise UsageError("the following arguments are required: command")
+    if command not in COMMANDS:
+        raise UsageError(
+            f"argument command: invalid choice: {command!r} "
+            f"(choose from {_choices(COMMANDS)})"
+        )
+    table = COMMANDS[command]
+    values = {"command": command, **{_dest(name): flag.default for name, flag in table.items()}}
+    positionals = [name for name in table if name[0] != "-"]
+    seen = set()
+    for arg in args:
+        if not _is_flag(arg, table):
+            if not positionals:
+                extras.append(arg)
+                continue
+            name, text = positionals.pop(0), arg
+        else:
+            _check_help(arg, command)
+            name, attached, text = arg.partition("=")
+            if name not in table:
+                extras.append(arg)
+                continue
+            if not attached:
+                text = next(args, None)
+                if text is None or _is_flag(text, table):
+                    raise UsageError(f"argument {name}: expected one argument")
+        values[_dest(name)] = _convert(name, table[name], text)
+        seen.add(name)
+    missing = [name for name, flag in table.items() if flag.required and name not in seen]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     # exact coefficients are printed in full, however many digits they have
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "enumerate":
             table = cmd_enumerate(args.p, args.q)
             pieces = (
@@ -348,6 +511,9 @@ def main(argv=None) -> int:
             _write_output((svg,), args.out)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
+    except HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except (ValueError, OverflowError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .exactnum import Cyc, Turn, _area_sum
+from .exactnum import Cyc, Turn, _area_sum, brief_int
 from .geom import Point, polygon_area
 from .quandle import _phi_pair
 from .value import Frozen
@@ -41,7 +41,7 @@ def check_torus_type(p: int, q: int) -> None:
     if abs(p) < 2 or abs(q) < 2:
         raise ValueError("need |p|, |q| >= 2")
     if gcd(p, q) != 1:
-        raise ValueError(f"({p}, {q}) is not coprime")
+        raise ValueError(f"({brief_int(p)}, {brief_int(q)}) is not coprime")
 
 
 class TorusDiagram(Frozen):

@@ -68,19 +68,26 @@ def check_level_cap(level: int) -> int:
                 f"QT_SESSION_LEVEL_CAP must be a positive integer, got {raw!r}"
             )
     if level > cap:
-        shown = level
-        if level > 2**64:
-            # named by its digit count: the estimate from the bit length
-            # is off by at most one either way, and the powers correct it
-            digits = int((level.bit_length() - 1) * math.log10(2)) + 1
-            digits += (level >= 10**digits) - (level < 10 ** (digits - 1))
-            shown = f"of {digits} digits"
         raise LevelError(
-            f"session level {shown} exceeds cap {cap} "
+            f"{brief_int(level, 'session level')} exceeds cap {cap} "
             "(raise QT_SESSION_LEVEL_CAP to allow)",
             required_level=level,
         )
     return level
+
+
+def brief_int(n: int, name: str = "", sep: str = " ") -> str:
+    """name, sep and n in decimal; when |n| > 2**64, name and `of <d>
+    digits` instead (`an integer of <d> digits` with no name), so that a
+    message naming a huge integer stays one short line."""
+    if abs(n) <= 2**64:
+        return f"{name}{sep}{n}" if name else str(n)
+    # the estimate from the bit length is off by at most one either way,
+    # and the powers correct it
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return f"{name or 'an integer'} of {digits} digits"
 
 
 class BudgetError(RuntimeError):

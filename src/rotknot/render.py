@@ -8,6 +8,8 @@ digits and no randomness or system state enters the file.
 
 from __future__ import annotations
 
+import math
+
 from .geom import fmt12
 from .trochoid import TrochoidSpec, build_trochoid
 
@@ -63,7 +65,12 @@ def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
         raise ValueError("the figure collapses to a point or a line in floating point")
     pad_x, pad_y = 0.05 * width, 0.05 * height
     vb = (x0 - pad_x, y0 - pad_y, width + 2 * pad_x, height + 2 * pad_y)
-    pixel_h = size * vb[3] / vb[2]
+    try:
+        pixel_h = size * vb[3] / vb[2]
+    except OverflowError:
+        pixel_h = math.inf
+    if not math.isfinite(pixel_h):
+        raise ValueError("the figure is too large for floating point")
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{size}" height="{fmt12(pixel_h)}" '

@@ -33,6 +33,7 @@ from .exactnum import (
     HALF_TURN,
     Turn,
     _descend,
+    brief_int,
     check_level_cap,
     cyc_root,
     enumerate_unit_elements,
@@ -80,9 +81,9 @@ class TrochoidSpec(Frozen):
     ):
         check_torus_type(p, q)
         if not 1 <= k <= abs(p) - 1:
-            raise ValueError(f"k={k} outside [1, {abs(p) - 1}]")
+            raise ValueError(f"{brief_int(k, 'k', '=')} outside [1, {brief_int(abs(p) - 1)}]")
         if not 1 <= l <= abs(q) - 1:
-            raise ValueError(f"l={l} outside [1, {abs(q) - 1}]")
+            raise ValueError(f"{brief_int(l, 'l', '=')} outside [1, {brief_int(abs(q) - 1)}]")
         if type(side) is not Fraction:
             side = Fraction(side)
         if side <= 0:

@@ -3,6 +3,7 @@ exit codes, and `cli.main` leaving the collector unfrozen.  What needs a
 fresh interpreter is in `tests/test_contract.py`: the jobs through each
 launcher, what each command loads, and the program entry's exit path."""
 
+import argparse
 import gc
 import io
 import json
@@ -17,21 +18,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotknot.cli import (
+    COMMANDS,
     CSV_BATCH,
     EXIT_EQUIVALENT,
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
+    HelpRequested,
     MAX_EXPONENT,
+    UsageError,
     _batches,
     _enumerate_csv,
     _json_pieces,
     _spec_from_args,
     _write_output,
-    build_parser,
     cmd_classify,
     cmd_enumerate,
     main,
     parse_anchor,
+    parse_args,
     parse_fraction,
     parse_turn,
 )
@@ -219,7 +223,7 @@ class TestStreamedOutput:
     def test_classify_stdout_and_out_file(self, argv, code, tmp_path, capsys):
         assert main(["classify", *argv]) == code
         stdout = capsys.readouterr().out
-        args = build_parser().parse_args(["classify", *argv])
+        args = parse_args(["classify", *argv])
         data, _ = cmd_classify(_spec_from_args(args, ""), _spec_from_args(args, "b_"))
         assert stdout == json.dumps(data, sort_keys=True, indent=2) + "\n"
         path = tmp_path / "result.json"
@@ -409,32 +413,23 @@ class TestVerify:
             ["render", "--p", "3", "--q", "2", "--size", "0"],
             ["render", "--p", "3", "--q", "2", "--size", "-5"],
         ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2, argv
-            assert "error:" in capsys.readouterr().err
+            assert main(argv) == 2, argv
+            assert "must be a positive integer" in capsys.readouterr().err
 
     def test_bound_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "appendix", "--bound", "2"])
-        assert exc.value.code == 2
+        assert main(["verify", "appendix", "--bound", "2"]) == 2
         assert "unrecognized arguments: --bound 2" in capsys.readouterr().err
 
     def test_render_format_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["render", "--p", "3", "--q", "2", "--format", "svg"])
-        assert exc.value.code == 2
+        assert main(["render", "--p", "3", "--q", "2", "--format", "svg"]) == 2
         assert "unrecognized arguments: --format svg" in capsys.readouterr().err
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "nonsense"])
+    def test_unknown_suite_rejected(self, capsys):
+        assert main(["verify", "nonsense"]) == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
     def test_suite_choices_match_the_suites(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if a.dest == "command")
-        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
-        assert list(suite.choices) == sorted(verify.SUITES)
+        assert list(COMMANDS["verify"]["suite"].choices) == sorted(verify.SUITES)
 
     def test_check_with_no_cases_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "orbit_bfs", lambda spec, depth: [])
@@ -638,10 +633,7 @@ class TestFuzz:
         line, and 0 never with an empty table or canvas or a failed check."""
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
         assert code in (0, 2, 10, 20), (argv, err.getvalue())
         if code == 2:
             assert "error:" in err.getvalue(), argv
@@ -652,3 +644,169 @@ class TestFuzz:
             assert 'width="0"' not in text and 'width="-' not in text, argv
         if code == 0 and argv[0] == "verify":
             assert "FAIL" not in text and text.endswith(" checks passed\n"), argv
+
+
+# ---------------------------------------------------------------------------
+# the flag table against the argparse parser it replaced
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser `cli.parse_args` replaced, as it was but with
+    prefixes never expanded (allow_abbrev=False): the reference of
+    TestTableParser."""
+    parser = argparse.ArgumentParser(prog="rotknot", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        return value
+
+    def add_spec_flags(sp, with_b: bool = False):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--l", type=int, default=1)
+        sp.add_argument("--anchor", default="0,0")
+        sp.add_argument("--direction", default="0")
+        sp.add_argument("--chirality", type=int, choices=(1, -1), default=1)
+        sp.add_argument("--side", default="1")
+        if with_b:
+            sp.add_argument("--b-k", type=int, dest="b_k")
+            sp.add_argument("--b-l", type=int, dest="b_l")
+            sp.add_argument("--b-anchor", dest="b_anchor")
+            sp.add_argument("--b-direction", dest="b_direction")
+            sp.add_argument("--b-chirality", type=int, choices=(1, -1), dest="b_chirality")
+            sp.add_argument("--b-side", dest="b_side")
+
+    sp = sub.add_parser("enumerate", allow_abbrev=False)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("classify", allow_abbrev=False)
+    add_spec_flags(sp, with_b=True)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("verify", allow_abbrev=False)
+    sp.add_argument("suite", choices=("appendix", "axioms", "cocycle", "orbit", "weights"))
+    sp.add_argument("--level", type=positive_int)
+    sp.add_argument("--grid", choices=("small", "full"))
+    sp.add_argument("--depth", type=positive_int)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("render", allow_abbrev=False)
+    add_spec_flags(sp)
+    sp.add_argument("--size", type=positive_int, default=640)
+    sp.add_argument("--out")
+
+    return parser
+
+
+REFERENCE = build_parser()
+
+
+def _reference(argv):
+    """("args", the namespace's values), ("help", None) or ("refused", None)
+    from the argparse parser."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return "args", vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return ("help" if exc.code == 0 else "refused"), None
+
+
+def _table(argv):
+    """The same outcome from `cli.parse_args`."""
+    try:
+        return "args", vars(parse_args(argv))
+    except HelpRequested:
+        return "help", None
+    except UsageError:
+        return "refused", None
+
+
+# words no table reads as given: unknown flags, prefixes of known ones,
+# stray values, help with text attached.  `--`, `-hx` and `-hh` are left
+# out: the table reads them as argparse 3.11 does, which later versions
+# do not (see CHANGES.md).
+_STRAY = [
+    "--bound", "--anc", "--b", "--P", "--bogus=1", "-x", "-p", "-", "x", "", "1 2", "- 1",
+    "-1", "-1.5", "-.5", "-1,0", "-1/4", "-h", "--help", "--help=x", "-h=1",
+]
+# values for a flag, those that start with `-` among them
+_VALUES = [
+    "3", "2", "-2", "-1", "0", "1", "+1", " 1", "1_0", "-.5", "-1.5", "-1,0", "-1/4",
+    "-x", "x", "", "-", "- 1", "-1 ,0", "1,0", "json", "csv", "small", "full", "appendix",
+    "orbit", "--p", "-h",
+]
+
+
+@st.composite
+def noisy_argv(draw):
+    """A `cli_argv` command line with parser noise: some `--flag=value`
+    words split in two, then a few words inserted anywhere (the command's
+    position included): stray words, known flags given again, with an
+    empty value, with a value that starts with `-`, or last with no
+    value."""
+    argv = draw(cli_argv())
+    table = [name for name in COMMANDS[argv[0]] if name[0] == "-"]
+    words = []
+    for word in argv:
+        name, eq, value = word.partition("=")
+        words += [name, value] if eq and draw(st.booleans()) else [word]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(table))
+        value = draw(st.sampled_from(_VALUES))
+        chunk = draw(st.sampled_from([
+            [draw(st.sampled_from(_STRAY))], [flag, value], [f"{flag}={value}"], [f"{flag}="],
+        ]))
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = chunk
+    if draw(st.integers(0, 4)) == 0:
+        words.append(draw(st.sampled_from(table)))
+    return words
+
+
+class TestTableParser:
+    """`cli.parse_args` against the argparse parser it replaced."""
+
+    @settings(max_examples=600)
+    @given(noisy_argv())
+    @example(["classify", "--p", "3", "--q", "2", "--anchor", "-1,0"])
+    @example(["classify", "--p", "3", "--q", "-2", "--b-chirality", "-1"])
+    @example(["classify", "--p", "3", "--q", "2", "--anchor", "-1 ,0", "--out", "-"])
+    @example(["render", "--p", "3", "--q", "2", "--anchor", "-h x"])
+    @example(["verify", "--level", "3", "appendix", "--level=4"])
+    @example(["verify", "--bound", "2", "appendix"])
+    @example(["-h", "verify"])
+    @example(["--bogus", "classify", "-h"])
+    def test_accepts_what_argparse_accepts(self, argv):
+        """Both accept argv with the same value for every attribute, both
+        ask for help, or both refuse it."""
+        assert _table(argv) == _reference(argv), argv
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["verify"], "the following arguments are required: suite"),
+        (["enumerate", "--out", "x"], "the following arguments are required: --p, --q"),
+        (["classify", "--p", "3", "--q", "2", "--anc", "1,0"], "unrecognized arguments: --anc 1,0"),
+        (["classify", "--p", "3", "--q=2", "--p"], "argument --p: expected one argument"),
+        (["classify", "--p=", "--q", "2"], "argument --p: invalid int value: ''"),
+        (["render", "--p", "3", "--q", "2", "--size", "x"], "argument --size: invalid int value: 'x'"),
+        (["classify", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    ])
+    def test_refusal_words(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "-h"] for c in COMMANDS)])
+    def test_help_lists_the_flags(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: rotknot ")
+        names = COMMANDS if argv[0] in ("-h", "--help") else COMMANDS[argv[0]]
+        for name in names:
+            assert name in out

@@ -161,11 +161,16 @@ def _level_refusal(level: int) -> bytes:
     ).encode()
 
 
+def _usage(message: str) -> bytes:
+    return f"error: {message}\n".encode()
+
+
 UNBUFFERED = {"PYTHONUNBUFFERED": "1"}
 TOO_LARGE = b"error: the figure is too large for floating point\n"
 # item 2 of the ROADMAP: a far target answers Equivalent with a witness
 # whose size does not grow with the distance
 FAR = "a far target's group word outgrows memory or an index (ROADMAP item 2)"
+HUGE = "1" + "0" * 400  # 401 digits
 
 ROWS = [
     # every key of the golden file; classify unbuffered, one write a piece
@@ -223,6 +228,30 @@ ROWS = [
     row("classify --p 30011 --q 30013", 2, b"", _level_refusal(3602880572), timeout=20),
     row("render --p 3 --q 2 --side 1e400", 2, b"", TOO_LARGE),
     row("render --p 3 --q 2 --anchor 1e100000,0", 2, b"", TOO_LARGE),
+    row(f"render --p 3 --q 2 --size {HUGE}", 2, b"", TOO_LARGE),
+    # a huge integer is named by its digit count
+    row(f"classify --p {HUGE} --q 2", 2, b"", brief_error),
+    row(f"classify --p 3 --q 2 --k {HUGE}", 2, b"", brief_error),
+    # usage errors: one error line, no usage block
+    *(
+        row(argv, 2, b"", _usage(message))
+        for argv, message in [
+            ("frobnicate", "argument command: invalid choice: 'frobnicate' "
+             "(choose from 'enumerate', 'classify', 'verify', 'render')"),
+            ("verify", "the following arguments are required: suite"),
+            ("verify nonsense", "argument suite: invalid choice: 'nonsense' "
+             "(choose from 'appendix', 'axioms', 'cocycle', 'orbit', 'weights')"),
+            ("verify appendix --bound 2", "unrecognized arguments: --bound 2"),
+            ("classify --p 3", "the following arguments are required: --q"),
+            ("classify --p 3 --q 2 --anchor -1,0", "argument --anchor: expected one argument"),
+            ("classify --p 3 --q 2 --k x", "argument --k: invalid int value: 'x'"),
+            ("classify --p 3 --q 2 --chirality 0",
+             "argument --chirality: invalid choice: 0 (choose from 1, -1)"),
+            ("verify orbit --depth 0", "argument --depth: must be a positive integer, got 0"),
+            ("enumerate --p 3 --q 2 --format xml",
+             "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+        ]
+    ),
     row("classify --p 3 --q 2 --b-anchor 1e17,0", EXIT_EQUIVALENT, verdict("Equivalent"),
         xfail=FAR),
     row("classify --p 3 --q 2 --b-anchor 1e19,0", EXIT_EQUIVALENT, verdict("Equivalent"),
@@ -287,13 +316,14 @@ def test_row(r, launcher, module_runs):
 # What each command loads, under `python -S` so that no site hook preloads
 # a module.  A job is mostly interpreter start-up, so a command loads only
 # the package modules it runs, and none loads the heavy standard library
-# modules the value classes were written to avoid.  A row of LOADS names
+# modules that the value classes and the flag table were written to avoid
+# (argparse brings gettext and locale with it).  A row of LOADS names
 # every watched module its command loads: a package module by its name in
 # the package, any other by its own.  Every module of the package is
 # watched, so a new one must stay unloaded until a row lists it.
 WATCHED = (
     *sorted(f"rotknot.{info.name}" for info in pkgutil.iter_modules(rotknot.__path__)),
-    "ast", "copy", "dataclasses", "inspect", "typing",
+    "argparse", "ast", "copy", "dataclasses", "gettext", "inspect", "locale", "typing",
 )
 LOAD_PROBE = (
     "import os, sys\n"

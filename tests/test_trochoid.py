@@ -835,9 +835,10 @@ def related_pairs(draw, types):
     return a, b
 
 
-def same_side_words():
-    """Words of up to 8 moves with an even number of switches."""
-    return st.lists(st.sampled_from(["shift", "switch"]), max_size=8).map(
+def same_side_words(max_size=8):
+    """Words of up to max_size moves, and one more switch where that makes
+    the number of switches even."""
+    return st.lists(st.sampled_from(["shift", "switch"]), max_size=max_size).map(
         lambda moves: MoveSeq(tuple(moves + ["switch"] * (moves.count("switch") % 2)))
     )
 
@@ -852,8 +853,10 @@ def moved(spec, turn, offset):
 
 class TestRelation:
     """`classify` as a relation: it commutes with isometries, and at even
-    p'q' it is symmetric and blind to the representative of b's orbit
-    (metamorphic tests: Chen, Cheung and Yiu, HKUST-CS98-01, 1998)."""
+    p'q' it is symmetric and blind to the representative of b's orbit.  At
+    both parities Equivalent pairs have equal weights, and the pairs along a
+    chain of short same-side words are Equivalent with witnesses that
+    replay (metamorphic tests: Chen, Cheung and Yiu, HKUST-CS98-01, 1998)."""
 
     @settings(max_examples=100)
     @given(related_pairs(ODD_TYPES + EVEN_TYPES), st.data())
@@ -884,6 +887,28 @@ class TestRelation:
     def test_membership_symmetric(self, pair):
         a, b = pair
         assert (_group_element(a, b) is None) == (_group_element(b, a) is None)
+
+    @settings(max_examples=100)
+    @given(related_pairs(ODD_TYPES + EVEN_TYPES))
+    def test_equivalent_pairs_have_equal_weights(self, pair):
+        a, b = pair
+        if classify(a, b).verdict == "Equivalent":
+            assert total_weight(derive_coloring(a), ORIGIN) == (
+                total_weight(derive_coloring(b), ORIGIN)
+            )
+
+    @settings(max_examples=60)
+    @given(related_pairs(ODD_TYPES + EVEN_TYPES), same_side_words(5), same_side_words(5))
+    def test_chains_are_equivalent_and_replay(self, pair, w1, w2):
+        # a -> w1.a -> w2.w1.a; a word of at most 12 moves joins each pair,
+        # short enough for the search at odd p'q'
+        a = pair[0]
+        b1 = replay_spec(w1, a)
+        b2 = replay_spec(w2, b1)
+        for x, y in [(a, b1), (b1, b2), (a, b2)]:
+            r = classify(x, y)
+            assert r.verdict == "Equivalent", (x, y)
+            assert same_trochoid(replay_spec(r.witness, x), y)
 
     @pytest.mark.xfail(
         strict=True,
