@@ -41,10 +41,10 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
-from .exactnum import BudgetError, Turn, check_level_cap, cyc_to_json
+from .exactnum import BudgetError, Cyc, Turn, check_level_cap, cyc_to_json
 from .geom import area_approx, fmt12, point_xy
 
 EXIT_EQUIVALENT = 0
@@ -109,8 +109,11 @@ def _spec_from_args(args, prefix: str):
 # Output is written as it is made: a whole document would cost as much
 # memory as the table it prints.  JSON goes out a row per `write` (see
 # `_json_pieces`); CSV rows are short, and one write per row would be one
-# syscall each when stdout is unbuffered, so they go out in batches.
-CSV_BATCH = 64  # table rows per write
+# syscall each when stdout is unbuffered, so they go out in batches, as do
+# the moves of a `classify` witness.  An exact value is written straight
+# from its integer coordinates: a table row holds the `Cyc`, not the lists
+# of `cyc_to_json`.
+CSV_BATCH = 64  # table rows or witness moves per write
 
 
 def _batches(items, size: int):
@@ -121,14 +124,17 @@ def _batches(items, size: int):
 
 
 def _encode(o, ind: str) -> str:
-    """The text of `json.dumps(o, sort_keys=True, indent=2)` for a value
-    nested in a line indented by ind; dict keys must be str.  With an indent
-    the stdlib encodes in pure Python, one generator chunk at a time;
-    joining each container's items instead takes half the time."""
+    """The text of `json.dumps(o, default=cyc_to_json, sort_keys=True,
+    indent=2)` for a value nested in a line indented by ind; dict keys must
+    be str.  With an indent the stdlib encodes in pure Python, one
+    generator chunk at a time; joining each container's items instead
+    takes half the time."""
     if isinstance(o, str):
         return _encode_str(o)
     if type(o) is int:
         return int.__repr__(o)
+    if type(o) is Cyc:
+        return _encode_cyc(o, ind)
     inner = ind + "  "
     if isinstance(o, dict):
         if not o:
@@ -143,26 +149,63 @@ def _encode(o, ind: str) -> str:
     return json.dumps(o)
 
 
+def _encode_cyc(a: Cyc, ind: str) -> str:
+    """The text of `cyc_to_json(a)` nested at ind, made from a's integers:
+    one `str` per integer and no list per coordinate.  The strings hold
+    only digits and `-`, so none needs escaping, and a value has at least
+    one coordinate."""
+    inner = ind + "  "
+    pair = inner + "  "
+    value = pair + "  "
+    mid = '",\n' + value + '"'  # between a coordinate's numerator and denominator
+    close = '"\n' + pair + "]"
+    sep = close + ",\n" + pair + '[\n' + value + '"'
+    head = "{\n" + inner + '"coeffs": [\n' + pair + "[\n" + value + '"'
+    tail = close + "\n" + inner + '],\n' + inner + '"level": ' + str(a.level) + "\n" + ind + "}"
+    den = a.den
+    if den == 1:
+        return head + (mid + "1" + sep).join(map(str, a.num)) + mid + "1" + tail
+    texts = [str(c // (g := gcd(c, den))) + mid + str(den // g) for c in a.num]
+    return head + sep.join(texts) + tail
+
+
 def _json_pieces(data):
-    """The text of `json.dumps(data, sort_keys=True, indent=2)` and a final
-    newline: one piece per member of a top-level dict, except that a list
-    member gives one piece per element (one `enumerate` row)."""
+    """The text of `json.dumps(data, default=cyc_to_json, sort_keys=True,
+    indent=2)` and a final newline, in pieces.  A top-level dict gives one
+    piece per member, except that a list member gives one piece per
+    element (one `enumerate` row), and a dict member gives pieces of its
+    own members, a list among them one piece per CSV_BATCH elements (the
+    moves of a `classify` witness)."""
     if not isinstance(data, dict) or not data:
         yield _encode(data, "") + "\n"
         return
-    opening = "{"
-    for key, value in sorted(data.items()):
-        head = opening + "\n  " + _encode_str(key) + ": "
+    yield from _member_pieces(data, "", 1, "{")
+    yield "\n}\n"
+
+
+def _member_pieces(d: dict, ind: str, size: int, opening: str):
+    """The members of the non-empty dict d nested at ind, in pieces after
+    opening, the text up to and with its `{`: a non-empty list member in
+    pieces of size elements, and at the top (size 1) a non-empty dict
+    member split the same way with size CSV_BATCH; any other member whole.
+    The closing `}` is the caller's."""
+    inner = ind + "  "
+    item_ind = inner + "  "
+    for key, value in sorted(d.items()):
+        head = opening + "\n" + inner + _encode_str(key) + ": "
+        opening = ","
         if isinstance(value, (list, tuple)) and value:
             head += "["
-            for item in value:
-                yield head + "\n    " + _encode(item, "    ")
+            for batch in _batches(value, size):
+                texts = [_encode(v, item_ind) for v in batch]
+                yield head + "\n" + item_ind + (",\n" + item_ind).join(texts)
                 head = ","
-            yield "\n  ]"
+            yield "\n" + inner + "]"
+        elif size == 1 and isinstance(value, dict) and value:
+            yield from _member_pieces(value, inner, CSV_BATCH, head + "{")
+            yield "\n" + inner + "}"
         else:
-            yield head + _encode(value, "  ")
-        opening = ","
-    yield "\n}\n"
+            yield head + _encode(value, inner)
 
 
 def _write_output(pieces, out: str | None) -> None:
@@ -181,7 +224,9 @@ def _write_output(pieces, out: str | None) -> None:
 
 
 def cmd_enumerate(p: int, q: int) -> dict:
-    """One row per (k, l): turn, reduced types, parity, and both weights."""
+    """One row per (k, l): turn, reduced types, parity, and both weights,
+    the exact one as the `Cyc` itself (`_encode` writes its `cyc_to_json`
+    text)."""
     from .diagram import (
         check_torus_type,
         closed_form_weight,
@@ -207,7 +252,7 @@ def cmd_enumerate(p: int, q: int) -> dict:
                     "alpha": lattice_alpha(p, q, k, l),
                     "parity": "even" if p_prime * q_prime % 2 == 0 else "odd",
                     "weight_float": fmt12(area_approx(w)),
-                    "weight_scaled_4i": cyc_to_json(w),
+                    "weight_scaled_4i": w,
                 }
             )
     return {"p": p, "q": q, "rows": rows}
@@ -226,7 +271,7 @@ def _enumerate_csv(table: dict):
             table["p"], table["q"], row["k"], row["l"], row["theta"],
             row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
             row["weight_float"],
-            json.dumps(row["weight_scaled_4i"], sort_keys=True,
+            json.dumps(cyc_to_json(row["weight_scaled_4i"]), sort_keys=True,
                        separators=(",", ":")),
         ]
         for row in table["rows"]

@@ -8,8 +8,9 @@ multiple level L through zeta_N = zeta_L^(L/N): a sum, difference or
 product writes both operands' exponents once into one accumulator at L,
 then folds and normalizes once (`_spread`).  A rotation c + zeta_d^k *
 (z - c) does the same at L = lcm(z.level, c.level, d), shifting the
-exponents of z - c by k*L/d (`_rotate`), and `_area_sum` adds
-conj(v) * w - v * conj(w) over many pairs (v, w) in one accumulator.
+exponents of z - c by k*L/d (`_rotate`; `_displacement` gives the image
+minus z the same way), and `_area_sum` adds conj(v) * w - v * conj(w)
+over many pairs (v, w) in one accumulator.
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
@@ -572,6 +573,27 @@ def _rotate(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
             y *= mc
             acc[(e * step + s) % n] -= y
             acc[e * step] += y
+    return Cyc._raw(n, *_normal(_fold(n, acc), d))
+
+
+def _displacement(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
+    """(zeta_den^num - 1) * (z - c): how far z moves when turned about c by
+    num/den of a turn, `_rotate(z, c, num, den) - z` in one accumulator at
+    the same level n.  Each coordinate of z - c goes in at its exponent
+    shifted by s and, negated, unshifted; one fold and one gcd."""
+    n = lcm(z.level, c.level, den)
+    s = num * (n // den) % n
+    zd, cd = z.den, c.den
+    mz, mc, d = (1, 1, zd) if zd == cd else (cd, zd, zd * cd)
+    acc = [0] * n
+    for x, m in ((z, mz), (c, -mc)):
+        step = n // x.level
+        for e, y in enumerate(x.num):
+            if y:
+                y *= m
+                e *= step
+                acc[(e + s) % n] += y
+                acc[e] -= y
     return Cyc._raw(n, *_normal(_fold(n, acc), d))
 
 

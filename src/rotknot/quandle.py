@@ -8,7 +8,7 @@ and never enumerates; the finite dihedral quandles, which only the
 
 from __future__ import annotations
 
-from .exactnum import Cyc, Turn, _area_sum
+from .exactnum import Cyc, Turn, _area_sum, _displacement, _rotate
 from .geom import Point, rotate
 from .value import Frozen
 
@@ -42,7 +42,10 @@ class RotQuandle:
         return RotElem(rotate(x.center, y.center, y.angle), x.angle)
 
     def inv_op(self, x: RotElem, y: RotElem) -> RotElem:
-        return RotElem(rotate(x.center, y.center, -y.angle), x.angle)
+        """x * y^-1: x's center turned back by y's angle, with no negated
+        `Turn` built."""
+        t = y.angle
+        return RotElem(_rotate(x.center, y.center, -t.numerator, t.denominator), x.angle)
 
     def __repr__(self) -> str:
         return "RotQuandle()"
@@ -71,6 +74,7 @@ def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> Cyc:
 
 def _phi_pair(o: Point, x: RotElem, y: RotElem) -> tuple[Point, Point]:
     """(b - a, c - o), the pair whose area term is Phi_o(x, y); swapped,
-    it gives -Phi_o(x, y)."""
-    a, c = x.center, y.center
-    return rotate(a, c, y.angle) - a, c - o
+    it gives -Phi_o(x, y).  b - a = (zeta - 1)(a - c) for zeta the unit
+    of y's angle, one kernel call (`exactnum._displacement`)."""
+    a, c, t = x.center, y.center, y.angle
+    return _displacement(a, c, t.numerator, t.denominator), c - o

@@ -21,12 +21,13 @@ from .exactnum import (
     BudgetError,
     Cyc,
     Turn,
+    _area_sum,
     check_level_cap,
     cyc_root,
     enumerate_unit_elements,
 )
 from .geom import ORIGIN, Point, point_xy
-from .quandle import ROT, RotElem, cocycle_phi
+from .quandle import ROT, RotElem, _phi_pair, cocycle_phi
 
 SMALL_GRID = [(2, 3), (3, 2), (3, 4), (4, 3)]
 FULL_GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
@@ -61,12 +62,15 @@ def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
     """f(x,y) + f(x*y, z) - f(x,z) - f(x*z, y*z) with f = Phi_o.
 
     The cocycle condition: the result is exactly zero for every input.
+    The four terms' pairs (`quandle._phi_pair`, the negative two swapped)
+    go to the area kernel together, as in `diagram.total_weight`.
     """
-    f = cocycle_phi
     xy = ROT.op(x, y)
     xz = ROT.op(x, z)
     yz = ROT.op(y, z)
-    return f(o, x, y) + f(o, xy, z) - f(o, x, z) - f(o, xz, yz)
+    plus = [_phi_pair(o, x, y), _phi_pair(o, xy, z)]
+    minus = [_phi_pair(o, x, z), _phi_pair(o, xz, yz)]
+    return _area_sum(plus + [(w, v) for v, w in minus])
 
 
 # ---------------------------------------------------------------------------

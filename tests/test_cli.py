@@ -40,7 +40,7 @@ from rotknot.cli import (
     parse_turn,
 )
 from rotknot import trochoid, verify
-from rotknot.exactnum import Cyc, Turn
+from rotknot.exactnum import Cyc, Turn, cyc_to_json
 from rotknot.geom import point_xy
 
 
@@ -119,7 +119,7 @@ def _whole_csv(table):
             [table["p"], table["q"], row["k"], row["l"], row["theta"],
              row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
              row["weight_float"],
-             json.dumps(row["weight_scaled_4i"], sort_keys=True,
+             json.dumps(row["weight_scaled_4i"], default=cyc_to_json, sort_keys=True,
                         separators=(",", ":"))]
         )
     return buf.getvalue()
@@ -136,6 +136,15 @@ class _Discard:
             self.write(piece)
 
 
+def _cycs(level: int):
+    """Values at level with up to four terms at any exponent below it, so
+    that some fold; zero, negative coordinates and den != 1 among them."""
+    terms = st.dictionaries(
+        st.integers(0, level - 1), st.fractions(max_denominator=12), max_size=4
+    )
+    return terms.map(lambda t: Cyc(level, [t.get(e, 0) for e in range(level)]))
+
+
 _JSON_LEAVES = (
     st.text()
     | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "é ü 中 😀 \u2028"])
@@ -144,6 +153,7 @@ _JSON_LEAVES = (
     | st.none()
     | st.floats()
     | st.sampled_from([-0.0, 1e308, float("nan"), float("inf"), float("-inf")])
+    | st.sampled_from([1, 4, 12, 143]).flatmap(_cycs)
 )
 
 
@@ -161,6 +171,10 @@ def _json_trees(depth: int):
 
 
 _DEEP = {"rows": [{"a": [(), {}, [[{"b": ["\\\"é", -0.0, None]}]]]}, []], "x": (1, True)}
+_CYC_TREE = {
+    "w": [Cyc.zero(), Cyc(12, [Fraction(-3, 4), 0, Fraction(5, 6)])],
+    "x": {"y": Cyc(143, [-(10**30)] * 143)},
+}
 
 
 class TestStreamedOutput:
@@ -171,7 +185,8 @@ class TestStreamedOutput:
     def test_json_pieces_are_the_stdlib_bytes(self, p, q, rows):
         table = cmd_enumerate(p, q)
         pieces = list(_json_pieces(table))
-        assert "".join(pieces) == json.dumps(table, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(table, default=cyc_to_json, sort_keys=True, indent=2)
+        assert "".join(pieces) == text + "\n"
         # one write per row, and one each for "p", "q", the bracket that
         # closes "rows" and the brace that closes the table
         assert len(table["rows"]) == rows
@@ -179,7 +194,10 @@ class TestStreamedOutput:
         # a piece is at most the longest row, nested two deep, with the text
         # that opens the list before it
         longest = max(
-            len(json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    "))
+            len(
+                json.dumps(row, default=cyc_to_json, sort_keys=True, indent=2)
+                .replace("\n", "\n    ")
+            )
             for row in table["rows"]
         )
         assert max(map(len, pieces)) <= longest + len(',\n  "rows": [\n    ')
@@ -188,8 +206,10 @@ class TestStreamedOutput:
     @given(_json_trees(5))
     @example(_DEEP)
     @example([_DEEP, _DEEP["rows"]])
+    @example(_CYC_TREE)
+    @example({"result": _CYC_TREE, "spec": {"witness": list(range(2 * CSV_BATCH + 1))}})
     def test_json_pieces_match_json_dumps(self, data):
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(data, default=cyc_to_json, sort_keys=True, indent=2) + "\n"
         assert "".join(_json_pieces(data)) == text
 
     def test_batches_end_on_an_empty_batch_only(self):
@@ -201,7 +221,8 @@ class TestStreamedOutput:
         assert main(["enumerate", *argv]) == 0
         stdout = capsys.readouterr().out
         p, q = int(argv[1]), int(argv[3])
-        assert stdout == json.dumps(cmd_enumerate(p, q), sort_keys=True, indent=2) + "\n"
+        table = cmd_enumerate(p, q)
+        assert stdout == json.dumps(table, default=cyc_to_json, sort_keys=True, indent=2) + "\n"
         path = tmp_path / "table.json"
         assert main(["enumerate", *argv, "--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
@@ -254,7 +275,8 @@ class TestStreamedOutput:
             _write_output(_json_pieces(table), None)
             streamed = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            _write_output((json.dumps(table, sort_keys=True, indent=2) + "\n",), None)
+            text = json.dumps(table, default=cyc_to_json, sort_keys=True, indent=2)
+            _write_output((text + "\n",), None)
             whole = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,6 +284,41 @@ class TestStreamedOutput:
         # the whole text of (13, 11) is 0.9 MB, and the encoder's list of
         # its 78,136 chunks more than that again
         assert whole > 2 * 2**20
+
+    def test_witness_streams_in_batches(self, monkeypatch):
+        import tracemalloc
+
+        args = parse_args(["classify", "--p", "3", "--q", "2", "--b-anchor", "1,0"])
+        data, _ = cmd_classify(_spec_from_args(args, ""), _spec_from_args(args, "b_"))
+        # the shape of the 130,000-move witness of --b-anchor 10000,0
+        data["result"]["witness"] = ["shift", "switch"] * 65_000
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            _write_output(_json_pieces(data), None)
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _write_output((json.dumps(data, sort_keys=True, indent=2) + "\n",), None)
+            whole = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed < 2**20
+        # the whole text is 2.1 MB
+        assert whole > 2 * 2**20
+
+    def test_table_holds_no_coefficient_lists(self):
+        import tracemalloc
+
+        cmd_enumerate(13, 11)  # fills the level-143 tables the tables cache
+        tracemalloc.start()
+        try:
+            table = cmd_enumerate(13, 11)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 14,400 exact coordinates; as [str, "1"] lists they took 1.9 MiB
+        assert len(table["rows"]) == 120
+        assert held < 2**20
 
     def test_bad_spec_creates_no_file(self, tmp_path, capsys):
         path = tmp_path / "table.json"

@@ -186,6 +186,10 @@ ROWS = [
     row("enumerate --p 11 --q 7 --format csv --out t.csv", 0,
         golden("enumerate --p 11 --q 7 --format csv"), env=UNBUFFERED),
     row("enumerate --p 3 --q 2 --format csv --out t.csv", 0, csv),
+    # exact values written at level 437, 9.3 MB of them
+    row("enumerate --p 23 --q 19", 0,
+        sha256("a41ebec17020f881ab3f6e957e504c9f9be9fde81901edf0ea5908f6f873bec6"),
+        env={"QT_SESSION_LEVEL_CAP": "1000"}),
     row("classify --p 3 --q 2 --b-anchor 1,0 --out c.json", 0, dumps_text),
     row("render --p 3 --q 2 --out r.svg", 0, svg),
     # one small job per subcommand

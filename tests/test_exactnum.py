@@ -349,6 +349,18 @@ class TestFusedKernels:
         got = exactnum._area_sum(pairs)
         assert coordinates(got) == coordinates(area_sum_reference(pairs))
 
+    @settings(max_examples=300)
+    @given(kernel_values(), kernel_values(), st.integers(-30, 30),
+           st.sampled_from(KERNEL_LEVELS))
+    @example(Cyc(4, []), Cyc(3, []), 1, 6)
+    @example(Cyc(4, [0, 1]), Cyc(4, [0, 1]), 5, 12)
+    @example(Cyc(3, [Fraction(1, 2)]), Cyc(12, [0, Fraction(1, 3)]), 0, 7)
+    def test_displacement_is_the_rotation_minus_the_point(self, z, c, num, den):
+        # compared as values: 0 - z keeps z's level where the image is 0
+        got = exactnum._displacement(z, c, num, den)
+        assert got == exactnum._rotate(z, c, num, den) - z
+        assert got.level == math.lcm(z.level, c.level, den)
+
 
 class TestEmbed:
     def test_embedding_is_homomorphism(self):

@@ -7,9 +7,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotknot.exactnum import Cyc, Turn
+from rotknot.exactnum import Cyc, Turn, _area_sum
 from rotknot.geom import ORIGIN, point_xy, rotate, signed_area_tri
-from rotknot.quandle import ROT, RotElem, cocycle_phi
+from rotknot.quandle import ROT, RotElem, _phi_pair, cocycle_phi
 from rotknot.verify import DihedralQuandle, verify_qc1
 
 from conftest import rand_rot
@@ -38,6 +38,9 @@ def points(draw):
 
 
 turns = st.builds(Turn, st.integers(0, 23), st.integers(1, 24))
+# turns whose denominators divide 24, so that a sum of several terms
+# stays at level 24
+turns_24 = st.builds(Turn, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
 
 
 class TestDihedral:
@@ -123,6 +126,27 @@ class TestCocycle:
         got = cocycle_phi(o, x, y)
         want = cocycle_by_triangles(o, x, y)
         assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
+
+    @settings(max_examples=300)
+    @given(points(), points(), points(), turns, turns)
+    def test_phi_pair_is_rotation_minus_point(self, o, a, c, s, t):
+        moved, arm = _phi_pair(o, RotElem(a, s), RotElem(c, t))
+        assert moved == rotate(a, c, t) - a
+        assert arm == c - o
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(points(), points(), turns_24, st.booleans()), min_size=4,
+                    max_size=4), points())
+    def test_signed_pairs_are_the_composed_sum(self, terms, o):
+        """Swapped pairs in one kernel call give the sum of +-Phi_o, as
+        `verify_qc1` and `total_weight` use them."""
+        pairs, want = [], Cyc.zero()
+        for a, c, t, negative in terms:
+            x, y = RotElem(a, t), RotElem(c, t)
+            v, w = _phi_pair(o, x, y)
+            pairs.append((w, v) if negative else (v, w))
+            want = want - cocycle_phi(o, x, y) if negative else want + cocycle_phi(o, x, y)
+        assert _area_sum(pairs) == want
 
     def test_qc1_vanishes(self):
         rng = random.Random(37)
