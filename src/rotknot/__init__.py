@@ -2,8 +2,9 @@
 
 Modules by role:
 
-- exactnum: cyclotomic field arithmetic, rational turns, unit scans, the
-  session level cap
+- exactnum: cyclotomic field arithmetic, rational turns, the session
+  level cap and the library's level ceiling
+- units: the scan of a field's unit-modulus integers, loaded on first use
 - geom: points, exact signed areas, rigid rotations, polygon builders
 - quandle: the rotation quandle, the area two-cocycle
 - diagram: torus-knot diagram combinatorics, colorings, weights, the
@@ -13,7 +14,9 @@ Modules by role:
 - render: SVG drawings of trochoid diagrams
 - verify: the `verify` suites, dihedral quandles, finite coloring search
   and orbits; loaded only by `verify` and the tests
-- cli: command-line entry points
+- cli: command-line entry points, the flag table and the JSON writer
+- families: the `enumerate` table and its CSV text; loaded only by
+  `enumerate`
 - value: the immutable base of the value classes
 """
 

@@ -19,12 +19,16 @@ Neither argparse nor the `gettext` and `locale` modules it loads are
 imported.
 
 A command loads only the modules it runs.  Importing this module loads
-`exactnum` and `geom`; `enumerate` adds `diagram`, `classify` and
-`render` add `trochoid` (which loads `diagram`), `render` adds `render`
-and `verify` adds `verify`, whose suites load `diagram` and `trochoid`
-only where they use them; only `verify appendix` loads `units`.  Without
-cached bytecode every module loaded is compiled, so this is start-up
-time saved.
+`exactnum` and `geom`; `enumerate` adds `families` (which loads
+`diagram`), `classify` and `render` add `trochoid` (which loads
+`diagram`), `render` adds `render` and `verify` adds `verify`, whose
+suites load `diagram` and `trochoid` only where they use them; only
+`verify appendix` loads `units`.  No command loads the `json` package
+except `enumerate --format csv`: strings are escaped here, and `json`
+is imported only for a string that is not ASCII or a leaf that is not a
+str, int or `Cyc`.  The patterns of decimal exponents and negative
+numbers are compiled on their first use.  Without cached bytecode every
+module loaded is compiled, so this is start-up time saved.
 
 `python -m rotknot` and the installed `rotknot` script run `main` through
 `rotknot.__main__.main`, which then skips the interpreter's exit-time
@@ -34,18 +38,15 @@ and library callers can run it in their own process.
 
 from __future__ import annotations
 
-import io
-import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _encode_str
-from math import gcd, lcm
+from itertools import islice
+from math import gcd
 from types import SimpleNamespace
 
-from .exactnum import BudgetError, Cyc, Turn, check_level_cap, cyc_to_json
-from .geom import area_approx, fmt12, point_xy
+from .exactnum import BudgetError, Cyc, Turn
+from .geom import point_xy
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 10
@@ -60,11 +61,11 @@ EXIT_UNDETERMINED = 20
 # follows grows faster than the exponent: on a 2-CPU Xeon `classify
 # --anchor 1e100000,0` takes half a second and 1e1000000 half a minute.
 MAX_EXPONENT = 100_000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled by `re` on first use
 
 
 def parse_fraction(text: str) -> Fraction:
-    exponent = _EXPONENT.search(text)
+    exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
     try:
@@ -115,6 +116,26 @@ def _spec_from_args(args, prefix: str):
 # of `cyc_to_json`.
 CSV_BATCH = 64  # table rows or witness moves per write
 
+# What `json.dumps` writes for each ASCII character it escapes: `"` and
+# `\` after a backslash, five control characters by their short escapes,
+# and the other control characters and DEL as \u00xx.
+_ASCII_ESCAPES = {
+    **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)},
+    **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')},
+}
+
+
+def _encode_str(s: str) -> str:
+    """The text of `json.dumps(s)`; the `json` package is loaded only for
+    a string that is not ASCII."""
+    if s.isascii():
+        if s.isprintable() and '"' not in s and "\\" not in s:
+            return '"' + s + '"'  # nothing to escape, as in every key
+        return '"' + s.translate(_ASCII_ESCAPES) + '"'
+    import json
+
+    return json.dumps(s)
+
 
 def _batches(items, size: int):
     """Lists of up to size consecutive items; ends on the first empty one."""
@@ -146,6 +167,8 @@ def _encode(o, ind: str) -> str:
             return "[]"
         items = [_encode(v, inner) for v in o]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
+    import json  # a float, bool or None: only the null of an `approx` that overflows
+
     return json.dumps(o)
 
 
@@ -217,69 +240,6 @@ def _write_output(pieces, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
-
-
-# ---------------------------------------------------------------------------
-# enumerate
-
-
-def cmd_enumerate(p: int, q: int) -> dict:
-    """One row per (k, l): turn, reduced types, parity, and both weights,
-    the exact one as the `Cyc` itself (`_encode` writes its `cyc_to_json`
-    text)."""
-    from .diagram import (
-        check_torus_type,
-        closed_form_weight,
-        lattice_alpha,
-        reduced_types,
-        theta,
-    )
-
-    check_torus_type(p, q)
-    check_level_cap(lcm(abs(p), abs(q)))
-    rows = []
-    for k in range(1, abs(p)):
-        for l in range(1, abs(q)):
-            p_prime, q_prime = reduced_types(p, q, k, l)
-            w = closed_form_weight(p, q, k, l)
-            rows.append(
-                {
-                    "k": k,
-                    "l": l,
-                    "theta": str(theta(abs(p), k, abs(q), l)),
-                    "p_prime": p_prime,
-                    "q_prime": q_prime,
-                    "alpha": lattice_alpha(p, q, k, l),
-                    "parity": "even" if p_prime * q_prime % 2 == 0 else "odd",
-                    "weight_float": fmt12(area_approx(w)),
-                    "weight_scaled_4i": w,
-                }
-            )
-    return {"p": p, "q": q, "rows": rows}
-
-
-def _enumerate_csv(table: dict):
-    """The CSV text of an `enumerate` table, in batches of CSV_BATCH rows."""
-    import csv
-
-    header = [
-        "p", "q", "k", "l", "theta", "p_prime", "q_prime",
-        "alpha", "parity", "weight_float", "weight_exact",
-    ]
-    rows = (
-        [
-            table["p"], table["q"], row["k"], row["l"], row["theta"],
-            row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
-            row["weight_float"],
-            json.dumps(cyc_to_json(row["weight_scaled_4i"]), sort_keys=True,
-                       separators=(",", ":")),
-        ]
-        for row in table["rows"]
-    )
-    for batch in _batches(chain((header,), rows), CSV_BATCH):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(batch)
-        yield buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +348,9 @@ ABOUT = {
 }
 HELP = ("-h", "--help")
 # argparse's pattern of a plain negative number, the one value that may
-# start with `-` and follow its flag as a separate argument
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# start with `-` and follow its flag as a separate argument; compiled by
+# `re` on first use
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _is_flag(arg: str, names) -> bool:
@@ -401,7 +362,7 @@ def _is_flag(arg: str, names) -> bool:
         return False
     if arg.partition("=")[0] in names or arg.startswith("-h"):
         return True
-    return not _NEGATIVE_NUMBER.match(arg) and " " not in arg
+    return not re.match(_NEGATIVE_NUMBER, arg) and " " not in arg
 
 
 def _dest(name: str) -> str:
@@ -531,6 +492,8 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "enumerate":
+            from .families import _enumerate_csv, cmd_enumerate
+
             table = cmd_enumerate(args.p, args.q)
             pieces = (
                 _json_pieces(table) if args.format == "json" else _enumerate_csv(table)

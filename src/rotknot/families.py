@@ -1,0 +1,75 @@
+"""The `enumerate` command: one table row per coloring family (k, l) of a
+torus-knot diagram D(p, q), written as JSON by `cli` or as CSV here.
+
+Only `enumerate` loads this module, so the other commands compile none
+of it, and only its CSV output loads the `csv` and `json` packages.
+"""
+
+from __future__ import annotations
+
+import io
+from itertools import chain
+from math import lcm
+
+from .cli import CSV_BATCH, _batches
+from .diagram import (
+    check_torus_type,
+    closed_form_weight,
+    lattice_alpha,
+    reduced_types,
+    theta,
+)
+from .exactnum import check_level_cap, cyc_to_json
+from .geom import area_approx, fmt12
+
+
+def cmd_enumerate(p: int, q: int) -> dict:
+    """One row per (k, l): turn, reduced types, parity, and both weights,
+    the exact one as the `Cyc` itself (`cli._encode` writes its
+    `cyc_to_json` text)."""
+    check_torus_type(p, q)
+    check_level_cap(lcm(abs(p), abs(q)))
+    rows = []
+    for k in range(1, abs(p)):
+        for l in range(1, abs(q)):
+            p_prime, q_prime = reduced_types(p, q, k, l)
+            w = closed_form_weight(p, q, k, l)
+            rows.append(
+                {
+                    "k": k,
+                    "l": l,
+                    "theta": str(theta(abs(p), k, abs(q), l)),
+                    "p_prime": p_prime,
+                    "q_prime": q_prime,
+                    "alpha": lattice_alpha(p, q, k, l),
+                    "parity": "even" if p_prime * q_prime % 2 == 0 else "odd",
+                    "weight_float": fmt12(area_approx(w)),
+                    "weight_scaled_4i": w,
+                }
+            )
+    return {"p": p, "q": q, "rows": rows}
+
+
+def _enumerate_csv(table: dict):
+    """The CSV text of an `enumerate` table, in batches of CSV_BATCH rows."""
+    import csv
+    import json
+
+    header = [
+        "p", "q", "k", "l", "theta", "p_prime", "q_prime",
+        "alpha", "parity", "weight_float", "weight_exact",
+    ]
+    rows = (
+        [
+            table["p"], table["q"], row["k"], row["l"], row["theta"],
+            row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
+            row["weight_float"],
+            json.dumps(cyc_to_json(row["weight_scaled_4i"]), sort_keys=True,
+                       separators=(",", ":")),
+        ]
+        for row in table["rows"]
+    )
+    for batch in _batches(chain((header,), rows), CSV_BATCH):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(batch)
+        yield buf.getvalue()

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from time import perf_counter
 
-from rotknot.cli import cmd_enumerate
+from rotknot.families import cmd_enumerate
 from rotknot.diagram import (
     build_diagram,
     check_coloring,
@@ -264,7 +264,8 @@ def test_criterion_11_determinism():
     t0 = perf_counter()
     script = (
         "import hashlib\n"
-        "from rotknot.cli import cmd_enumerate, _json_pieces\n"
+        "from rotknot.cli import _json_pieces\n"
+        "from rotknot.families import cmd_enumerate\n"
         "from rotknot.render import render_trochoid_svg\n"
         "from rotknot.trochoid import TrochoidSpec\n"
         "from rotknot.verify import orbit_bfs\n"

@@ -27,12 +27,11 @@ from rotknot.cli import (
     MAX_EXPONENT,
     UsageError,
     _batches,
-    _enumerate_csv,
+    _encode_str,
     _json_pieces,
     _spec_from_args,
     _write_output,
     cmd_classify,
-    cmd_enumerate,
     main,
     parse_anchor,
     parse_args,
@@ -41,6 +40,7 @@ from rotknot.cli import (
 )
 from rotknot import trochoid, verify
 from rotknot.exactnum import Cyc, Turn, cyc_to_json
+from rotknot.families import _enumerate_csv, cmd_enumerate
 from rotknot.geom import point_xy
 
 
@@ -180,6 +180,13 @@ _CYC_TREE = {
 class TestStreamedOutput:
     """JSON is written a row at a time and CSV in batches of rows, with the
     stdlib bytes."""
+
+    def test_ascii_escapes_are_the_stdlib_bytes(self):
+        # each ASCII code point alone, all of them joined and the empty
+        # string; DEL (0x7f) is escaped like the control characters
+        ascii_chars = [chr(c) for c in range(128)]
+        for s in [*ascii_chars, "".join(ascii_chars), ""]:
+            assert _encode_str(s) == json.dumps(s), repr(s)
 
     @pytest.mark.parametrize("p,q,rows", [(3, 2, 2), (-7, 5, 24), (13, 11, 120)])
     def test_json_pieces_are_the_stdlib_bytes(self, p, q, rows):

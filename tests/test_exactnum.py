@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rotknot import exactnum
 from rotknot.exactnum import (
     ContradictionError,
     Cyc,
+    LEVEL_CEILING,
     LevelError,
     NonIntegralError,
     Turn,
@@ -504,6 +506,47 @@ class TestLevelCap:
             for level in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k):
                 digits = int(self.refusal(level, monkeypatch).split()[3])
                 assert digits == len(str(level)), level
+
+
+class TestLibraryCeiling:
+    """Library arithmetic refuses a level above both LEVEL_CEILING and the
+    session cap before it builds any table of that level."""
+
+    TAIL = " (raise QT_SESSION_LEVEL_CAP to allow)"
+
+    def test_far_level_refused_at_once(self, monkeypatch):
+        # lcm(24, 23, 19, 17): a sum of four cocycle values with turn
+        # denominators up to 24 reached it, and its tables would take on
+        # the order of 100 GB
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        far = 178_296
+        t0 = time.perf_counter()
+        for make in (
+            lambda: cyc_root(far),
+            lambda: Cyc.one().lift(far),
+            lambda: cyc_root(24 * 23) * cyc_root(19 * 17),
+        ):
+            with pytest.raises(LevelError) as exc:
+                make()
+            assert exc.value.required_level == far
+            assert str(exc.value) == f"level {far} exceeds the library ceiling 4620{self.TAIL}"
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_level_at_the_ceiling_works(self, monkeypatch):
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        # phi(4620) = phi(4) * phi(3) * phi(5) * phi(7) * phi(11)
+        assert len(cyclotomic_poly(LEVEL_CEILING)) - 1 == 2 * 2 * 4 * 6 * 10
+
+    def test_session_cap_raises_the_ceiling(self, monkeypatch):
+        # 4621 is prime, so its polynomial is cheap: 4621 ones
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        with pytest.raises(LevelError, match="^level 4621 exceeds the library ceiling 4620"):
+            cyclotomic_poly(4621)
+        monkeypatch.setenv("QT_SESSION_LEVEL_CAP", "5000")
+        assert cyclotomic_poly(4621) == (1,) * 4621
+        with pytest.raises(LevelError) as exc:
+            cyclotomic_poly(10**30)
+        assert str(exc.value) == f"level of 31 digits exceeds the library ceiling 5000{self.TAIL}"
 
 
 class TestTurn:
