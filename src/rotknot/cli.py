@@ -11,12 +11,14 @@ machine state leak into the bytes.
 
 The flags of every command are one table, COMMANDS, and `parse_args`
 reads a command line against it: each flag's converter, default, whether
-it is required and the values it may take.  It reads what argparse read
-with prefixes never expanded, so `--anc` is unknown, and a usage error
-is one `error:` line, in argparse's words, on `main`'s one refusal path
-(exit 2).  `-h` or `--help` prints a synopsis built from the table.
-Neither argparse nor the `gettext` and `locale` modules it loads are
-imported.
+it is required and the values it may take.  A flag that takes a value
+takes the next word, whatever it starts with, unless that word is `-h`,
+`--help` or one of the command's own flags; so `--anchor -1,0` reads
+-1,0.  A name is never expanded from its prefix, so `--anc` is unknown,
+and a usage error is one `error:` line, in argparse's words, on `main`'s
+one refusal path (exit 2).  `-h` or `--help` prints a synopsis built
+from the table.  Neither argparse nor the `gettext` and `locale` modules
+it loads are imported.
 
 A command loads only the modules it runs.  Importing this module loads
 `exactnum` and `geom`; `enumerate` adds `families` (which loads
@@ -26,9 +28,9 @@ suites load `diagram` and `trochoid` only where they use them; only
 `verify appendix` loads `units`.  No command loads the `json` package
 except `enumerate --format csv`: strings are escaped here, and `json`
 is imported only for a string that is not ASCII or a leaf that is not a
-str, int or `Cyc`.  The patterns of decimal exponents and negative
-numbers are compiled on their first use.  Without cached bytecode every
-module loaded is compiled, so this is start-up time saved.
+str, int or `Cyc`.  The pattern of decimal exponents is compiled on its
+first use.  Without cached bytecode every module loaded is compiled, so
+this is start-up time saved.
 
 `python -m rotknot` and the installed `rotknot` script run `main` through
 `rotknot.__main__.main`, which then skips the interpreter's exit-time
@@ -88,21 +90,26 @@ def parse_turn(text: str) -> Turn:
 def _spec_from_args(args, prefix: str):
     """The `TrochoidSpec` of the flags whose names start with prefix: ""
     for spec a, "b_" for the `--b-*` flags of spec b, each of which, when
-    absent, takes spec a's value."""
+    absent, takes spec a's value.  A rational that does not parse is a
+    ValueError that names the flag it came from."""
     from .trochoid import TrochoidSpec
 
-    def flag(name: str):
-        value = getattr(args, prefix + name)
-        return getattr(args, name) if value is None else value
+    def flag(name: str, parse=lambda value: value):
+        if getattr(args, prefix + name) is not None:
+            name = prefix + name
+        try:
+            return parse(getattr(args, name))
+        except ValueError as exc:
+            raise ValueError(f"argument --{name.replace('_', '-')}: {exc}") from None
 
     return TrochoidSpec(
         args.p,
         args.q,
         flag("k"),
         flag("l"),
-        parse_anchor(flag("anchor")),
-        parse_turn(flag("direction")),
-        parse_fraction(flag("side")),
+        flag("anchor", parse_anchor),
+        flag("direction", parse_turn),
+        flag("side", parse_fraction),
         flag("chirality"),
     )
 
@@ -347,22 +354,12 @@ ABOUT = {
     "render": "write an SVG of the trochoid diagram",
 }
 HELP = ("-h", "--help")
-# argparse's pattern of a plain negative number, the one value that may
-# start with `-` and follow its flag as a separate argument; compiled by
-# `re` on first use
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def _is_flag(arg: str, names) -> bool:
-    """Whether arg is read as a flag rather than a value, the way argparse
-    reads it: a known name, alone or before `=`; `-h` with text attached;
-    or any other word that starts with `-`, unless it is `-`, a plain
-    negative number or has a space in it."""
-    if arg[:1] != "-" or arg == "-":
-        return False
-    if arg.partition("=")[0] in names or arg.startswith("-h"):
-        return True
-    return not re.match(_NEGATIVE_NUMBER, arg) and " " not in arg
+def _is_flag(word: str, table) -> bool:
+    """Whether word is one of the table's flags, alone or before `=`."""
+    name = word.partition("=")[0]
+    return name[:1] == "-" and name in table
 
 
 def _dest(name: str) -> str:
@@ -371,17 +368,6 @@ def _dest(name: str) -> str:
 
 def _choices(values) -> str:
     return ", ".join(map(repr, values))
-
-
-def _check_help(arg: str, command: str | None) -> None:
-    """HelpRequested for `-h` or `--help`; UsageError for either with text
-    attached."""
-    name, _, value = arg.partition("=")
-    if arg in HELP:
-        raise HelpRequested(_synopsis(command))
-    if name in HELP or arg.startswith("-h"):
-        attached = value if name in HELP else arg[2:]
-        raise UsageError(f"argument -h/--help: ignored explicit argument {attached!r}")
 
 
 def _synopsis(command: str | None) -> str:
@@ -433,20 +419,23 @@ def _convert(name: str, flag: Flag, text: str):
 def parse_args(argv) -> SimpleNamespace:
     """The command and flag values of argv, read against COMMANDS.
 
-    It reads what argparse read: `--flag value` and `--flag=value`, the
-    last of repeated flags, options on either side of the `verify` suite,
-    and a separate value that starts with `-` only when it is a plain
-    negative number.  A name is never expanded from its prefix.  Each
-    refusal is a UsageError naming the first fault in argparse's words:
-    a bad value, then a missing required flag, then unrecognized words.
-    HelpRequested carries the synopsis for `-h` or `--help`.
+    It reads `--flag value` and `--flag=value`, the last of repeated
+    flags, and options on either side of the `verify` suite.  A flag
+    takes the next word as its value unless that word is `-h`, `--help`
+    or one of the command's own flags.  A word that starts with `-` never
+    fills the command or a positional slot, and a name is never expanded
+    from its prefix.  Each refusal is a UsageError naming the first fault
+    in argparse's words: a bad value, then a missing required flag, then
+    unrecognized words.  HelpRequested carries the synopsis for `-h` or
+    `--help`.
     """
     args = iter(argv)
     extras = []
     for command in args:
-        if not _is_flag(command, HELP):
+        if command in HELP:
+            raise HelpRequested(_synopsis(None))
+        if command[:1] != "-":
             break
-        _check_help(command, None)
         extras.append(command)
     else:
         raise UsageError("the following arguments are required: command")
@@ -460,21 +449,21 @@ def parse_args(argv) -> SimpleNamespace:
     positionals = [name for name in table if name[0] != "-"]
     seen = set()
     for arg in args:
-        if not _is_flag(arg, table):
+        if arg in HELP:
+            raise HelpRequested(_synopsis(command))
+        name, attached, text = arg.partition("=")
+        if arg[:1] != "-":
             if not positionals:
                 extras.append(arg)
                 continue
             name, text = positionals.pop(0), arg
-        else:
-            _check_help(arg, command)
-            name, attached, text = arg.partition("=")
-            if name not in table:
-                extras.append(arg)
-                continue
-            if not attached:
-                text = next(args, None)
-                if text is None or _is_flag(text, table):
-                    raise UsageError(f"argument {name}: expected one argument")
+        elif not _is_flag(arg, table):
+            extras.append(arg)
+            continue
+        elif not attached:
+            text = next(args, None)
+            if text is None or text in HELP or _is_flag(text, table):
+                raise UsageError(f"argument {name}: expected one argument")
         values[_dest(name)] = _convert(name, table[name], text)
         seen.add(name)
     missing = [name for name, flag in table.items() if flag.required and name not in seen]

@@ -51,8 +51,8 @@ class LevelError(ValueError):
 DEFAULT_LEVEL_CAP = 240
 
 # The first use of level n builds reduction tables of about n * phi(n)
-# integers.  From cold, level 4620 costs 1.2 s and 111 MB, level 18,480
-# 16 s and 879 MB, so library arithmetic refuses a level above the larger
+# integers.  From cold, level 4620 costs 0.5 s and 111 MB, and level
+# 18,480 879 MB, so library arithmetic refuses a level above the larger
 # of this ceiling and the session cap (`cyclotomic_poly`).
 LEVEL_CEILING = 4620
 
@@ -128,32 +128,16 @@ class ContradictionError(RuntimeError):
 # cyclotomic polynomials and reduction tables
 
 
-def _poly_divide(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (coefficients low to high)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients (low to high) of the n-th cyclotomic polynomial.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n.  Every table of a level is built from this one
-    first, so a level above both LEVEL_CEILING and the session cap raises
-    LevelError here, before anything of its size is built.
+    For n > 1 it is the product of (1 - x^(n/s))^mu(s) over the
+    squarefree divisors s of n, computed as a power series truncated at
+    its degree phi(n): multiplying or dividing by one binomial costs
+    O(phi(n)).  Every table of a level is built from this one first, so a
+    level above both LEVEL_CEILING and the session cap raises LevelError
+    here, before anything of its size is built.
 
     >>> cyclotomic_poly(12)
     (1, 0, -1, 0, 1)
@@ -166,10 +150,25 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
             f"{max(LEVEL_CEILING, cap)} (raise QT_SESSION_LEVEL_CAP to allow)",
             required_level=n,
         )
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide(poly, list(cyclotomic_poly(d)))
+    if n == 1:
+        return (-1, 1)
+    primes = _prime_factors(n)
+    degree = n
+    for p in primes:
+        degree = degree // p * (p - 1)
+    # the squarefree divisors s as (s, mu(s)), times each prime in turn
+    divisors = [(1, 1)]
+    for p in primes:
+        divisors += [(s * p, -mu) for s, mu in divisors]
+    poly = [1] + [0] * degree
+    for s, mu in divisors:
+        e = n // s
+        if mu > 0:  # times 1 - x^e
+            for i in range(degree, e - 1, -1):
+                poly[i] -= poly[i - e]
+        else:  # over 1 - x^e, that is times 1 + x^e + x^2e + ...
+            for i in range(e, degree + 1):
+                poly[i] += poly[i - e]
     return tuple(poly)
 
 

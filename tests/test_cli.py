@@ -3,7 +3,6 @@ exit codes, and `cli.main` leaving the collector unfrozen.  What needs a
 fresh interpreter is in `tests/test_contract.py`: the jobs through each
 launcher, what each command loads, and the program entry's exit path."""
 
-import argparse
 import gc
 import io
 import json
@@ -711,94 +710,79 @@ class TestFuzz:
 
 
 # ---------------------------------------------------------------------------
-# the flag table against the argparse parser it replaced
+# the flag table against a model of its rule
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser `cli.parse_args` replaced, as it was but with
-    prefixes never expanded (allow_abbrev=False): the reference of
-    TestTableParser."""
-    parser = argparse.ArgumentParser(prog="rotknot", allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-        return value
-
-    def add_spec_flags(sp, with_b: bool = False):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--k", type=int, default=1)
-        sp.add_argument("--l", type=int, default=1)
-        sp.add_argument("--anchor", default="0,0")
-        sp.add_argument("--direction", default="0")
-        sp.add_argument("--chirality", type=int, choices=(1, -1), default=1)
-        sp.add_argument("--side", default="1")
-        if with_b:
-            sp.add_argument("--b-k", type=int, dest="b_k")
-            sp.add_argument("--b-l", type=int, dest="b_l")
-            sp.add_argument("--b-anchor", dest="b_anchor")
-            sp.add_argument("--b-direction", dest="b_direction")
-            sp.add_argument("--b-chirality", type=int, choices=(1, -1), dest="b_chirality")
-            sp.add_argument("--b-side", dest="b_side")
-
-    sp = sub.add_parser("enumerate", allow_abbrev=False)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("classify", allow_abbrev=False)
-    add_spec_flags(sp, with_b=True)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("verify", allow_abbrev=False)
-    sp.add_argument("suite", choices=("appendix", "axioms", "cocycle", "orbit", "weights"))
-    sp.add_argument("--level", type=positive_int)
-    sp.add_argument("--grid", choices=("small", "full"))
-    sp.add_argument("--depth", type=positive_int)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("render", allow_abbrev=False)
-    add_spec_flags(sp)
-    sp.add_argument("--size", type=positive_int, default=640)
-    sp.add_argument("--out")
-
-    return parser
-
-
-REFERENCE = build_parser()
-
-
-def _reference(argv):
-    """("args", the namespace's values), ("help", None) or ("refused", None)
-    from the argparse parser."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+def _model(argv):
+    """("args", the attribute values), ("help", None) or ("refused", the
+    first fault) for argv, by the documented rule and the table's data
+    alone.  A flag takes the next word unless that is -h, --help or a flag
+    of the command, alone or before `=`.  A word that starts with `-`
+    fills no slot.  Help, a bad command, a bad value ("argument NAME") or
+    a flag with no value ends the reading where it stands; then a missing
+    required flag is the fault, then any word left over."""
+    words, extras, given = list(argv), [], set()
+    while words and words[0][:1] == "-":
+        if words[0] in ("-h", "--help"):
+            return "help", None
+        extras.append(words.pop(0))
+    if not words:
+        return "refused", "the following arguments are required: command"
+    if (command := words.pop(0)) not in COMMANDS:
+        return "refused", "argument command"
+    table = COMMANDS[command]
+    flags = [name for name in table if name[0] == "-"]
+    slots = [name for name in table if name[0] != "-"]
+    values = {name: flag.default for name, flag in table.items()}
+    while words:
+        word = words.pop(0)
+        name, eq, text = word.partition("=")
+        if word in ("-h", "--help"):
+            return "help", None
+        if word[:1] != "-" and slots:
+            name, text = slots.pop(0), word
+        elif word[:1] != "-" or name not in flags:
+            extras.append(word)
+            continue
+        elif not eq:
+            if not words or words[0] in ("-h", "--help") or words[0].partition("=")[0] in flags:
+                return "refused", f"argument {name}"
+            text = words.pop(0)
         try:
-            return "args", vars(REFERENCE.parse_args(argv))
-        except SystemExit as exc:
-            return ("help" if exc.code == 0 else "refused"), None
+            values[name] = table[name].convert(text)
+        except ValueError:
+            return "refused", f"argument {name}"
+        if table[name].choices and values[name] not in table[name].choices:
+            return "refused", f"argument {name}"
+        given.add(name)
+    missing = [name for name, flag in table.items() if flag.required and name not in given]
+    if missing:
+        return "refused", f"the following arguments are required: {', '.join(missing)}"
+    if extras:
+        return "refused", f"unrecognized arguments: {' '.join(extras)}"
+    return "args", {
+        "command": command, **{n.lstrip("-").replace("-", "_"): v for n, v in values.items()}
+    }
 
 
 def _table(argv):
-    """The same outcome from `cli.parse_args`."""
+    """The same outcome from `cli.parse_args`, a fault "argument NAME: ..."
+    cut to "argument NAME"."""
     try:
         return "args", vars(parse_args(argv))
     except HelpRequested:
         return "help", None
-    except UsageError:
-        return "refused", None
+    except UsageError as exc:
+        fault = str(exc)
+        return "refused", fault.partition(": ")[0] if fault.startswith("argument ") else fault
 
 
 # words no table reads as given: unknown flags, prefixes of known ones,
-# stray values, help with text attached.  `--`, `-hx` and `-hh` are left
-# out: the table reads them as argparse 3.11 does, which later versions
-# do not (see CHANGES.md).
+# stray values, help with text attached
 _STRAY = [
-    "--bound", "--anc", "--b", "--P", "--bogus=1", "-x", "-p", "-", "x", "", "1 2", "- 1",
-    "-1", "-1.5", "-.5", "-1,0", "-1/4", "-h", "--help", "--help=x", "-h=1",
+    "--bound", "--anc", "--b", "--P", "--bogus=1", "-x", "-p", "-", "--", "x", "", "1 2",
+    "- 1", "-1", "-1.5", "-.5", "-1,0", "-1/4", "-h", "-hx", "-hh", "--help", "--help=x",
+    "-h=1",
 ]
 # values for a flag, those that start with `-` among them
 _VALUES = [
@@ -835,22 +819,28 @@ def noisy_argv(draw):
 
 
 class TestTableParser:
-    """`cli.parse_args` against the argparse parser it replaced."""
+    """`cli.parse_args` against the model of its rule."""
 
     @settings(max_examples=600)
     @given(noisy_argv())
     @example(["classify", "--p", "3", "--q", "2", "--anchor", "-1,0"])
     @example(["classify", "--p", "3", "--q", "-2", "--b-chirality", "-1"])
     @example(["classify", "--p", "3", "--q", "2", "--anchor", "-1 ,0", "--out", "-"])
+    @example(["classify", "--p", "3", "--q", "2", "--out", "--p"])
+    @example(["classify", "--p", "3", "--q", "2", "--out", "-h"])
+    @example(["classify", "--p", "3", "--q", "2", "--out", "--pp"])
     @example(["render", "--p", "3", "--q", "2", "--anchor", "-h x"])
     @example(["verify", "--level", "3", "appendix", "--level=4"])
+    @example(["verify", "--out", "suite", "orbit"])
     @example(["verify", "--bound", "2", "appendix"])
+    @example(["verify", "-", "orbit"])
     @example(["-h", "verify"])
+    @example(["-hx", "verify"])
     @example(["--bogus", "classify", "-h"])
-    def test_accepts_what_argparse_accepts(self, argv):
+    def test_reads_by_the_flag_rule(self, argv):
         """Both accept argv with the same value for every attribute, both
-        ask for help, or both refuse it."""
-        assert _table(argv) == _reference(argv), argv
+        ask for help, or both refuse it for the same first fault."""
+        assert _table(argv) == _model(argv), argv
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
@@ -860,7 +850,7 @@ class TestTableParser:
         (["classify", "--p", "3", "--q=2", "--p"], "argument --p: expected one argument"),
         (["classify", "--p=", "--q", "2"], "argument --p: invalid int value: ''"),
         (["render", "--p", "3", "--q", "2", "--size", "x"], "argument --size: invalid int value: 'x'"),
-        (["classify", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["classify", "-hx"], "the following arguments are required: --p, --q"),
     ])
     def test_refusal_words(self, argv, message, capsys):
         assert main(argv) == 2

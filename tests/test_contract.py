@@ -103,6 +103,16 @@ def dumps_text(out: bytes):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
+def same_as(argv: str):
+    """The stdout of argv, the same job spelled another way, from the
+    module launcher."""
+
+    def check(out: bytes):
+        assert out == _run(Row(argv, 0), "module").stdout
+
+    return check
+
+
 def all_of(*checks):
     def check(out: bytes):
         for each in checks:
@@ -150,8 +160,8 @@ def row(*args, xfail=None, **kwargs):
     return pytest.param(r, id=r.name, marks=marks)
 
 
-def _refusal(literal: str) -> bytes:
-    return f"error: decimal exponent of {literal!r} exceeds {MAX_EXPONENT}\n".encode()
+def _refusal(flag: str, literal: str) -> bytes:
+    return _usage(f"argument {flag}: decimal exponent of {literal!r} exceeds {MAX_EXPONENT}")
 
 
 def _level_refusal(level: int) -> bytes:
@@ -211,20 +221,27 @@ ROWS = [
         ]
         for seed in seeds
     ),
+    # a value that starts with `-` may follow its flag as the next word
+    row("classify --p 3 --q 2 --anchor -1,0", EXIT_EQUIVALENT,
+        same_as("classify --p 3 --q 2 --anchor=-1,0")),
+    row("classify --p 3 --q 2 --b-anchor -1/2,0", EXIT_NOT_EQUIVALENT,
+        same_as("classify --p 3 --q 2 --b-anchor=-1/2,0")),
+    row("render --p 3 --q 2 --direction -1/4", 0, same_as("render --p 3 --q 2 --direction=-1/4")),
     # a huge anchor keeps its exact verdict, 20000 digits and all
     row("classify --p 3 --q 2 --anchor 1e20000,0", EXIT_EQUIVALENT),
     # refusals: exit 2 at once with one short error line and no output
     row("classify --p 3 --q 2 --direction 1e-100000", 2, b"", brief_error),
     *(
-        row(f"classify --p 3 --q 2 {flag}", 2, b"", _refusal(literal), timeout=20)
-        for flag, literal in [
-            ("--anchor=1e999999999,0", "1e999999999"),
-            ("--b-anchor 1e999999999,0", "1e999999999"),
-            ("--b-anchor=0,-1E-999999999", "-1E-999999999"),
-            ("--side=1e999_999_999", "1e999_999_999"),
-            ("--b-side=1e-999999999", "1e-999999999"),
-            ("--direction=1e999999999", "1e999999999"),
-            ("--b-direction=1.5e+999999999", "1.5e+999999999"),
+        row(f"classify --p 3 --q 2 {flag}{sep}{value}", 2, b"", _refusal(flag, literal),
+            timeout=20)
+        for flag, sep, value, literal in [
+            ("--anchor", "=", "1e999999999,0", "1e999999999"),
+            ("--b-anchor", " ", "1e999999999,0", "1e999999999"),
+            ("--b-anchor", "=", "0,-1E-999999999", "-1E-999999999"),
+            ("--side", "=", "1e999_999_999", "1e999_999_999"),
+            ("--b-side", "=", "1e-999999999", "1e-999999999"),
+            ("--direction", "=", "1e999999999", "1e999999999"),
+            ("--b-direction", "=", "1.5e+999999999", "1.5e+999999999"),
         ]
     ),
     # D(30011, 30013) has about 9e8 crossings: its tables would not fit
@@ -247,7 +264,11 @@ ROWS = [
              "(choose from 'appendix', 'axioms', 'cocycle', 'orbit', 'weights')"),
             ("verify appendix --bound 2", "unrecognized arguments: --bound 2"),
             ("classify --p 3", "the following arguments are required: --q"),
-            ("classify --p 3 --q 2 --anchor -1,0", "argument --anchor: expected one argument"),
+            ("classify --p 3 --q 2 --out --p", "argument --out: expected one argument"),
+            ("classify --p 3 --q 2 --b-anchor -x",
+             "argument --b-anchor: anchor must be 're,im' with rational parts, got '-x'"),
+            ("render --p 3 --q 2 --direction 1/0",
+             "argument --direction: zero denominator in '1/0'"),
             ("classify --p 3 --q 2 --k x", "argument --k: invalid int value: 'x'"),
             ("classify --p 3 --q 2 --chirality 0",
              "argument --chirality: invalid choice: 0 (choose from 1, -1)"),
@@ -267,18 +288,15 @@ class Run(NamedTuple):
     code: int
     stdout: bytes
     stderr: bytes
-    output: bytes  # the --out file's bytes, or stdout without --out
+    output: bytes  # the --out file's bytes, or stdout if no file was written
 
 
 def _run(r: Row, launcher: str) -> Run:
     argv = r.argv.split()
     with tempfile.TemporaryDirectory() as cwd:
         proc = run([*LAUNCHERS[launcher], *argv], env=r.env, cwd=cwd, timeout=r.timeout)
-        output = (
-            Path(cwd, argv[argv.index("--out") + 1]).read_bytes()
-            if "--out" in argv
-            else proc.stdout
-        )
+        out = Path(cwd, argv[argv.index("--out") + 1]) if "--out" in argv else None
+        output = out.read_bytes() if out and out.exists() else proc.stdout
     return Run(proc.returncode, proc.stdout, proc.stderr, output)
 
 

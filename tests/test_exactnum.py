@@ -8,6 +8,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,36 @@ from rotknot.exactnum import (
 from conftest import from_terms, rand_cyc
 
 
+def _poly_divide(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials (coefficients low to high)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1]:
+            raise ArithmeticError("non-exact polynomial division")
+        q = c // den[-1]
+        out[i] = q
+        if q:
+            for j, d in enumerate(den):
+                num[i + j] -= q * d
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
+
+
+@lru_cache(maxsize=None)
+def divided_cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial as x^n - 1 divided by that of every
+    proper divisor of n, the largest first, which shortens the dividend
+    soonest: the reference of the Mobius product."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(n - 1, 0, -1):
+        if n % d == 0:
+            poly = _poly_divide(poly, list(divided_cyclotomic(d)))
+    return tuple(poly)
+
+
 class TestCyclotomicPoly:
     def test_small_levels(self):
         assert cyclotomic_poly(1) == (-1, 1)
@@ -60,6 +91,11 @@ class TestCyclotomicPoly:
                     new[i + j] += a * b
             prod = new
         assert prod == [-1] + [0] * 11 + [1]
+
+    def test_matches_division_reference(self, monkeypatch):
+        monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
+        for n in (*range(1, 1001), LEVEL_CEILING):
+            assert cyclotomic_poly(n) == divided_cyclotomic(n), n
 
 
 class TestReduction:
@@ -534,8 +570,12 @@ class TestLibraryCeiling:
 
     def test_level_at_the_ceiling_works(self, monkeypatch):
         monkeypatch.delenv("QT_SESSION_LEVEL_CAP", raising=False)
-        # phi(4620) = phi(4) * phi(3) * phi(5) * phi(7) * phi(11)
+        # phi(4620) = phi(4) * phi(3) * phi(5) * phi(7) * phi(11), computed
+        # from cold in about 2 ms
+        cyclotomic_poly.cache_clear()
+        t0 = time.perf_counter()
         assert len(cyclotomic_poly(LEVEL_CEILING)) - 1 == 2 * 2 * 4 * 6 * 10
+        assert time.perf_counter() - t0 < 0.05
 
     def test_session_cap_raises_the_ceiling(self, monkeypatch):
         # 4621 is prime, so its polynomial is cheap: 4621 ones
