@@ -25,12 +25,12 @@ A command loads only the modules it runs.  Importing this module loads
 `diagram`), `classify` and `render` add `trochoid` (which loads
 `diagram`), `render` adds `render` and `verify` adds `verify`, whose
 suites load `diagram` and `trochoid` only where they use them; only
-`verify appendix` loads `units`.  No command loads the `json` package
-except `enumerate --format csv`: strings are escaped here, and `json`
-is imported only for a string that is not ASCII or a leaf that is not a
-str, int or `Cyc`.  The pattern of decimal exponents is compiled on its
-first use.  Without cached bytecode every module loaded is compiled, so
-this is start-up time saved.
+`verify appendix` loads `units`.  No command loads the `csv` or `json`
+package: strings are escaped here, `families` writes the CSV text
+itself, and `json` is imported only for a string that is not ASCII or a
+leaf that is not a str, int or `Cyc`.  The pattern of decimal exponents
+is compiled on its first use.  Without cached bytecode every module
+loaded is compiled, so this is start-up time saved.
 
 `python -m rotknot` and the installed `rotknot` script run `main` through
 `rotknot.__main__.main`, which then skips the interpreter's exit-time

@@ -96,10 +96,12 @@ class Coloring:
     """An assignment of quandle elements to the arcs of a diagram.
 
     Stored on representative labels, in arc order; `color` resolves any
-    a_{ij}.  Equality and hashing use the diagram and that assignment.
+    a_{ij}.  Equality and hashing use the diagram and that assignment;
+    `_pairs`, the signed crossing pairs `total_weight` fills on first use,
+    enters neither, nor the repr.
     """
 
-    __slots__ = ("diagram", "quandle", "_colors")
+    __slots__ = ("diagram", "quandle", "_colors", "_pairs")
 
     def __init__(self, diagram: TorusDiagram, quandle, colors: dict[Arc, object]):
         try:
@@ -109,6 +111,7 @@ class Coloring:
             raise ValueError(f"missing colors for arcs {missing}") from None
         self.diagram = diagram
         self.quandle = quandle
+        self._pairs = None
 
     def color(self, i: int, j: int):
         return self._colors[self.diagram.rep(i, j)]
@@ -168,13 +171,20 @@ def total_weight(c: Coloring, o: Point) -> Cyc:
     """Sum of signed cocycle values over the crossings of the diagram.
 
     Each crossing contributes sign * Phi_o(color(arc_x), color(arc_over));
-    the total does not depend on o.  All crossings' pairs
-    (`quandle._phi_pair`, swapped for sign -1) go to the area kernel
-    `exactnum._area_sum` together: one accumulator and one fold.
+    the total does not depend on o.  A crossing's pair
+    (`quandle._phi_pair`, (-v, w) for sign -1) does not depend on o
+    either, so the coloring builds its pairs once and keeps them; each
+    base point is then one call of the area kernel `exactnum._area_sum`:
+    one accumulator and one fold.
     """
-    d, colors = c.diagram, c._colors
-    pairs = [_phi_pair(o, colors[x], colors[over]) for x, over, _ in d.crossings]
-    return _area_sum(pairs if d.sign > 0 else [(w, v) for v, w in pairs])
+    pairs = c._pairs
+    if pairs is None:
+        d, colors = c.diagram, c._colors
+        pairs = [_phi_pair(colors[x], colors[over]) for x, over, _ in d.crossings]
+        if d.sign < 0:
+            pairs = [(-v, w) for v, w in pairs]
+        c._pairs = pairs
+    return _area_sum(pairs, o)
 
 
 def closed_form_weight(

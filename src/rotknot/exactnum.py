@@ -9,8 +9,10 @@ product writes both operands' exponents once into one accumulator at L,
 then folds and normalizes once (`_spread`).  A rotation c + zeta_d^k *
 (z - c) does the same at L = lcm(z.level, c.level, d), shifting the
 exponents of z - c by k*L/d (`_rotate`; `_displacement` gives the image
-minus z the same way), and `_area_sum` adds conj(v) * w - v * conj(w)
-over many pairs (v, w) in one accumulator.
+minus z the same way), and `_area_sum` adds conj(v) * (w - o) - v *
+conj(w - o) over many pairs (v, w) in one accumulator, with the base
+point o taken out by bilinearity: one product with the sum of the v, not
+one subtraction w - o per pair.
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
@@ -441,10 +443,12 @@ class Cyc:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
+        if a.den != b.den:  # the least denominator is the same at every level
+            return False
         if a.level != b.level:
             common = lcm(a.level, b.level)
             a, b = a.lift(common), b.lift(common)
-        return a.den == b.den and a.num == b.num
+        return a.num == b.num
 
     def __hash__(self):
         # a rational value hashes as its Fraction, as it compares equal
@@ -484,6 +488,8 @@ class Cyc:
 
 _new = object.__new__
 _set_level, _set_num, _set_den = (Cyc.__dict__[n].__set__ for n in Cyc.__slots__)
+_ZERO = Cyc._raw(1, (0,), 1)
+_ONE = Cyc._raw(1, (1,), 1)
 
 
 def _coerce(value) -> "Cyc | type(NotImplemented)":
@@ -619,13 +625,19 @@ def _displacement(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
     return Cyc._raw(n, *_normal(_fold(n, acc), d))
 
 
-def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]]) -> Cyc:
-    """The sum of conj(v) * w - v * conj(w) over the (v, w) pairs, 4i times
-    the signed areas of the triangles (0, v, w), in one accumulator at n,
-    the lcm of all their levels: conj(v) * w puts v_e * w_f at exponent
-    f*n/w.level - e*n/v.level mod n, and v * conj(w) at its negative."""
-    n = lcm(*(x.level for pair in pairs for x in pair))
-    d = lcm(*(v.den * w.den for v, w in pairs))
+def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]], o: Cyc = _ZERO) -> Cyc:
+    """The sum of conj(v) * (w - o) - v * conj(w - o) over the (v, w)
+    pairs, 4i times the signed areas of the triangles (0, v, w - o), in
+    one accumulator at n, the lcm of o's level and all the pairs' levels
+    (zero at level 1 when there are no pairs).  That is the level each
+    w - o has, o zero or not, so the result has the (level, num, den) of
+    subtracting o first.  conj(v) * w puts v_e * w_f at exponent
+    f*n/w.level - e*n/v.level mod n, and v * conj(w) at its negative.  By
+    bilinearity o enters once, as conj(V) * o - V * conj(o) subtracted,
+    with V the sum of the v."""
+    n = lcm(*(x.level for v, w in pairs for x in (v, w, o)))
+    od = o.den
+    d = lcm(*(v.den * lcm(w.den, od) for v, w in pairs))
     acc = [0] * n
     for v, w in pairs:
         m, sv, sw = d // (v.den * w.den), n // v.level, n // w.level
@@ -635,6 +647,19 @@ def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]]) -> Cyc:
                 e *= sv
                 for f, y in tw:
                     acc[(f - e) % n] += x * y
+    so = n // o.level
+    to = [(g * so, z) for g, z in enumerate(o.num) if z]
+    if to:
+        vsum = [0] * n  # V, over d / od
+        for v, _ in pairs:
+            m, sv = d // (v.den * od), n // v.level
+            for e, x in enumerate(v.num):
+                if x:
+                    vsum[e * sv] += x * m
+        for e, x in enumerate(vsum):
+            if x:
+                for g, z in to:
+                    acc[(g - e) % n] -= x * z
     acc = [c - acc[-k] for k, c in enumerate(acc)]
     return Cyc._raw(n, *_normal(_fold(n, acc), d))
 
@@ -698,10 +723,6 @@ def cyc_root(level: int, exponent: int = 1) -> Cyc:
     True
     """
     return Cyc._raw(level, _power_table(level)[exponent % level], 1)
-
-
-_ZERO = Cyc._raw(1, (0,), 1)
-_ONE = Cyc._raw(1, (1,), 1)
 
 
 class Turn(Frozen):

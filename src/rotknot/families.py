@@ -2,14 +2,13 @@
 torus-knot diagram D(p, q), written as JSON by `cli` or as CSV here.
 
 Only `enumerate` loads this module, so the other commands compile none
-of it, and only its CSV output loads the `csv` and `json` packages.
+of it, and its CSV text is made without the `csv` and `json` packages.
 """
 
 from __future__ import annotations
 
-import io
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .cli import CSV_BATCH, _batches
 from .diagram import (
@@ -19,7 +18,7 @@ from .diagram import (
     reduced_types,
     theta,
 )
-from .exactnum import check_level_cap, cyc_to_json
+from .exactnum import Cyc, check_level_cap
 from .geom import area_approx, fmt12
 
 
@@ -50,26 +49,32 @@ def cmd_enumerate(p: int, q: int) -> dict:
     return {"p": p, "q": q, "rows": rows}
 
 
-def _enumerate_csv(table: dict):
-    """The CSV text of an `enumerate` table, in batches of CSV_BATCH rows."""
-    import csv
-    import json
+def _compact_cyc(a: Cyc) -> str:
+    """The text of `json.dumps(cyc_to_json(a), sort_keys=True,
+    separators=(",", ":"))`, made from a's integers as `cli._encode_cyc`
+    makes the indented one."""
+    den = a.den
+    if den == 1:
+        texts = [f'"{c}","1"' for c in a.num]
+    else:
+        texts = [f'"{c // (g := gcd(c, den))}","{den // g}"' for c in a.num]
+    return '{"coeffs":[[' + "],[".join(texts) + ']],"level":' + str(a.level) + "}"
 
-    header = [
-        "p", "q", "k", "l", "theta", "p_prime", "q_prime",
-        "alpha", "parity", "weight_float", "weight_exact",
-    ]
-    rows = (
-        [
-            table["p"], table["q"], row["k"], row["l"], row["theta"],
-            row["p_prime"], row["q_prime"], row["alpha"], row["parity"],
-            row["weight_float"],
-            json.dumps(cyc_to_json(row["weight_scaled_4i"]), sort_keys=True,
-                       separators=(",", ":")),
-        ]
+
+def _enumerate_csv(table: dict):
+    """The CSV text of an `enumerate` table, in batches of CSV_BATCH rows,
+    as `csv.writer(lineterminator="\\n")` writes it.  Only the exact
+    weight holds `,` or `"`, so it alone is quoted, with its quotes
+    doubled, as `csv.QUOTE_MINIMAL` does."""
+    p, q = table["p"], table["q"]
+    header = "p,q,k,l,theta,p_prime,q_prime,alpha,parity,weight_float,weight_exact\n"
+    lines = (
+        ",".join(map(str, (
+            p, q, row["k"], row["l"], row["theta"], row["p_prime"],
+            row["q_prime"], row["alpha"], row["parity"], row["weight_float"],
+        )))
+        + ',"' + _compact_cyc(row["weight_scaled_4i"]).replace('"', '""') + '"\n'
         for row in table["rows"]
     )
-    for batch in _batches(chain((header,), rows), CSV_BATCH):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(batch)
-        yield buf.getvalue()
+    for batch in _batches(chain((header,), lines), CSV_BATCH):
+        yield "".join(batch)

@@ -65,16 +65,17 @@ def cocycle_phi(o: Point, x: RotElem, y: RotElem) -> Cyc:
     The two triangles share o and c, and 4i * s(o, v, c) = t - conj(t)
     with t = conj(v - o) * (c - o), so the sum is u - conj(u) for the one
     term u = conj(b - a) * (c - o): the area kernel `exactnum._area_sum`
-    on the one pair `_phi_pair(o, x, y)`.  Its operands span the same
-    levels as the two triangles', so the value comes out at the same
-    level with the same (num, den).
+    on the one pair `_phi_pair(x, y)` with base point o.  The kernel
+    works at the level c - o would have, so the value comes out at the
+    two triangles' level with the same (num, den).
     """
-    return _area_sum([_phi_pair(o, x, y)])
+    return _area_sum([_phi_pair(x, y)], o)
 
 
-def _phi_pair(o: Point, x: RotElem, y: RotElem) -> tuple[Point, Point]:
-    """(b - a, c - o), the pair whose area term is Phi_o(x, y); swapped,
-    it gives -Phi_o(x, y).  b - a = (zeta - 1)(a - c) for zeta the unit
-    of y's angle, one kernel call (`exactnum._displacement`)."""
+def _phi_pair(x: RotElem, y: RotElem) -> tuple[Point, Point]:
+    """(b - a, c), the pair whose area term with base point o is
+    Phi_o(x, y); (a - b, c) gives -Phi_o(x, y).  It does not depend on o,
+    which the area kernel subtracts from c.  b - a = (zeta - 1)(a - c) for
+    zeta the unit of y's angle, one kernel call (`exactnum._displacement`)."""
     a, c, t = x.center, y.center, y.angle
-    return _displacement(a, c, t.numerator, t.denominator), c - o
+    return _displacement(a, c, t.numerator, t.denominator), c

@@ -62,15 +62,16 @@ def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
     """f(x,y) + f(x*y, z) - f(x,z) - f(x*z, y*z) with f = Phi_o.
 
     The cocycle condition: the result is exactly zero for every input.
-    The four terms' pairs (`quandle._phi_pair`, the negative two swapped)
-    go to the area kernel together, as in `diagram.total_weight`.
+    The four terms' pairs (`quandle._phi_pair`, the negative two as
+    (-v, w), since o is subtracted from the second member only) go to the
+    area kernel together with o, as in `diagram.total_weight`.
     """
     xy = ROT.op(x, y)
     xz = ROT.op(x, z)
     yz = ROT.op(y, z)
-    plus = [_phi_pair(o, x, y), _phi_pair(o, xy, z)]
-    minus = [_phi_pair(o, x, z), _phi_pair(o, xz, yz)]
-    return _area_sum(plus + [(w, v) for v, w in minus])
+    plus = [_phi_pair(x, y), _phi_pair(xy, z)]
+    minus = [_phi_pair(x, z), _phi_pair(xz, yz)]
+    return _area_sum(plus + [(-v, w) for v, w in minus], o)
 
 
 # ---------------------------------------------------------------------------

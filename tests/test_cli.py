@@ -257,7 +257,7 @@ class TestStreamedOutput:
         assert main(["classify", *argv, "--out", str(path)]) == code
         assert path.read_bytes() == stdout.encode()
 
-    @pytest.mark.parametrize("p,q", [(2, 3), (11, 7), (13, 11)])
+    @pytest.mark.parametrize("p,q", [(2, 3), (11, 7), (13, 11), (-7, 5)])
     def test_csv_batches_are_the_whole_text(self, p, q, tmp_path, capsys):
         table = cmd_enumerate(p, q)
         pieces = list(_enumerate_csv(table))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from rotknot import verify
+from rotknot import diagram, verify
 from rotknot.diagram import (
     Coloring,
     build_diagram,
@@ -280,6 +280,33 @@ def test_total_weight_matches_crossing_sum(p, q):
             for o in BASE_POINTS:
                 got, ref = total_weight(c, o), crossing_by_crossing(c, o)
                 assert (got.level, got.num, got.den) == (ref.level, ref.num, ref.den)
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (3, -2), (2, 5)])
+def test_pairs_are_built_once_for_every_base_point(monkeypatch, p, q):
+    """The crossing pairs do not depend on o: three base points cost one
+    `_phi_pair` call per crossing in all."""
+    phi_pair, calls = diagram._phi_pair, []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return phi_pair(x, y)
+
+    monkeypatch.setattr(diagram, "_phi_pair", counting)
+    c = derive_coloring(TrochoidSpec(p, q, 1, 1))
+    for o in BASE_POINTS:
+        total_weight(c, o)
+    assert len(calls) == len(c.diagram.crossings)
+
+
+def test_cached_pairs_stay_out_of_identity():
+    spec = TrochoidSpec(4, 3, 1, 2)
+    used, fresh = derive_coloring(spec), derive_coloring(spec)
+    total_weight(used, ORIGIN)
+    assert used._pairs is not None and fresh._pairs is None
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
 
 
 def shift_by_loop(c: Coloring) -> dict:

@@ -387,6 +387,20 @@ class TestFusedKernels:
         got = exactnum._area_sum(pairs)
         assert coordinates(got) == coordinates(area_sum_reference(pairs))
 
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(kernel_values(), kernel_values()), max_size=4),
+           kernel_values())
+    @example([(Cyc(3, [1]), Cyc(3, [0, Fraction(1, 2)]))], Cyc(4, []))
+    @example([], Cyc(12, [0, Fraction(1, 3)]))
+    @example([(Cyc(12, [Fraction(1, 3), 1]), Cyc(4, [0, 2])),
+              (-Cyc(13, [0, Fraction(-2, 3)]), Cyc(2, [Fraction(1, 5)]))],
+             Cyc(24, [Fraction(1, 6)] * 8))
+    def test_area_sum_with_base_point_matches_subtracting_it(self, pairs, o):
+        # the reference subtracts o from every second member first
+        got = exactnum._area_sum(pairs, o)
+        ref = area_sum_reference([(v, lift_then(operator.sub, w, o)) for v, w in pairs])
+        assert coordinates(got) == coordinates(ref)
+
     @settings(max_examples=300)
     @given(kernel_values(), kernel_values(), st.integers(-30, 30),
            st.sampled_from(KERNEL_LEVELS))
@@ -398,6 +412,30 @@ class TestFusedKernels:
         got = exactnum._displacement(z, c, num, den)
         assert got == exactnum._rotate(z, c, num, den) - z
         assert got.level == math.lcm(z.level, c.level, den)
+
+
+class TestEquality:
+    """`==` answers False without a lift when the least denominators
+    differ: a value's least denominator is the same at every level."""
+
+    @settings(max_examples=300)
+    @given(kernel_values(), kernel_values(), st.sampled_from((1, 2, 3)),
+           st.sampled_from((1, 2, 3, 5)))
+    @example(Cyc(4, [0, Fraction(1, 2)]), Cyc(4, [0, Fraction(1, 2)]), 6, 1)
+    @example(Cyc(12, [Fraction(1, 3)]), Cyc(3, [Fraction(1, 3)]), 1, 2)
+    @example(Cyc(13, [0, 1]), Cyc(2, [Fraction(1, 2)]), 1, 1)
+    def test_eq_matches_lift_then_compare(self, a, b, step, scale):
+        """Equality against comparing coordinates at the common level:
+        b lifted (an equal value at another level) and scaled (another
+        denominator, for scale > 1)."""
+        b_up = lift_reference(b, b.level * step)
+        for x, y in ((a, b_up), (b, b_up), (b / scale, b_up), (a / scale, b)):
+            n = math.lcm(x.level, y.level)
+            want = coordinates(lift_reference(x, n)) == coordinates(lift_reference(y, n))
+            assert (x == y) is want
+            assert (y == x) is want
+        assert b == b_up
+        assert (b / scale == b_up) is (scale == 1 or b.is_zero())
 
 
 class TestEmbed:

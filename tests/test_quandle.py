@@ -130,23 +130,27 @@ class TestCocycle:
     @settings(max_examples=300)
     @given(points(), points(), points(), turns, turns)
     def test_phi_pair_is_rotation_minus_point(self, o, a, c, s, t):
-        moved, arm = _phi_pair(o, RotElem(a, s), RotElem(c, t))
+        moved, arm = _phi_pair(RotElem(a, s), RotElem(c, t))
         assert moved == rotate(a, c, t) - a
-        assert arm == c - o
+        assert arm == c
+        # the kernel subtracts o from the arm: c - o, as the pair held before
+        got, want = _area_sum([(moved, arm)], o), _area_sum([(moved, c - o)])
+        assert (got.level, got.num, got.den) == (want.level, want.num, want.den)
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(points(), points(), turns_24, st.booleans()), min_size=4,
                     max_size=4), points())
     def test_signed_pairs_are_the_composed_sum(self, terms, o):
-        """Swapped pairs in one kernel call give the sum of +-Phi_o, as
-        `verify_qc1` and `total_weight` use them."""
+        """Pairs with the first member negated, in one kernel call with o,
+        give the sum of +-Phi_o, as `verify_qc1` and `total_weight` use
+        them."""
         pairs, want = [], Cyc.zero()
         for a, c, t, negative in terms:
             x, y = RotElem(a, t), RotElem(c, t)
-            v, w = _phi_pair(o, x, y)
-            pairs.append((w, v) if negative else (v, w))
+            v, w = _phi_pair(x, y)
+            pairs.append((-v, w) if negative else (v, w))
             want = want - cocycle_phi(o, x, y) if negative else want + cocycle_phi(o, x, y)
-        assert _area_sum(pairs) == want
+        assert _area_sum(pairs, o) == want
 
     def test_qc1_vanishes(self):
         rng = random.Random(37)
