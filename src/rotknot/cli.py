@@ -28,9 +28,11 @@ suites load `diagram` and `trochoid` only where they use them; only
 `verify appendix` loads `units`.  No command loads the `csv` or `json`
 package: strings are escaped here, `families` writes the CSV text
 itself, and `json` is imported only for a string that is not ASCII or a
-leaf that is not a str, int or `Cyc`.  The pattern of decimal exponents
-is compiled on its first use.  Without cached bytecode every module
-loaded is compiled, so this is start-up time saved.
+leaf that is not a str, int or `Cyc`.  Rationals are read as integer
+pairs (`parse_ratio`), so `fractions` is imported only for a literal
+that `Fraction` itself must read, such as 1.5.  The pattern of decimal
+exponents is compiled on its first use.  Without cached bytecode every
+module loaded is compiled, so this is start-up time saved.
 
 `python -m rotknot` and the installed `rotknot` script run `main` through
 `rotknot.__main__.main`, which then skips the interpreter's exit-time
@@ -42,13 +44,12 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
-from .exactnum import BudgetError, Cyc, Turn
-from .geom import point_xy
+from .exactnum import BudgetError, Cyc, Turn, _fraction
+from .geom import _point_xy
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 10
@@ -66,33 +67,63 @@ MAX_EXPONENT = 100_000
 _EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled by `re` on first use
 
 
-def parse_fraction(text: str) -> Fraction:
+def _digits(text: str) -> bool:
+    return text.isdigit() and text.isascii()
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The rational literal text as (numerator, denominator) in lowest
+    terms, the value `Fraction(text)` has, with a ValueError where that
+    raises.  An integer or a/b of ASCII digits, the first with an optional
+    sign and both with optional surrounding whitespace, is read by `int()`:
+    every Python version's `Fraction` reads those alike.  Any other
+    literal goes to `Fraction` itself, so its grammar and messages stay
+    whole: a decimal point, an exponent, `_`, inner spaces or other
+    digits.  An exponent above MAX_EXPONENT is refused first."""
     exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    num, slash, den = text.strip().partition("/")
+    if _digits(num[1:] if num[:1] in "+-" else num) and (_digits(den) or not slash):
+        n, d = int(num), int(den or 1)
+    else:
+        from fractions import Fraction
+
+        try:
+            n, d = Fraction(text.strip()).as_integer_ratio()
+        except ZeroDivisionError:
+            n = d = 0
+    if not d:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def parse_fraction(text: str):
+    """The rational literal text as a Fraction, read by `parse_ratio`."""
+    return _fraction(*parse_ratio(text))
 
 
 def parse_anchor(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"anchor must be 're,im' with rational parts, got {text!r}")
-    return point_xy(parse_fraction(parts[0]), parse_fraction(parts[1]))
+    return _point_xy(*parse_ratio(parts[0]), *parse_ratio(parts[1]))
 
 
 def parse_turn(text: str) -> Turn:
-    return Turn(parse_fraction(text))
+    return Turn(*parse_ratio(text))
 
 
 def _spec_from_args(args, prefix: str):
     """The `TrochoidSpec` of the flags whose names start with prefix: ""
     for spec a, "b_" for the `--b-*` flags of spec b, each of which, when
-    absent, takes spec a's value.  A rational that does not parse is a
-    ValueError that names the flag it came from."""
-    from .trochoid import TrochoidSpec
+    absent, takes spec a's value.  A rational that does not parse, and a
+    k, l or side out of range, is a ValueError that names the flag it came
+    from.  The checks are those of `TrochoidSpec()`, in its order after the
+    rationals are read, so the spec is built without them."""
+    from .diagram import check_torus_type
+    from .trochoid import TrochoidSpec, check_side, check_step
 
     def flag(name: str, parse=lambda value: value):
         if getattr(args, prefix + name) is not None:
@@ -102,14 +133,18 @@ def _spec_from_args(args, prefix: str):
         except ValueError as exc:
             raise ValueError(f"argument --{name.replace('_', '-')}: {exc}") from None
 
-    return TrochoidSpec(
+    anchor = flag("anchor", parse_anchor)
+    direction = flag("direction", parse_turn)
+    side = flag("side", parse_ratio)
+    check_torus_type(args.p, args.q)
+    return TrochoidSpec._raw(
         args.p,
         args.q,
-        flag("k"),
-        flag("l"),
-        flag("anchor", parse_anchor),
-        flag("direction", parse_turn),
-        flag("side", parse_fraction),
+        flag("k", lambda k: check_step("k", k, args.p)),
+        flag("l", lambda l: check_step("l", l, args.q)),
+        anchor,
+        direction,
+        *flag("side", lambda _: check_side(side)),
         flag("chirality"),
     )
 

@@ -23,7 +23,6 @@ the crossings.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
@@ -187,9 +186,7 @@ def total_weight(c: Coloring, o: Point) -> Cyc:
     return _area_sum(pairs, o)
 
 
-def closed_form_weight(
-    p: int, q: int, k: int, l: int, side: Fraction = Fraction(1)
-) -> Cyc:
+def closed_form_weight(p: int, q: int, k: int, l: int, side=1) -> Cyc:
     """sign * (S(P0) * |q| - S(Q) * |p|), where P0 is the moving polygon of
     type (|p|, k), Q the base polygon of type (|q|, l), both with edge
     `side`, and sign that of pq; their anchors do not enter."""
@@ -204,7 +201,7 @@ def theta(m: int, k: int, n: int, l: int) -> Turn:
     Equals ((m-2k)/m - (n-2l)/n)/2 of a full turn, i.e. l/n - k/m.  The
     family (k, l) of D(p, q) rolls with theta(|p|, k, |q|, l).
     """
-    return Turn(Fraction(l, n) - Fraction(k, m))
+    return Turn(l * m - k * n, n * m)
 
 
 def reduced_types(p: int, q: int, k: int, l: int) -> tuple[int, int]:

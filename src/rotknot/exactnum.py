@@ -22,8 +22,12 @@ positive denominator `den` with gcd(den, *num) == 1; zero has `den`
 1.  So `den` is the least positive integer taking the value into
 Z[zeta], equal values at one level have identical `(num, den)`, and
 lifting or a Galois action leaves `den` unchanged: both are the one
-scatter-and-fold `_scatter`.  `Fraction` is used only where values
-enter or leave (`coeffs`, `min_form`, JSON).
+scatter-and-fold `_scatter`.  Rationals travel as reduced integer pairs
+(numerator, denominator), a `Turn` too.  A `Fraction` is built only for a
+caller that asks for one (`coeffs`, `min_form`, `as_fraction`,
+`Turn.fraction`), and `fractions` is imported there: an int or a
+`Fraction` operand is recognized without the module, as no `Fraction`
+exists before it is loaded.
 
 `Cyc.min_form` finds the least level holding a value one prime p | N at
 a time.
@@ -34,8 +38,8 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -124,6 +128,63 @@ class ContradictionError(RuntimeError):
     a trochoid fails to close.  Reaching this is a bug (or a disproof),
     never a data error; unlike `assert`, `python -O` keeps it.
     """
+
+
+# ---------------------------------------------------------------------------
+# rationals as integer pairs
+
+
+def _fraction_class():
+    """`fractions.Fraction` once that module is loaded, else None.  No
+    Fraction exists before then, so the module is looked up, never
+    imported."""
+    return getattr(sys.modules.get("fractions"), "Fraction", None)
+
+
+def _operand(value) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or a Fraction, else None."""
+    if isinstance(value, (int, _fraction_class() or int)):
+        return value.numerator, value.denominator
+    return None
+
+
+def _ratio(value) -> tuple[int, int]:
+    """The (numerator, denominator) in lowest terms of an int or a
+    Fraction, read as they are.  Any other value, a subclass of either, a
+    str or a float, is first converted by `Fraction(value)`, which raises
+    on what it cannot read."""
+    if type(value) is not int and type(value) is not _fraction_class():
+        from fractions import Fraction
+
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _fraction(n, d):
+    """Fraction(n, d); `fractions` is imported by the first call."""
+    from fractions import Fraction
+
+    return Fraction(n, d)
+
+
+def _given_fraction(value):
+    """value when it is a Fraction, not of a subclass, else None."""
+    return value if type(value) is _fraction_class() else None
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms with d > 0, without
+    building the Fraction: the numeric hash of the language reference,
+    |n|/d modulo the hash modulus, negated for n < 0, where the int hash
+    takes -1 to -2."""
+    try:
+        h = hash(abs(n) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    return hash(-h) if n < 0 else h
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +309,7 @@ class Cyc:
     The coordinates are the integers `num` over the positive integer
     `den`, with gcd(den, *num) == 1 and zero stored with den == 1:
 
+    >>> from fractions import Fraction
     >>> x = Cyc(3, [Fraction(1, 2), Fraction(-2, 3)])
     >>> x.num, x.den
     ((3, -4), 6)
@@ -255,13 +317,13 @@ class Cyc:
 
     __slots__ = ("level", "num", "den")
 
-    def __init__(self, level: int, coeffs: Iterable[Fraction | int]):
+    def __init__(self, level: int, coeffs: Iterable):
         if level < 1:
             raise ValueError("level must be >= 1")
-        vals = [Fraction(c) for c in coeffs]
-        if len(vals) > level:
+        ratios = [_ratio(c) for c in coeffs]
+        if len(ratios) > level:
             raise ValueError("more coefficients than the level allows")
-        num, den = _from_fractions(level, enumerate(vals))
+        num, den = _from_ratios(level, ratios)
         _set_level(self, level)
         _set_num(self, num)
         _set_den(self, den)
@@ -294,9 +356,10 @@ class Cyc:
         return out
 
     @staticmethod
-    def rational(value: Fraction | int) -> "Cyc":
-        f = Fraction(value)
-        return Cyc._raw(1, (f.numerator,), f.denominator)
+    def rational(value) -> "Cyc":
+        """The rational value, an int or a Fraction, at level 1."""
+        n, d = _ratio(value)
+        return Cyc._raw(1, (n,), d)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -307,10 +370,10 @@ class Cyc:
         return _ONE
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The canonical coordinates as fractions."""
+    def coeffs(self) -> tuple:
+        """The canonical coordinates as Fractions."""
         den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
+        return tuple(_fraction(c, den) for c in self.num)
 
     # -- level handling ------------------------------------------------------
 
@@ -358,11 +421,9 @@ class Cyc:
         return other - self
 
     def __mul__(self, other) -> "Cyc":
-        if isinstance(other, (int, Fraction)):
-            return _scale(self, Fraction(other))
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Cyc):
+            ratio = _operand(other)
+            return NotImplemented if ratio is None else _scale(self, *ratio)
         la, lb = self.level, other.level
         if la != lb:  # each term c * zeta^f of other shifts self by f
             n = lcm(la, lb)
@@ -382,12 +443,13 @@ class Cyc:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Cyc":
-        if not isinstance(other, (int, Fraction)):
+        ratio = _operand(other)
+        if ratio is None:
             return NotImplemented
-        f = Fraction(other)
-        if f == 0:
+        n, d = ratio
+        if n == 0:
             raise ZeroDivisionError("division by zero")
-        return _scale(self, 1 / f)
+        return _scale(self, d, n) if n > 0 else _scale(self, -d, -n)
 
     # -- Galois actions ------------------------------------------------------
 
@@ -403,10 +465,11 @@ class Cyc:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The rational value as a Fraction; ValueError for any other."""
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
+        return _fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """True when the value is an algebraic integer."""
@@ -429,8 +492,9 @@ class Cyc:
 
     # -- canonical minimal form (for equality across levels and hashing) ------
 
-    def min_form(self) -> tuple[int, tuple[Fraction, ...]]:
-        """(N, coefficients) at the smallest level N containing the value."""
+    def min_form(self) -> tuple[int, tuple]:
+        """(N, coefficients as Fractions) at the smallest level N
+        containing the value."""
         low = _descend(self)
         return (low.level, low.coeffs)
 
@@ -453,10 +517,10 @@ class Cyc:
     def __hash__(self):
         # a rational value hashes as its Fraction, as it compares equal
         # to it; any other value by its least level and coordinates
-        n, coeffs = self.min_form()
-        if n == 1:
-            return hash(coeffs[0])
-        return hash(("Cyc", n) + coeffs)
+        low = _descend(self)
+        if low.level == 1:
+            return _rational_hash(low.num[0], low.den)
+        return hash(("Cyc", low.level, low.num, low.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -495,9 +559,8 @@ _ONE = Cyc._raw(1, (1,), 1)
 def _coerce(value) -> "Cyc | type(NotImplemented)":
     if isinstance(value, Cyc):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Cyc.rational(value)
-    return NotImplemented
+    ratio = _operand(value)
+    return NotImplemented if ratio is None else Cyc._raw(1, (ratio[0],), ratio[1])
 
 
 def _normal(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -509,15 +572,16 @@ def _normal(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
-def _from_fractions(
-    n: int, terms: Iterable[tuple[int, Fraction]]
+def _from_ratios(
+    n: int, ratios: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, ...], int]:
-    """Canonical (num, den) of sum(c * zeta_n^e) over the (e, c) pairs."""
-    terms = [(e, c) for e, c in terms if c]
-    den = lcm(*(c.denominator for _, c in terms))
+    """Canonical (num, den) of the sum of (a/b) * zeta_n^e over the
+    (a, b) at each index e < n, every b positive."""
+    den = lcm(*(b for a, b in ratios if a))
     acc = [0] * n
-    for e, c in terms:
-        acc[e % n] += c.numerator * (den // c.denominator)
+    for e, (a, b) in enumerate(ratios):
+        if a:
+            acc[e] = a * (den // b)
     return _normal(_fold(n, acc), den)
 
 
@@ -544,10 +608,9 @@ def _add(a: Cyc, b: Cyc, op) -> Cyc:
     return Cyc._raw(la, *_normal(num, da * db))
 
 
-def _scale(a: Cyc, f: Fraction) -> Cyc:
-    return Cyc._raw(
-        a.level, *_normal([c * f.numerator for c in a.num], a.den * f.denominator)
-    )
+def _scale(a: Cyc, n: int, d: int) -> Cyc:
+    """a times the rational n/d, for d > 0."""
+    return Cyc._raw(a.level, *_normal([c * n for c in a.num], a.den * d))
 
 
 def _scatter(a: Cyc, n: int, j: int) -> Cyc:
@@ -726,38 +789,56 @@ def cyc_root(level: int, exponent: int = 1) -> Cyc:
 
 
 class Turn(Frozen):
-    """An angle as an exact fraction of a full turn, normalized to [0, 1)."""
+    """An angle as an exact fraction of a full turn, normalized to [0, 1).
 
-    __slots__ = _fields = ("fraction",)
+    The turn is kept as the integers `numerator` and `denominator` in
+    lowest terms, 0 <= numerator < denominator.  `fraction` is its value
+    as a Fraction: the one it was made from, when that was a Fraction
+    already in range, else a new one.  Equality, the hash and the repr
+    are those of a record whose one field is that Fraction; turns are not
+    ordered.
+    """
 
-    def __init__(self, fraction: Fraction | int, _den: int | None = None):
-        if _den is not None:
-            f = Fraction(fraction, _den)
-        elif type(fraction) is Fraction:
-            f = fraction
-        else:
-            f = Fraction(fraction)
-        n, d = f.numerator, f.denominator
+    __slots__ = ("numerator", "denominator", "_fraction")
+    _fields = ("numerator", "denominator")
+
+    def __init__(self, fraction, _den: int | None = None):
+        kept = None
+        if _den is None:
+            n, d = _ratio(fraction)
+            kept = _given_fraction(fraction)
+        elif type(fraction) is int and type(_den) is int and _den > 0:
+            g = gcd(fraction, _den)
+            n, d = fraction // g, _den // g
+        else:  # what `Fraction(fraction, _den)` makes of them, or raises
+            n, d = _ratio(_fraction(fraction, _den))
         if not 0 <= n < d:
-            f = Fraction(n % d, d)
-        object.__setattr__(self, "fraction", f)
+            n, kept = n % d, None
+        object.__setattr__(self, "numerator", n)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "_fraction", kept)
 
     @property
-    def numerator(self) -> int:
-        return self.fraction.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.fraction.denominator
+    def fraction(self):
+        """The turn as a Fraction."""
+        f = self._fraction
+        return _fraction(self.numerator, self.denominator) if f is None else f
 
     def __add__(self, other: "Turn") -> "Turn":
-        return Turn(self.fraction + other.fraction)
+        a, b = self.denominator, other.denominator
+        return Turn(self.numerator * b + other.numerator * a, a * b)
 
     def __sub__(self, other: "Turn") -> "Turn":
-        return Turn(self.fraction - other.fraction)
+        return self + -other
 
     def __neg__(self) -> "Turn":
-        return Turn(-self.fraction)
+        return Turn(-self.numerator, self.denominator)
+
+    def __hash__(self):
+        return hash((_rational_hash(self.numerator, self.denominator),))
+
+    def __repr__(self) -> str:
+        return f"Turn(fraction=Fraction({self.numerator}, {self.denominator}))"
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -836,7 +917,7 @@ def cyc_to_json(a: Cyc) -> dict:
 
 
 def cyc_from_json(data: dict) -> Cyc:
-    coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+    coeffs = [_fraction(int(num), int(den)) for num, den in data["coeffs"]]
     return Cyc(int(data["level"]), coeffs)
 
 

@@ -7,7 +7,6 @@ need not be cyclotomic, but 4i times it always is).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -16,7 +15,10 @@ from .exactnum import (
     Cyc,
     Turn,
     _area_sum,
+    _normal,
+    _ratio,
     _rotate,
+    _scale,
     cyc_from_json,
     cyc_root,
     cyc_to_json,
@@ -29,21 +31,22 @@ Point = Cyc
 ORIGIN = Cyc.zero()
 
 
-def point_xy(re: Fraction | int, im: Fraction | int = 0) -> Point:
-    """The point re + im*i with rational coordinates, at level 4.
+def point_xy(re, im=0) -> Point:
+    """The point re + im*i with rational coordinates, ints or Fractions,
+    at level 4."""
+    return _point_xy(*_ratio(re), *_ratio(im))
 
-    With re = a/b and im = c/d in lowest terms and L = lcm(b, d), the
-    coordinates (a*L/b, c*L/d) over L are already canonical.  If a
-    prime power p^k exactly divides L, it exactly divides b, say; then p
-    divides neither a (coprime to b) nor L/b, so not a*L/b.
+
+def _point_xy(a: int, b: int, c: int, d: int) -> Point:
+    """The point a/b + (c/d)*i at level 4, for b, d > 0.
+
+    With L = lcm(b, d) the coordinates are (a*L/b, c*L/d) over L, divided
+    by their gcd with L.  For a/b and c/d in lowest terms that gcd is 1:
+    if a prime power p^k exactly divides L, it exactly divides b, say;
+    then p divides neither a (coprime to b) nor L/b, so not a*L/b.
     """
-    if type(re) is not Fraction:
-        re = Fraction(re)
-    if type(im) is not Fraction:
-        im = Fraction(im)
-    b, d = re.denominator, im.denominator
     den = lcm(b, d)
-    return Cyc._raw(4, (re.numerator * (den // b), im.numerator * (den // d)), den)
+    return Cyc._raw(4, *_normal((a * (den // b), c * (den // d)), den))
 
 
 def fmt12(value: float) -> str:
@@ -111,28 +114,33 @@ def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> Cyc:
     return _area_sum(list(zip(fan, fan[1:] + fan[:1])))
 
 
-def polygon_vertices(
-    m: int, k: int, anchor: Point, direction: Turn, side: Fraction
-) -> list[Point]:
+def polygon_vertices(m: int, k: int, anchor: Point, direction: Turn, side) -> list[Point]:
     """The m vertices of a regular polygon of type (m, k), anchored by its
     first edge; the walk provably closes.
 
     The walk starts at `anchor`, the first edge points along `direction`,
-    every edge has length `side`, and each step turns by k/m of a full
-    turn: w_0 = anchor and w_{j+1} = w_j + side * u(direction) * zeta_m^{kj}.
-    Closure (w_m = w_0) is checked exactly.  gcd(m, k) > 1 makes vertices
-    repeat with period m/gcd(m, k).
+    every edge has length `side`, a positive int or Fraction, and each
+    step turns by k/m of a full turn: w_0 = anchor and
+    w_{j+1} = w_j + side * u(direction) * zeta_m^{kj}.  Closure
+    (w_m = w_0) is checked exactly.  gcd(m, k) > 1 makes vertices repeat
+    with period m/gcd(m, k).
     """
     if m < 2:
         raise ValueError("polygon needs m >= 2")
     if not 1 <= k <= m - 1:
         raise ValueError(f"step k={k} outside [1, {m - 1}]")
-    if side <= 0:
+    n, d = _ratio(side)
+    if n <= 0:
         raise ValueError("side must be positive")
+    return _polygon_walk(m, k, anchor, _scale(turn_to_root(direction), n, d))
+
+
+def _polygon_walk(m: int, k: int, anchor: Point, edge: Point) -> list[Point]:
+    """The vertices of `polygon_vertices` for the first edge vector edge
+    (side * u(direction)), with 1 <= k < m; closure checked."""
     verts = [anchor]
-    u0 = turn_to_root(direction) * side
     zk = cyc_root(m, k)
-    step = u0
+    step = edge
     for _ in range(m - 1):
         verts.append(verts[-1] + step)
         step = step * zk
@@ -143,7 +151,7 @@ def polygon_vertices(
 
 
 @lru_cache(maxsize=None)
-def polygon_area(m: int, k: int, side: Fraction = Fraction(1)) -> Cyc:
+def polygon_area(m: int, k: int, side=1) -> Cyc:
     """Signed area swept by the closed type-(m, k) edge walk with edge
     `side` (counterclockwise > 0): the fan from 0 over the walk from 0
     along direction 0, closure checked.

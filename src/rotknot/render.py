@@ -78,11 +78,12 @@ def render_trochoid_svg(spec: TrochoidSpec, size: int = 640) -> str:
         f"<!-- trochoid p={spec.p} q={spec.q} k={spec.k} l={spec.l} "
         f"chirality={spec.chirality} -->",
     ]
+    side = spec.side_num / spec.side_den
     for i, row in enumerate(row_pts):
         color = PALETTE[i % len(PALETTE)]
-        lines.append(_poly(row, color, STROKE_MOVING * float(spec.side)))
-    lines.append(_poly(base_pts, BASE_COLOR, STROKE_BASE * float(spec.side)))
-    r = fmt12(VERTEX_RADIUS * float(spec.side))
+        lines.append(_poly(row, color, STROKE_MOVING * side))
+    lines.append(_poly(base_pts, BASE_COLOR, STROKE_BASE * side))
+    r = fmt12(VERTEX_RADIUS * side)
     for z in base_pts:
         lines.append(
             f'<circle cx="{fmt12(z.real)}" cy="{fmt12(z.imag)}" r="{r}" '

@@ -12,7 +12,6 @@ R-equivalent colorings, exactly when the parity invariant p'q' allows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .diagram import (
@@ -33,6 +32,10 @@ from .exactnum import (
     HALF_TURN,
     Turn,
     _descend,
+    _fraction,
+    _given_fraction,
+    _ratio,
+    _scale,
     brief_int,
     check_level_cap,
     cyc_root,
@@ -44,18 +47,69 @@ from .exactnum import (
 from .geom import (
     ORIGIN,
     Point,
+    _polygon_walk,
     point_from_json,
     point_to_json,
-    polygon_vertices,
     rotate,
 )
 from .quandle import ROT, RotElem
 from .value import Frozen
 
 
-class TrochoidSpec(Frozen):
+def check_step(name: str, step: int, n: int) -> int:
+    """step itself when 1 <= step <= |n| - 1 (k of |p|, l of |q|), else a
+    ValueError naming it."""
+    if not 1 <= step <= abs(n) - 1:
+        raise ValueError(f"{brief_int(step, name, '=')} outside [1, {brief_int(abs(n) - 1)}]")
+    return step
+
+
+def check_side(side: tuple[int, int]) -> tuple[int, int]:
+    """The side, a (numerator, denominator) pair, when it is positive."""
+    if side[0] <= 0:
+        raise ValueError("side must be positive")
+    return side
+
+
+class _Sided:
+    """Mixin of a `Frozen` record with the positive rational field
+    `side`, kept as the integers `side_num` and `side_den` in lowest
+    terms.  `side` is that value as a Fraction: the one given, when a
+    Fraction was, else a new one, which equality, hashing, the repr and
+    copies read.  The last slot, `_side`, holds the Fraction given, or
+    None.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        """Store values into the slots, in slot order."""
+        for store, value in zip(self._stores, values):
+            store(self, value)
+
+    @classmethod
+    def _raw(cls, *values):
+        """An instance of the slot values before `_side`, stored without
+        the checks of the constructor: the moves' constructor, as
+        `Cyc._raw` is the arithmetic's."""
+        out = object.__new__(cls)
+        out._fill(*values, None)
+        return out
+
+    @property
+    def side(self):
+        """The side as a Fraction."""
+        f = self._side
+        return _fraction(self.side_num, self.side_den) if f is None else f
+
+
+class TrochoidSpec(_Sided, Frozen):
     """Parameters of a trochoid: diagram indices, polygon types, and the
-    anchored first edge.
+    anchored first edge of length `side`.
 
     `chirality` +1 means the polygons walk off the stored edge as given;
     -1 selects the mirror pair through the same segment, which is the
@@ -64,9 +118,11 @@ class TrochoidSpec(Frozen):
     geometric is built from the resolved anchor and direction.
     """
 
-    __slots__ = _fields = (
-        "p", "q", "k", "l", "anchor", "direction", "side", "chirality"
+    __slots__ = (
+        "p", "q", "k", "l", "anchor", "direction", "side_num", "side_den", "chirality",
+        "_side",
     )
+    _fields = ("p", "q", "k", "l", "anchor", "direction", "side", "chirality")
 
     def __init__(
         self,
@@ -76,28 +132,16 @@ class TrochoidSpec(Frozen):
         l: int,
         anchor: Point = ORIGIN,
         direction: Turn = Turn(0),
-        side: Fraction = Fraction(1),
+        side=1,
         chirality: int = 1,
     ):
         check_torus_type(p, q)
-        if not 1 <= k <= abs(p) - 1:
-            raise ValueError(f"{brief_int(k, 'k', '=')} outside [1, {brief_int(abs(p) - 1)}]")
-        if not 1 <= l <= abs(q) - 1:
-            raise ValueError(f"{brief_int(l, 'l', '=')} outside [1, {brief_int(abs(q) - 1)}]")
-        if type(side) is not Fraction:
-            side = Fraction(side)
-        if side <= 0:
-            raise ValueError("side must be positive")
+        check_step("k", k, p)
+        check_step("l", l, q)
+        n, d = check_side(_ratio(side))
         if chirality not in (1, -1):
             raise ValueError("chirality must be +1 or -1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "chirality", chirality)
+        self._fill(p, q, k, l, anchor, direction, n, d, chirality, _given_fraction(side))
 
     # -- derived quantities ---------------------------------------------------
 
@@ -133,20 +177,16 @@ class TrochoidSpec(Frozen):
         """The (anchor, direction) of the actual first edge walk."""
         if self.chirality == 1:
             return (self.anchor, self.direction)
-        return _walk(self.anchor, self.direction, self.side, HALF_TURN)
+        return _walk(self, self.anchor, self.direction, HALF_TURN)
 
     def canonical_key(self):
         """Exact identity of the trochoid: chirality folded into the
-        resolved edge, anchor in minimal form."""
+        resolved edge, anchor as (level, num, den) at its least level."""
         a, d = self.resolved()
+        a = _descend(a)
         return (
-            self.p,
-            self.q,
-            self.k,
-            self.l,
-            self.side,
-            d.fraction,
-            a.sort_key(),
+            self.p, self.q, self.k, self.l, self.side_num, self.side_den,
+            d.numerator, d.denominator, a.level, a.num, a.den,
         )
 
 
@@ -191,9 +231,10 @@ def build_trochoid(spec: TrochoidSpec) -> tuple[list[Point], list[list[Point]]]:
     session_level(spec)
     ap, aq = spec.abs_p, spec.abs_q
     a, d = spec.resolved()
-    v = polygon_vertices(aq, spec.l, a, d, spec.side)
+    edge = _edge(spec, d)
+    v = _polygon_walk(aq, spec.l, a, edge)
     th = spec.theta
-    rows = [polygon_vertices(ap, spec.k, a, d, spec.side)]
+    rows = [_polygon_walk(ap, spec.k, a, edge)]
     for i in range(1, aq):
         center = v[i % aq]
         rows.append([rotate(w, center, th) for w in rows[-1]])
@@ -236,19 +277,22 @@ def derive_coloring(spec: TrochoidSpec) -> Coloring:
 # moves
 
 
-def _walk(
-    anchor: Point, direction: Turn, side: Fraction, turn: Turn
-) -> tuple[Point, Turn]:
-    """One edge step of a move: the far end of the edge of length side
-    leaving anchor in direction, and that direction turned by turn."""
-    return (anchor + turn_to_root(direction) * side, direction + turn)
+def _edge(spec: TrochoidSpec, direction: Turn) -> Point:
+    """The edge vector of the spec's side length along direction."""
+    return _scale(turn_to_root(direction), spec.side_num, spec.side_den)
+
+
+def _walk(spec: TrochoidSpec, anchor: Point, direction: Turn, turn: Turn) -> tuple[Point, Turn]:
+    """One edge step of a move: the far end of the spec's edge leaving
+    anchor in direction, and that direction turned by turn."""
+    return (anchor + _edge(spec, direction), direction + turn)
 
 
 def shift(spec: TrochoidSpec) -> TrochoidSpec:
     """Re-anchor at the next base vertex; the moving polygon becomes the
     next rolled copy.  Derived colorings transform by the generic shift."""
-    a, d = _walk(*spec.resolved(), spec.side, Turn(spec.l, spec.abs_q))
-    return TrochoidSpec(spec.p, spec.q, spec.k, spec.l, a, d, spec.side, 1)
+    a, d = _walk(spec, *spec.resolved(), Turn(spec.l, spec.abs_q))
+    return TrochoidSpec._raw(spec.p, spec.q, spec.k, spec.l, a, d, spec.side_num, spec.side_den, 1)
 
 
 def switch(spec: TrochoidSpec) -> TrochoidSpec:
@@ -258,23 +302,18 @@ def switch(spec: TrochoidSpec) -> TrochoidSpec:
     (|p|, |p|-k)) anchored at the far end of the shared edge; applying
     switch twice gives back the original trochoid.
     """
-    a, d = _walk(*spec.resolved(), spec.side, HALF_TURN)
-    return TrochoidSpec(
-        spec.q, spec.p, spec.abs_q - spec.l, spec.abs_p - spec.k, a, d, spec.side, 1
+    a, d = _walk(spec, *spec.resolved(), HALF_TURN)
+    return TrochoidSpec._raw(
+        spec.q, spec.p, spec.abs_q - spec.l, spec.abs_p - spec.k, a, d,
+        spec.side_num, spec.side_den, 1,
     )
 
 
 def flip_chirality(spec: TrochoidSpec) -> TrochoidSpec:
     """The mirror trochoid through the same anchored segment."""
-    return TrochoidSpec(
-        spec.p,
-        spec.q,
-        spec.k,
-        spec.l,
-        spec.anchor,
-        spec.direction,
-        spec.side,
-        -spec.chirality,
+    return TrochoidSpec._raw(
+        spec.p, spec.q, spec.k, spec.l, spec.anchor, spec.direction,
+        spec.side_num, spec.side_den, -spec.chirality,
     )
 
 
@@ -345,26 +384,18 @@ def replay(moves: MoveSeq, c: Coloring) -> Coloring:
 # the anchor lattice and direction sets
 
 
-class LatticeSpec(Frozen):
+class LatticeSpec(_Sided, Frozen):
     """The integer span of the 2*alpha unit directions at the anchor.
 
     Reachable anchors of a trochoid under the moves all lie in
     base_point + side * Z[zeta_{2 alpha}] * u(base_direction).
     """
 
-    __slots__ = _fields = ("alpha", "base_point", "base_direction", "side")
+    __slots__ = ("alpha", "base_point", "base_direction", "side_num", "side_den", "_side")
+    _fields = ("alpha", "base_point", "base_direction", "side")
 
-    def __init__(
-        self,
-        alpha: int,
-        base_point: Point,
-        base_direction: Turn,
-        side: Fraction = Fraction(1),
-    ):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "base_point", base_point)
-        object.__setattr__(self, "base_direction", base_direction)
-        object.__setattr__(self, "side", side)
+    def __init__(self, alpha: int, base_point: Point, base_direction: Turn, side=1):
+        self._fill(alpha, base_point, base_direction, *_ratio(side), _given_fraction(side))
 
     @property
     def level(self) -> int:
@@ -373,7 +404,7 @@ class LatticeSpec(Frozen):
 
 def lattice_for(spec: TrochoidSpec) -> LatticeSpec:
     a, d = spec.resolved()
-    return LatticeSpec(spec.alpha, a, d, spec.side)
+    return LatticeSpec._raw(spec.alpha, a, d, spec.side_num, spec.side_den)
 
 
 def lattice_generators(lat: LatticeSpec) -> list[Cyc]:
@@ -386,7 +417,7 @@ def _lattice_coordinate(lat: LatticeSpec, w: Point) -> Cyc | None:
     """The integral x with w = base + side * x * u(base_direction), at its
     least level, or None when w is not in the lattice."""
     u = turn_to_root(lat.base_direction)
-    x = (w - lat.base_point) * u.conj() / lat.side
+    x = _scale((w - lat.base_point) * u.conj(), lat.side_den, lat.side_num)
     if not x.is_integral():
         return None
     x = _descend(x)
@@ -415,7 +446,7 @@ def unit_neighbors(lat: LatticeSpec, w: Point, *, verify: bool = False) -> list[
             raise ContradictionError(
                 "unit scan disagrees with the 2*alpha neighbor claim"
             )
-    return [w + lat.side * g for g in gens]
+    return [w + _scale(g, lat.side_num, lat.side_den) for g in gens]
 
 
 def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int], frozenset[int]]:
@@ -427,10 +458,11 @@ def v_sets_sigma_tau(spec: TrochoidSpec, sigma: int = 0) -> tuple[frozenset[int]
     """
     a2 = 2 * spec.alpha
     pq = spec.p_prime * spec.q_prime
-    beta = (Fraction(a2) * spec.theta.fraction) % a2
-    if beta.denominator != 1:
+    th = spec.theta
+    beta, rest = divmod(a2 * th.numerator, th.denominator)
+    if rest:
         raise ContradictionError("2*alpha*theta is not an integer")
-    beta = int(beta)
+    beta %= a2
     e_step = (a2 // spec.q_prime) * spec.l_prime
     tau = (sigma + (spec.q_prime - 1) * e_step + spec.alpha) % a2
     v_sigma = frozenset((sigma + r * beta) % a2 for r in range(pq))
@@ -483,18 +515,17 @@ def state_key(level: int):
     (num, den) of the resolved anchor lifted to `level`.  Equal values
     at one level have identical (num, den), so the keys tell states
     apart exactly as `canonical_key` does, without descending to least
-    levels or building fractions.  Every anchor that moves reach from a
-    spec lies at a level dividing its `session_level`; an anchor outside
-    `level` raises LevelError.
+    levels.  Every anchor that moves reach from a spec lies at a level
+    dividing its `session_level`; an anchor outside `level` raises
+    LevelError.
     """
 
     def key(spec: TrochoidSpec):
         a, d = spec.resolved()
         a = a.lift(level)
-        side, turn = spec.side, d.fraction
         return (
-            spec.p, spec.q, spec.k, spec.l, side.numerator, side.denominator,
-            turn.numerator, turn.denominator, a.num, a.den,
+            spec.p, spec.q, spec.k, spec.l, spec.side_num, spec.side_den,
+            d.numerator, d.denominator, a.num, a.den,
         )
 
     return key
@@ -536,9 +567,10 @@ def _group_element(a: TrochoidSpec, b: TrochoidSpec) -> tuple[Cyc, int] | None:
     n = a.p_prime * a.q_prime
     lat = lattice_for(a)
     b0, d1 = b.resolved()
-    turns = (d1 - lat.base_direction).fraction * n
-    x = _lattice_coordinate(lat, b0) if turns.denominator == 1 else None
-    return None if x is None else (x, int(turns))
+    t = d1 - lat.base_direction
+    turns, rest = divmod(t.numerator * n, t.denominator)
+    x = None if rest else _lattice_coordinate(lat, b0)
+    return None if x is None else (x, turns)
 
 
 def _group_witness(a: TrochoidSpec, x: Cyc, turns: int) -> MoveSeq:
@@ -551,7 +583,8 @@ def _group_witness(a: TrochoidSpec, x: Cyc, turns: int) -> MoveSeq:
     """
     n = a.p_prime * a.q_prime
     # u(i theta) = zeta_N^(i j0): the coefficient of zeta_N^e goes to slot e / j0
-    inv = pow(int(a.theta.fraction * n), -1, n)
+    th = a.theta
+    inv = pow(th.numerator * n // th.denominator, -1, n)
     m = a.l_prime * (n // a.q_prime) * inv % n
     step = ("shift",) + _FD * (n - m)
     back = _FD * m + ("shift",) * (a.q_prime - 1)
@@ -585,7 +618,7 @@ def classify(a: TrochoidSpec, b: TrochoidSpec) -> ClassificationResult:
         raise ValueError("classification needs two colorings of one diagram")
     if (a.k, a.l) != (b.k, b.l):
         return ClassificationResult("NotEquivalent", reason=KL_MISMATCH)
-    if a.side != b.side:
+    if (a.side_num, a.side_den) != (b.side_num, b.side_den):
         return ClassificationResult("NotEquivalent", reason=SIDE_MISMATCH)
 
     session_level(a)
@@ -623,7 +656,7 @@ def spec_to_json(spec: TrochoidSpec) -> dict:
         "anchor": point_to_json(spec.anchor),
         "direction": turn_to_json(spec.direction),
         "chirality": spec.chirality,
-        "side": str(spec.side),
+        "side": f"{spec.side_num}/{spec.side_den}" if spec.side_den > 1 else str(spec.side_num),
     }
 
 
@@ -635,6 +668,6 @@ def spec_from_json(data: dict) -> TrochoidSpec:
         int(data["l"]),
         point_from_json(data["anchor"]),
         turn_from_json(data["direction"]),
-        Fraction(data.get("side", 1)),
+        data.get("side", 1),
         int(data.get("chirality", 1)),
     )

@@ -15,7 +15,6 @@ neither `diagram` nor `trochoid`.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exactnum import (
     BudgetError,
@@ -26,7 +25,7 @@ from .exactnum import (
     cyc_root,
     enumerate_unit_elements,
 )
-from .geom import ORIGIN, Point, point_xy
+from .geom import ORIGIN, Point, _point_xy, point_xy
 from .quandle import ROT, RotElem, _phi_pair, cocycle_phi
 
 SMALL_GRID = [(2, 3), (3, 2), (3, 4), (4, 3)]
@@ -177,9 +176,8 @@ def orbit_bfs(spec, max_moves: int) -> list[tuple]:
 def _random_rot(rng) -> RotElem:
     """A rotation with a random center and turn, drawn from rng, a
     `random.Random`."""
-    center = point_xy(
-        Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3])),
-        Fraction(rng.randrange(-4, 5), rng.choice([1, 2])),
+    center = _point_xy(
+        rng.randrange(-4, 5), rng.choice([1, 2, 3]), rng.randrange(-4, 5), rng.choice([1, 2])
     )
     if rng.random() < 0.4:
         center = center + cyc_root(rng.choice([3, 4, 6, 12]), rng.randrange(1, 3))
@@ -236,7 +234,7 @@ def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
     rng = random.Random(20240823)
 
     def base_point() -> Point:
-        return point_xy(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+        return point_xy(rng.randrange(-3, 4), rng.randrange(-3, 4))
 
     pairs = [(base_point(), _random_rot(rng)) for _ in range(200)]
     quads = [
@@ -254,7 +252,7 @@ def _suite_weights(args) -> list[tuple[str, bool, str]]:
     from .trochoid import TrochoidSpec, derive_coloring
 
     grid = FULL_GRID if args.grid == "full" else SMALL_GRID
-    extra_o = [point_xy(2, -1), point_xy(Fraction(-1, 2), 3)]
+    extra_o = [point_xy(2, -1), _point_xy(-1, 2, 3, 1)]
 
     def holds(p: int, q: int, k: int, l: int) -> bool:
         """The crossing sum is the closed form, nonzero, at every base point."""

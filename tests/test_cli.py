@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import random
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -25,6 +26,7 @@ from rotknot.cli import (
     HelpRequested,
     MAX_EXPONENT,
     UsageError,
+    _EXPONENT,
     _batches,
     _encode_str,
     _json_pieces,
@@ -35,6 +37,7 @@ from rotknot.cli import (
     parse_anchor,
     parse_args,
     parse_fraction,
+    parse_ratio,
     parse_turn,
 )
 from rotknot import trochoid, verify
@@ -55,6 +58,47 @@ class TestParsing:
     def test_turn(self):
         assert parse_turn("1/6") == Turn(1, 6)
         assert parse_turn("7/6") == Turn(1, 6)
+
+    @settings(max_examples=3000)
+    @given(st.text(alphabet="0123456789\u0663+-/._eE ", max_size=12))
+    @example("3/2")
+    @example(" -4/6 ")
+    @example("+0/5")
+    @example("1/0")
+    @example("\u0663/4")
+    @example("1_0")
+    @example("1 / 2")
+    @example("1.5e3")
+    @example("-")
+    @example("")
+    @example("1e100001")
+    def test_parse_matches_fraction(self, text):
+        """parse_ratio and parse_fraction read every literal as the
+        Fraction reference does, or refuse it with the same exception type
+        and message."""
+        try:
+            want = reference_parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            for parse in (parse_ratio, parse_fraction):
+                with pytest.raises(type(exc)) as got:
+                    parse(text)
+                assert str(got.value) == str(exc)
+        else:
+            assert parse_ratio(text) == (want.numerator, want.denominator)
+            assert type(parse_fraction(text)) is Fraction
+            assert parse_fraction(text) == want
+
+
+def reference_parse(text: str) -> Fraction:
+    """The rational literal text read by `Fraction`, as `cli.parse_fraction`
+    read every literal before its integer path."""
+    exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class TestEnumerate:

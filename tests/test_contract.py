@@ -270,6 +270,10 @@ ROWS = [
             ("render --p 3 --q 2 --direction 1/0",
              "argument --direction: zero denominator in '1/0'"),
             ("classify --p 3 --q 2 --k x", "argument --k: invalid int value: 'x'"),
+            ("classify --p 3 --q 2 --b-k 5", "argument --b-k: k=5 outside [1, 2]"),
+            ("classify --p 3 --q 2 --l 9", "argument --l: l=9 outside [1, 1]"),
+            ("classify --p 3 --q 2 --side 0", "argument --side: side must be positive"),
+            ("classify --p 3 --q 2 --b-side=-1", "argument --b-side: side must be positive"),
             ("classify --p 3 --q 2 --chirality 0",
              "argument --chirality: invalid choice: 0 (choose from 1, -1)"),
             ("verify orbit --depth 0", "argument --depth: must be a positive integer, got 0"),
@@ -340,14 +344,17 @@ def test_row(r, launcher, module_runs):
 # the package modules it runs, and none loads the heavy standard library
 # modules that the value classes and the flag table were written to avoid
 # (argparse brings gettext and locale with it), nor `json` and `csv`,
-# whose text the writers make themselves.  A row of LOADS names every
+# whose text the writers make themselves, nor `fractions` with the
+# `decimal` and `numbers` it loads: rationals travel as integer pairs, and
+# only a literal the integer reader does not take, such as 1.5, and the
+# unit scan of `verify appendix` build a Fraction.  A row of LOADS names every
 # watched module its command loads: a package module by its name in the
 # package, any other by its own.  Every module of the package is watched, so a new
 # one must stay unloaded until a row lists it.
 WATCHED = (
     *sorted(f"rotknot.{info.name}" for info in pkgutil.iter_modules(rotknot.__path__)),
-    "argparse", "ast", "copy", "csv", "dataclasses", "gettext", "inspect", "json", "locale",
-    "typing",
+    "argparse", "ast", "copy", "csv", "dataclasses", "decimal", "fractions", "gettext",
+    "inspect", "json", "locale", "numbers", "typing",
 )
 LOAD_PROBE = (
     "import os, sys\n"
@@ -358,15 +365,20 @@ LOAD_PROBE = (
 )
 CLI_MODULES = ("cli", "exactnum", "geom", "value")  # import rotknot.cli
 MOVES = ("diagram", "quandle", "trochoid")
+FRACTIONS = ("decimal", "fractions", "numbers")  # what `import fractions` loads
 LOADS = {
     "import rotknot.cli": CLI_MODULES,
     "enumerate --p -7 --q 5": (*CLI_MODULES, "diagram", "families", "quandle"),
     "enumerate --p 3 --q 2 --format csv": (*CLI_MODULES, "diagram", "families", "quandle"),
     "classify --p 3 --q 2 --b-anchor 1,0": (*CLI_MODULES, *MOVES),
+    # the literals of the benchmark's seeded classify jobs
+    "classify --p 3 --q 2 --anchor 4/3,1 --direction 1/2 --side 1/2 --b-anchor 5/6,1 "
+    "--b-direction 1/3": (*CLI_MODULES, *MOVES),
+    "classify --p 3 --q 2 --anchor 1.5,0": (*CLI_MODULES, *MOVES, *FRACTIONS),
     "render --p 3 --q 2": (*CLI_MODULES, *MOVES, "render"),
     "verify axioms": (*CLI_MODULES, "quandle", "verify"),
     "verify cocycle": (*CLI_MODULES, "quandle", "verify"),
-    "verify appendix": (*CLI_MODULES, "quandle", "units", "verify"),
+    "verify appendix": (*CLI_MODULES, "quandle", "units", "verify", *FRACTIONS),
     "verify orbit": (*CLI_MODULES, *MOVES, "verify"),
     "verify weights": (*CLI_MODULES, *MOVES, "verify"),
 }

@@ -6,7 +6,9 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -627,6 +629,27 @@ class TestLibraryCeiling:
         assert str(exc.value) == f"level of 31 digits exceeds the library ceiling 5000{self.TAIL}"
 
 
+_MODULUS = sys.hash_info.modulus
+TURN_VALUES = st.fractions() | st.integers().map(Fraction)
+
+
+@contextmanager
+def counting_fractions():
+    """The list of the argument tuples of every Fraction made inside."""
+    made = []
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = new
+
+
 class TestTurn:
     def test_normalization(self):
         assert Turn(Fraction(5, 4)).fraction == Fraction(1, 4)
@@ -666,6 +689,45 @@ class TestTurn:
 
     def test_turn_to_root_minimal(self):
         assert turn_to_root(Turn(1, 4)) == Cyc(4, [0, 1])
+
+    @settings(max_examples=500)
+    @given(TURN_VALUES, TURN_VALUES)
+    @example(Fraction(1, 2), Fraction(1, 2))
+    @example(Fraction(-1), Fraction(1, _MODULUS))
+    @example(Fraction(2**70 + 1, 3), Fraction(-5, 2**64))
+    def test_matches_fraction_reference(self, x, y):
+        """The integer turn gives what the Fraction mod 1 gives: +, -,
+        negation, str, repr and hash; == agrees with the hash; no order."""
+        fx, fy = x % 1, y % 1
+        a, b = Turn(x), Turn(y)
+        for got, want in [(a + b, fx + fy), (a - b, fx - fy), (-a, -fx), (a, fx)]:
+            want %= 1
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert type(got.fraction) is Fraction and got.fraction == want
+            assert str(got) == f"{want.numerator}/{want.denominator}"
+            assert repr(got) == f"Turn(fraction={want!r})"
+            assert hash(got) == hash((want,))
+        assert (a == b) is (fx == fy) and (a != b) is (fx != fy)
+        if a == b:
+            assert hash(a) == hash(b)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+    @settings(max_examples=300)
+    @given(TURN_VALUES)
+    @example(Fraction(-1))
+    @example(Fraction(3, _MODULUS))
+    @example(Fraction(-7, 2 * _MODULUS))
+    @example(Fraction(-1, _MODULUS + 1))  # hashes as -1, which is taken as -2
+    def test_rational_hash_builds_no_fraction(self, value):
+        """A rational Cyc made from integers hashes as its Fraction, and no
+        Fraction is made on the way."""
+        n, d = value.numerator, value.denominator
+        with counting_fractions() as made:
+            h = hash(Cyc.rational(n) / d)
+        assert made == [] and h == hash(value) == exactnum._rational_hash(n, d)
+
 
 
 def cyc_to_json_by_fractions(a: Cyc) -> dict:

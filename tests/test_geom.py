@@ -348,6 +348,23 @@ class TestPointXY:
         assert same_coordinates(z, w)
         assert same_coordinates(z, Cyc.rational(re) + cyc_root(4, 1) * im)
 
+    @settings(max_examples=500)
+    @given(
+        st.integers(-10**30, 10**30), st.integers(1, 10**6),
+        st.integers(-10**30, 10**30), st.integers(1, 10**6),
+    )
+    @example(0, 5, 0, 7)
+    @example(6, 4, -9, 6)
+    @example(2, 1, 3, 1)
+    def test_integers_match_fractions(self, a, b, c, d):
+        """The point of the integer ratios a/b and c/d, reduced or not, has
+        the (level, num, den) of the point of their Fractions."""
+        re, im = Fraction(a, b), Fraction(c, d)
+        want = Cyc.rational(re) + cyc_root(4, 1) * im
+        assert same_coordinates(geom._point_xy(a, b, c, d), want)
+        assert same_coordinates(point_xy(re, im), want)
+        assert same_coordinates(point_xy(a, c), point_xy(Fraction(a), Fraction(c)))
+
 
 class TestSerialization:
     def test_point_round_trip(self):

@@ -270,6 +270,34 @@ class TestMoves:
         with pytest.raises(ValueError):
             MoveSeq(("shift", "jump"))
 
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([(3, 2, 1, 1), (4, 3, 1, 2), (-5, 3, 2, 1), (5, -7, 2, 3), (3, 5, 1, 4)]),
+        st.fractions(-2, 2, max_denominator=3),
+        st.integers(0, 11),
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2), 2]),
+        st.sampled_from([1, -1]),
+        st.lists(st.sampled_from(["shift", "switch", "flip"]), max_size=10),
+    )
+    def test_moves_build_what_the_constructor_builds(
+        self, params, re, direction, side, chirality, word
+    ):
+        """Each spec a move makes without the constructor's checks equals,
+        field by field, hash and repr alike, the spec the validating
+        constructor makes of the same fields."""
+        spec = TrochoidSpec(*params, point_xy(re, 1), Turn(direction, 12), side, chirality)
+        for move in word:
+            spec = flip_chirality(spec) if move == "flip" else apply_move(spec, move)
+            fields = [getattr(spec, name) for name in spec._fields]
+            checked = TrochoidSpec(*fields)
+            assert spec == checked and hash(spec) == hash(checked) == hash(tuple(fields))
+            assert repr(spec) == repr(checked)
+            for name in spec.__slots__[:-1]:
+                got, want = getattr(spec, name), getattr(checked, name)
+                if isinstance(got, Cyc):
+                    got, want = (got.level, got.num, got.den), (want.level, want.num, want.den)
+                assert got == want and type(got) is type(want)
+
 
 class TestFundamentalDeformation:
     def test_fixes_center_and_advances_direction(self):
