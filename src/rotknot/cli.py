@@ -21,15 +21,17 @@ from the table.  Neither argparse nor the `gettext` and `locale` modules
 it loads are imported.
 
 A command loads only the modules it runs.  Importing this module loads
-`exactnum` and `geom`; `enumerate` adds `families` (which loads
-`diagram`), `classify` and `render` add `trochoid` (which loads
-`diagram`), `render` adds `render` and `verify` adds `verify`, whose
-suites load `diagram` and `trochoid` only where they use them; only
-`verify appendix` loads `units`.  No command loads the `csv` or `json`
-package: strings are escaped here, `families` writes the CSV text
-itself, and `json` is imported only for a string that is not ASCII or a
-leaf that is not a str, int or `Cyc`.  Rationals are read as integer
-pairs (`parse_ratio`), so `fractions` is imported only for a literal
+`exactnum`.  `enumerate` adds `families`, which loads `diagram`, `geom`,
+the cocycle layer `cocycle` and the JSON writer `writer`.  `classify`
+and `render` add `trochoid`, which loads `diagram`, `geom` and `quandle`
+and reads a spec from the flags; `classify` adds `writer` and `render`
+adds `render`.  `verify` adds `verify`, whose suites load `diagram`,
+`trochoid` and `cocycle` only where they use them; only `verify
+appendix` loads `units`.  No command loads the `csv` or `json` package:
+`writer` escapes strings itself, `families` writes the CSV text itself,
+and `json` is imported only for a string that is not ASCII or a leaf
+that is not a str, int or `Cyc`.  Rationals are read as integer pairs
+(`trochoid.parse_ratio`), so `fractions` is imported only for a literal
 that `Fraction` itself must read, such as 1.5.  The pattern of decimal
 exponents is compiled on its first use.  Without cached bytecode every
 module loaded is compiled, so this is start-up time saved.
@@ -42,14 +44,10 @@ and library callers can run it in their own process.
 
 from __future__ import annotations
 
-import re
 import sys
-from itertools import islice
-from math import gcd
 from types import SimpleNamespace
 
-from .exactnum import BudgetError, Cyc, Turn, _fraction
-from .geom import _point_xy
+from .exactnum import BudgetError
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 10
@@ -57,220 +55,7 @@ EXIT_UNDETERMINED = 20
 
 
 # ---------------------------------------------------------------------------
-# flag parsing helpers
-
-
-# `Fraction` builds 10**exponent before anything can check it, and what
-# follows grows faster than the exponent: on a 2-CPU Xeon `classify
-# --anchor 1e100000,0` takes half a second and 1e1000000 half a minute.
-MAX_EXPONENT = 100_000
-_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled by `re` on first use
-
-
-def _digits(text: str) -> bool:
-    return text.isdigit() and text.isascii()
-
-
-def parse_ratio(text: str) -> tuple[int, int]:
-    """The rational literal text as (numerator, denominator) in lowest
-    terms, the value `Fraction(text)` has, with a ValueError where that
-    raises.  An integer or a/b of ASCII digits, the first with an optional
-    sign and both with optional surrounding whitespace, is read by `int()`:
-    every Python version's `Fraction` reads those alike.  Any other
-    literal goes to `Fraction` itself, so its grammar and messages stay
-    whole: a decimal point, an exponent, `_`, inner spaces or other
-    digits.  An exponent above MAX_EXPONENT is refused first."""
-    exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
-    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
-    num, slash, den = text.strip().partition("/")
-    if _digits(num[1:] if num[:1] in "+-" else num) and (_digits(den) or not slash):
-        n, d = int(num), int(den or 1)
-    else:
-        from fractions import Fraction
-
-        try:
-            n, d = Fraction(text.strip()).as_integer_ratio()
-        except ZeroDivisionError:
-            n = d = 0
-    if not d:
-        raise ValueError(f"zero denominator in {text!r}")
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def parse_fraction(text: str):
-    """The rational literal text as a Fraction, read by `parse_ratio`."""
-    return _fraction(*parse_ratio(text))
-
-
-def parse_anchor(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"anchor must be 're,im' with rational parts, got {text!r}")
-    return _point_xy(*parse_ratio(parts[0]), *parse_ratio(parts[1]))
-
-
-def parse_turn(text: str) -> Turn:
-    return Turn(*parse_ratio(text))
-
-
-def _spec_from_args(args, prefix: str):
-    """The `TrochoidSpec` of the flags whose names start with prefix: ""
-    for spec a, "b_" for the `--b-*` flags of spec b, each of which, when
-    absent, takes spec a's value.  A rational that does not parse, and a
-    k, l or side out of range, is a ValueError that names the flag it came
-    from.  The checks are those of `TrochoidSpec()`, in its order after the
-    rationals are read, so the spec is built without them."""
-    from .diagram import check_torus_type
-    from .trochoid import TrochoidSpec, check_side, check_step
-
-    def flag(name: str, parse=lambda value: value):
-        if getattr(args, prefix + name) is not None:
-            name = prefix + name
-        try:
-            return parse(getattr(args, name))
-        except ValueError as exc:
-            raise ValueError(f"argument --{name.replace('_', '-')}: {exc}") from None
-
-    anchor = flag("anchor", parse_anchor)
-    direction = flag("direction", parse_turn)
-    side = flag("side", parse_ratio)
-    check_torus_type(args.p, args.q)
-    return TrochoidSpec._raw(
-        args.p,
-        args.q,
-        flag("k", lambda k: check_step("k", k, args.p)),
-        flag("l", lambda l: check_step("l", l, args.q)),
-        anchor,
-        direction,
-        *flag("side", lambda _: check_side(side)),
-        flag("chirality"),
-    )
-
-
-# Output is written as it is made: a whole document would cost as much
-# memory as the table it prints.  JSON goes out a row per `write` (see
-# `_json_pieces`); CSV rows are short, and one write per row would be one
-# syscall each when stdout is unbuffered, so they go out in batches, as do
-# the moves of a `classify` witness.  An exact value is written straight
-# from its integer coordinates: a table row holds the `Cyc`, not the lists
-# of `cyc_to_json`.
-CSV_BATCH = 64  # table rows or witness moves per write
-
-# What `json.dumps` writes for each ASCII character it escapes: `"` and
-# `\` after a backslash, five control characters by their short escapes,
-# and the other control characters and DEL as \u00xx.
-_ASCII_ESCAPES = {
-    **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)},
-    **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')},
-}
-
-
-def _encode_str(s: str) -> str:
-    """The text of `json.dumps(s)`; the `json` package is loaded only for
-    a string that is not ASCII."""
-    if s.isascii():
-        if s.isprintable() and '"' not in s and "\\" not in s:
-            return '"' + s + '"'  # nothing to escape, as in every key
-        return '"' + s.translate(_ASCII_ESCAPES) + '"'
-    import json
-
-    return json.dumps(s)
-
-
-def _batches(items, size: int):
-    """Lists of up to size consecutive items; ends on the first empty one."""
-    items = iter(items)
-    while batch := list(islice(items, size)):
-        yield batch
-
-
-def _encode(o, ind: str) -> str:
-    """The text of `json.dumps(o, default=cyc_to_json, sort_keys=True,
-    indent=2)` for a value nested in a line indented by ind; dict keys must
-    be str.  With an indent the stdlib encodes in pure Python, one
-    generator chunk at a time; joining each container's items instead
-    takes half the time."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if type(o) is int:
-        return int.__repr__(o)
-    if type(o) is Cyc:
-        return _encode_cyc(o, ind)
-    inner = ind + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_encode(v, inner) for v in o]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
-    import json  # a float, bool or None: only the null of an `approx` that overflows
-
-    return json.dumps(o)
-
-
-def _encode_cyc(a: Cyc, ind: str) -> str:
-    """The text of `cyc_to_json(a)` nested at ind, made from a's integers:
-    one `str` per integer and no list per coordinate.  The strings hold
-    only digits and `-`, so none needs escaping, and a value has at least
-    one coordinate."""
-    inner = ind + "  "
-    pair = inner + "  "
-    value = pair + "  "
-    mid = '",\n' + value + '"'  # between a coordinate's numerator and denominator
-    close = '"\n' + pair + "]"
-    sep = close + ",\n" + pair + '[\n' + value + '"'
-    head = "{\n" + inner + '"coeffs": [\n' + pair + "[\n" + value + '"'
-    tail = close + "\n" + inner + '],\n' + inner + '"level": ' + str(a.level) + "\n" + ind + "}"
-    den = a.den
-    if den == 1:
-        return head + (mid + "1" + sep).join(map(str, a.num)) + mid + "1" + tail
-    texts = [str(c // (g := gcd(c, den))) + mid + str(den // g) for c in a.num]
-    return head + sep.join(texts) + tail
-
-
-def _json_pieces(data):
-    """The text of `json.dumps(data, default=cyc_to_json, sort_keys=True,
-    indent=2)` and a final newline, in pieces.  A top-level dict gives one
-    piece per member, except that a list member gives one piece per
-    element (one `enumerate` row), and a dict member gives pieces of its
-    own members, a list among them one piece per CSV_BATCH elements (the
-    moves of a `classify` witness)."""
-    if not isinstance(data, dict) or not data:
-        yield _encode(data, "") + "\n"
-        return
-    yield from _member_pieces(data, "", 1, "{")
-    yield "\n}\n"
-
-
-def _member_pieces(d: dict, ind: str, size: int, opening: str):
-    """The members of the non-empty dict d nested at ind, in pieces after
-    opening, the text up to and with its `{`: a non-empty list member in
-    pieces of size elements, and at the top (size 1) a non-empty dict
-    member split the same way with size CSV_BATCH; any other member whole.
-    The closing `}` is the caller's."""
-    inner = ind + "  "
-    item_ind = inner + "  "
-    for key, value in sorted(d.items()):
-        head = opening + "\n" + inner + _encode_str(key) + ": "
-        opening = ","
-        if isinstance(value, (list, tuple)) and value:
-            head += "["
-            for batch in _batches(value, size):
-                texts = [_encode(v, item_ind) for v in batch]
-                yield head + "\n" + item_ind + (",\n" + item_ind).join(texts)
-                head = ","
-            yield "\n" + inner + "]"
-        elif size == 1 and isinstance(value, dict) and value:
-            yield from _member_pieces(value, inner, CSV_BATCH, head + "{")
-            yield "\n" + inner + "}"
-        else:
-            yield head + _encode(value, inner)
+# output
 
 
 def _write_output(pieces, out: str | None) -> None:
@@ -517,6 +302,7 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "enumerate":
             from .families import _enumerate_csv, cmd_enumerate
+            from .writer import _json_pieces
 
             table = cmd_enumerate(args.p, args.q)
             pieces = (
@@ -525,6 +311,9 @@ def main(argv=None) -> int:
             _write_output(pieces, args.out)
             return 0
         if args.command == "classify":
+            from .trochoid import _spec_from_args
+            from .writer import _json_pieces
+
             spec_a = _spec_from_args(args, "")
             spec_b = _spec_from_args(args, "b_")
             data, code = cmd_classify(spec_a, spec_b)
@@ -538,6 +327,7 @@ def main(argv=None) -> int:
             return code
         if args.command == "render":
             from .render import render_trochoid_svg
+            from .trochoid import _spec_from_args
 
             svg = render_trochoid_svg(_spec_from_args(args, ""), args.size)
             _write_output((svg,), args.out)

@@ -1,4 +1,4 @@
-"""Torus-knot diagrams, colorings, cocycle weights, and generic moves.
+"""Torus-knot diagrams, colorings, and generic moves.
 
 The numbers of a coloring family (k, l) of D(p, q) live here too, so that
 `enumerate` reads them without building a trochoid: its rolling turn
@@ -17,7 +17,7 @@ arcs, with color(arc_xy) = color(arc_x) * color(arc_over) whatever its
 sign, which is the diagram's and decides only which of arc_x / arc_xy is
 the incoming under-arc.  `TorusDiagram` builds its arc, crossing and
 shift tables once, from (p, q) alone; `_propagate` is the one walk over
-the crossings.
+the crossings.  The cocycle weights of a coloring are in `cocycle`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from collections import deque
 from functools import lru_cache
 from math import gcd, prod
 
-from .exactnum import Cyc, Turn, _area_sum, brief_int
-from .geom import Point, polygon_area
-from .quandle import _phi_pair
+from .exactnum import Turn, brief_int
 from .value import Frozen
 
 # an arc label (i, j); representative labels have 0 <= j <= |p|-2
@@ -96,8 +94,8 @@ class Coloring:
 
     Stored on representative labels, in arc order; `color` resolves any
     a_{ij}.  Equality and hashing use the diagram and that assignment;
-    `_pairs`, the signed crossing pairs `total_weight` fills on first use,
-    enters neither, nor the repr.
+    `_pairs`, the signed crossing pairs `cocycle.total_weight` fills on
+    first use, enters neither, nor the repr.
     """
 
     __slots__ = ("diagram", "quandle", "_colors", "_pairs")
@@ -163,36 +161,7 @@ def _propagate(diagram: TorusDiagram, op, colors: dict[Arc, object]) -> int | No
 
 
 # ---------------------------------------------------------------------------
-# cocycle weights
-
-
-def total_weight(c: Coloring, o: Point) -> Cyc:
-    """Sum of signed cocycle values over the crossings of the diagram.
-
-    Each crossing contributes sign * Phi_o(color(arc_x), color(arc_over));
-    the total does not depend on o.  A crossing's pair
-    (`quandle._phi_pair`, (-v, w) for sign -1) does not depend on o
-    either, so the coloring builds its pairs once and keeps them; each
-    base point is then one call of the area kernel `exactnum._area_sum`:
-    one accumulator and one fold.
-    """
-    pairs = c._pairs
-    if pairs is None:
-        d, colors = c.diagram, c._colors
-        pairs = [_phi_pair(colors[x], colors[over]) for x, over, _ in d.crossings]
-        if d.sign < 0:
-            pairs = [(-v, w) for v, w in pairs]
-        c._pairs = pairs
-    return _area_sum(pairs, o)
-
-
-def closed_form_weight(p: int, q: int, k: int, l: int, side=1) -> Cyc:
-    """sign * (S(P0) * |q| - S(Q) * |p|), where P0 is the moving polygon of
-    type (|p|, k), Q the base polygon of type (|q|, l), both with edge
-    `side`, and sign that of pq; their anchors do not enter."""
-    ap, aq = abs(p), abs(q)
-    val = polygon_area(ap, k, side) * aq - polygon_area(aq, l, side) * ap
-    return val if p * q > 0 else -val
+# the numbers of a coloring family
 
 
 def theta(m: int, k: int, n: int, l: int) -> Turn:

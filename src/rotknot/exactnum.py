@@ -8,11 +8,8 @@ multiple level L through zeta_N = zeta_L^(L/N): a sum, difference or
 product writes both operands' exponents once into one accumulator at L,
 then folds and normalizes once (`_spread`).  A rotation c + zeta_d^k *
 (z - c) does the same at L = lcm(z.level, c.level, d), shifting the
-exponents of z - c by k*L/d (`_rotate`; `_displacement` gives the image
-minus z the same way), and `_area_sum` adds conj(v) * (w - o) - v *
-conj(w - o) over many pairs (v, w) in one accumulator, with the base
-point o taken out by bilinearity: one product with the sum of the v, not
-one subtraction w - o per pair.
+exponents of z - c by k*L/d (`_rotate`).  The area kernels, which work
+the same way, live with the cocycle in `cocycle`.
 
 The canonical basis is an integral basis, so "all coefficients are
 integers" is exactly "the value is an algebraic integer".
@@ -664,66 +661,6 @@ def _rotate(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
             y *= mc
             acc[(e * step + s) % n] -= y
             acc[e * step] += y
-    return Cyc._raw(n, *_normal(_fold(n, acc), d))
-
-
-def _displacement(z: Cyc, c: Cyc, num: int, den: int) -> Cyc:
-    """(zeta_den^num - 1) * (z - c): how far z moves when turned about c by
-    num/den of a turn, `_rotate(z, c, num, den) - z` in one accumulator at
-    the same level n.  Each coordinate of z - c goes in at its exponent
-    shifted by s and, negated, unshifted; one fold and one gcd."""
-    n = lcm(z.level, c.level, den)
-    s = num * (n // den) % n
-    zd, cd = z.den, c.den
-    mz, mc, d = (1, 1, zd) if zd == cd else (cd, zd, zd * cd)
-    acc = [0] * n
-    for x, m in ((z, mz), (c, -mc)):
-        step = n // x.level
-        for e, y in enumerate(x.num):
-            if y:
-                y *= m
-                e *= step
-                acc[(e + s) % n] += y
-                acc[e] -= y
-    return Cyc._raw(n, *_normal(_fold(n, acc), d))
-
-
-def _area_sum(pairs: Sequence[tuple[Cyc, Cyc]], o: Cyc = _ZERO) -> Cyc:
-    """The sum of conj(v) * (w - o) - v * conj(w - o) over the (v, w)
-    pairs, 4i times the signed areas of the triangles (0, v, w - o), in
-    one accumulator at n, the lcm of o's level and all the pairs' levels
-    (zero at level 1 when there are no pairs).  That is the level each
-    w - o has, o zero or not, so the result has the (level, num, den) of
-    subtracting o first.  conj(v) * w puts v_e * w_f at exponent
-    f*n/w.level - e*n/v.level mod n, and v * conj(w) at its negative.  By
-    bilinearity o enters once, as conj(V) * o - V * conj(o) subtracted,
-    with V the sum of the v."""
-    n = lcm(*(x.level for v, w in pairs for x in (v, w, o)))
-    od = o.den
-    d = lcm(*(v.den * lcm(w.den, od) for v, w in pairs))
-    acc = [0] * n
-    for v, w in pairs:
-        m, sv, sw = d // (v.den * w.den), n // v.level, n // w.level
-        tw = [(f * sw, y * m) for f, y in enumerate(w.num) if y]
-        for e, x in enumerate(v.num):
-            if x:
-                e *= sv
-                for f, y in tw:
-                    acc[(f - e) % n] += x * y
-    so = n // o.level
-    to = [(g * so, z) for g, z in enumerate(o.num) if z]
-    if to:
-        vsum = [0] * n  # V, over d / od
-        for v, _ in pairs:
-            m, sv = d // (v.den * od), n // v.level
-            for e, x in enumerate(v.num):
-                if x:
-                    vsum[e * sv] += x * m
-        for e, x in enumerate(vsum):
-            if x:
-                for g, z in to:
-                    acc[(g - e) % n] -= x * z
-    acc = [c - acc[-k] for k, c in enumerate(acc)]
     return Cyc._raw(n, *_normal(_fold(n, acc), d))
 
 

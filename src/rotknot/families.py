@@ -1,5 +1,5 @@
 """The `enumerate` command: one table row per coloring family (k, l) of a
-torus-knot diagram D(p, q), written as JSON by `cli` or as CSV here.
+torus-knot diagram D(p, q), written as JSON by `writer` or as CSV here.
 
 Only `enumerate` loads this module, so the other commands compile none
 of it, and its CSV text is made without the `csv` and `json` packages.
@@ -10,21 +10,16 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 
-from .cli import CSV_BATCH, _batches
-from .diagram import (
-    check_torus_type,
-    closed_form_weight,
-    lattice_alpha,
-    reduced_types,
-    theta,
-)
+from .cocycle import area_approx, closed_form_weight
+from .diagram import check_torus_type, lattice_alpha, reduced_types, theta
 from .exactnum import Cyc, check_level_cap
-from .geom import area_approx, fmt12
+from .geom import fmt12
+from .writer import CSV_BATCH, _batches
 
 
 def cmd_enumerate(p: int, q: int) -> dict:
     """One row per (k, l): turn, reduced types, parity, and both weights,
-    the exact one as the `Cyc` itself (`cli._encode` writes its
+    the exact one as the `Cyc` itself (`writer._encode` writes its
     `cyc_to_json` text)."""
     check_torus_type(p, q)
     check_level_cap(lcm(abs(p), abs(q)))
@@ -51,7 +46,7 @@ def cmd_enumerate(p: int, q: int) -> dict:
 
 def _compact_cyc(a: Cyc) -> str:
     """The text of `json.dumps(cyc_to_json(a), sort_keys=True,
-    separators=(",", ":"))`, made from a's integers as `cli._encode_cyc`
+    separators=(",", ":"))`, made from a's integers as `writer._encode_cyc`
     makes the indented one."""
     den = a.den
     if den == 1:

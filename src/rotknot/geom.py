@@ -1,20 +1,19 @@
 """Exact planar geometry over cyclotomic coordinates.
 
-Points are complex cyclotomic numbers.  Signed areas are kept 4i-scaled
-so they stay inside the field (the raw area of a cyclotomic triangle
-need not be cyclotomic, but 4i times it always is).
+Points are complex cyclotomic numbers.  This module holds points, their
+JSON form, rigid rotations and regular polygon walks; signed areas live
+with the area two-cocycle in `cocycle`, which only the commands that
+compute weights load.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lcm
 
 from .exactnum import (
     ContradictionError,
     Cyc,
     Turn,
-    _area_sum,
     _normal,
     _ratio,
     _rotate,
@@ -81,39 +80,6 @@ def rotate(z: Point, center: Point, t: Turn) -> Point:
     return _rotate(z, center, t.numerator, t.denominator)
 
 
-def area_approx(scaled: Cyc) -> float:
-    """The area whose exact 4i-scaled value is `scaled`, as a float.
-
-    Signed areas are purely imaginary field elements (conj(scaled) =
-    -scaled), so the area is real and the imaginary part dropped here is
-    rounding only.
-    """
-    return (scaled.embed() / 4j).real
-
-
-def signed_area_tri(x: Point, y: Point, z: Point) -> Cyc:
-    """Signed area of the triangle (x, y, z), positive counterclockwise.
-
-    4i * area = t - conj(t) with t = conj(y-x)*(z-x), formed by the area
-    kernel `exactnum._area_sum` on the one pair (y - x, z - x); for
-    (0, 1, i) this gives scaled 2i, area +1/2.  Degenerate triangles give
-    exact zero.
-    """
-    return _area_sum([(y - x, z - x)])
-
-
-def signed_area_polygon(vertices: list[Point], o: Point = ORIGIN) -> Cyc:
-    """Sum of triangle areas fanned from o over the closed vertex cycle.
-
-    The value does not depend on o.  The m fan pairs (v_i - o,
-    v_(i+1) - o) go to the area kernel together: one fold for the sum.
-    """
-    if len(vertices) < 2:
-        raise ValueError("polygon needs at least 2 vertices")
-    fan = [v - o for v in vertices]
-    return _area_sum(list(zip(fan, fan[1:] + fan[:1])))
-
-
 def polygon_vertices(m: int, k: int, anchor: Point, direction: Turn, side) -> list[Point]:
     """The m vertices of a regular polygon of type (m, k), anchored by its
     first edge; the walk provably closes.
@@ -148,18 +114,3 @@ def _polygon_walk(m: int, k: int, anchor: Point, edge: Point) -> list[Point]:
     if closure != anchor:
         raise ContradictionError("polygon walk failed to close")
     return verts
-
-
-@lru_cache(maxsize=None)
-def polygon_area(m: int, k: int, side=1) -> Cyc:
-    """Signed area swept by the closed type-(m, k) edge walk with edge
-    `side` (counterclockwise > 0): the fan from 0 over the walk from 0
-    along direction 0, closure checked.
-
-    Any anchored walk of that type and side has this area: the fan from
-    the anchor does not see the translation or the rotation by a unit u
-    (conj(u v) * u v' = conj(v) * v' as |u|^2 = 1).  Cached on rationals
-    only, never on points: those compare by value across levels, so a
-    cached area could come back at another level than a fresh one.
-    """
-    return signed_area_polygon(polygon_vertices(m, k, ORIGIN, Turn(0), side))

@@ -8,10 +8,17 @@ the deformation moves (shift, switch, and their composite, the
 fundamental deformation) act on trochoids by simple updates of the
 anchored edge.  The classifier decides when two trochoids produce
 R-equivalent colorings, exactly when the parity invariant p'q' allows.
+
+A spec is read from and written to JSON here, and read from the flags of
+`classify` and `render` (`_spec_from_args` and the rational reader
+`parse_ratio`): both commands load this module anyway, so no other
+module is loaded for the readers, and the `verify` suites that load no
+trochoid compile none of them.
 """
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 
 from .diagram import (
@@ -47,6 +54,7 @@ from .exactnum import (
 from .geom import (
     ORIGIN,
     Point,
+    _point_xy,
     _polygon_walk,
     point_from_json,
     point_to_json,
@@ -670,4 +678,94 @@ def spec_from_json(data: dict) -> TrochoidSpec:
         turn_from_json(data["direction"]),
         data.get("side", 1),
         int(data.get("chirality", 1)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# reading a spec from command-line flags
+
+
+# `Fraction` builds 10**exponent before anything can check it, and what
+# follows grows faster than the exponent: on a 2-CPU Xeon `classify
+# --anchor 1e100000,0` takes half a second and 1e1000000 half a minute.
+MAX_EXPONENT = 100_000
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled by `re` on first use
+
+
+def _digits(text: str) -> bool:
+    return text.isdigit() and text.isascii()
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The rational literal text as (numerator, denominator) in lowest
+    terms, the value `Fraction(text)` has, with a ValueError where that
+    raises.  An integer or a/b of ASCII digits, the first with an optional
+    sign and both with optional surrounding whitespace, is read by `int()`:
+    every Python version's `Fraction` reads those alike.  Any other
+    literal goes to `Fraction` itself, so its grammar and messages stay
+    whole: a decimal point, an exponent, `_`, inner spaces or other
+    digits.  An exponent above MAX_EXPONENT is refused first."""
+    exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
+    num, slash, den = text.strip().partition("/")
+    if _digits(num[1:] if num[:1] in "+-" else num) and (_digits(den) or not slash):
+        n, d = int(num), int(den or 1)
+    else:
+        from fractions import Fraction
+
+        try:
+            n, d = Fraction(text.strip()).as_integer_ratio()
+        except ZeroDivisionError:
+            n = d = 0
+    if not d:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def parse_fraction(text: str):
+    """The rational literal text as a Fraction, read by `parse_ratio`."""
+    return _fraction(*parse_ratio(text))
+
+
+def parse_anchor(text: str):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"anchor must be 're,im' with rational parts, got {text!r}")
+    return _point_xy(*parse_ratio(parts[0]), *parse_ratio(parts[1]))
+
+
+def parse_turn(text: str) -> Turn:
+    return Turn(*parse_ratio(text))
+
+
+def _spec_from_args(args, prefix: str):
+    """The `TrochoidSpec` of the flags whose names start with prefix: ""
+    for spec a, "b_" for the `--b-*` flags of spec b, each of which, when
+    absent, takes spec a's value.  A rational that does not parse, and a
+    k, l or side out of range, is a ValueError that names the flag it came
+    from.  The checks are those of `TrochoidSpec()`, in its order after the
+    rationals are read, so the spec is built without them."""
+    def flag(name: str, parse=lambda value: value):
+        if getattr(args, prefix + name) is not None:
+            name = prefix + name
+        try:
+            return parse(getattr(args, name))
+        except ValueError as exc:
+            raise ValueError(f"argument --{name.replace('_', '-')}: {exc}") from None
+
+    anchor = flag("anchor", parse_anchor)
+    direction = flag("direction", parse_turn)
+    side = flag("side", parse_ratio)
+    check_torus_type(args.p, args.q)
+    return TrochoidSpec._raw(
+        args.p,
+        args.q,
+        flag("k", lambda k: check_step("k", k, args.p)),
+        flag("l", lambda l: check_step("l", l, args.q)),
+        anchor,
+        direction,
+        *flag("side", lambda _: check_side(side)),
+        flag("chirality"),
     )

@@ -7,9 +7,10 @@ conditions, `weights` the direct crossing sum against the closed form,
 the move orbit of a trefoil coloring and the replay of trochoid words.
 
 `cli` imports this module only for `verify`, so no other command
-compiles it.  The diagram and trochoid machinery is imported by the
-functions that use it, so `axioms`, `cocycle` and `appendix` compile
-neither `diagram` nor `trochoid`.
+compiles it.  The diagram and trochoid machinery and the cocycle layer
+are imported by the functions that use them, so `axioms`, `cocycle` and
+`appendix` compile neither `diagram` nor `trochoid`, and only the
+`cocycle` and `weights` suites compile the cocycle layer.
 """
 
 from __future__ import annotations
@@ -18,22 +19,20 @@ import itertools
 
 from .exactnum import (
     BudgetError,
-    Cyc,
     Turn,
-    _area_sum,
     check_level_cap,
     cyc_root,
     enumerate_unit_elements,
 )
 from .geom import ORIGIN, Point, _point_xy, point_xy
-from .quandle import ROT, RotElem, _phi_pair, cocycle_phi
+from .quandle import ROT, RotElem
 
 SMALL_GRID = [(2, 3), (3, 2), (3, 4), (4, 3)]
 FULL_GRID = [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3), (3, 5), (4, 5)]
 
 
 # ---------------------------------------------------------------------------
-# the dihedral quandles and the cocycle condition
+# the dihedral quandles
 
 
 class DihedralQuandle:
@@ -55,22 +54,6 @@ class DihedralQuandle:
 
     def __repr__(self) -> str:
         return f"DihedralQuandle({self.n})"
-
-
-def verify_qc1(o: Point, x: RotElem, y: RotElem, z: RotElem) -> Cyc:
-    """f(x,y) + f(x*y, z) - f(x,z) - f(x*z, y*z) with f = Phi_o.
-
-    The cocycle condition: the result is exactly zero for every input.
-    The four terms' pairs (`quandle._phi_pair`, the negative two as
-    (-v, w), since o is subtracted from the second member only) go to the
-    area kernel together with o, as in `diagram.total_weight`.
-    """
-    xy = ROT.op(x, y)
-    xz = ROT.op(x, z)
-    yz = ROT.op(y, z)
-    plus = [_phi_pair(x, y), _phi_pair(xy, z)]
-    minus = [_phi_pair(x, z), _phi_pair(xz, yz)]
-    return _area_sum(plus + [(-v, w) for v, w in minus], o)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +214,8 @@ def _suite_axioms(args) -> list[tuple[str, bool, str]]:
 def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
     import random
 
+    from .cocycle import cocycle_phi, verify_qc1
+
     rng = random.Random(20240823)
 
     def base_point() -> Point:
@@ -248,7 +233,7 @@ def _suite_cocycle(args) -> list[tuple[str, bool, str]]:
 
 
 def _suite_weights(args) -> list[tuple[str, bool, str]]:
-    from .diagram import closed_form_weight, total_weight
+    from .cocycle import closed_form_weight, total_weight
     from .trochoid import TrochoidSpec, derive_coloring
 
     grid = FULL_GRID if args.grid == "full" else SMALL_GRID

@@ -11,17 +11,22 @@ from fractions import Fraction
 from time import perf_counter
 
 from rotknot.families import cmd_enumerate
+from rotknot.cocycle import (
+    area_approx,
+    closed_form_weight,
+    cocycle_phi,
+    total_weight,
+    verify_qc1,
+)
 from rotknot.diagram import (
     build_diagram,
     check_coloring,
-    closed_form_weight,
     shift_generic,
     switch_generic,
-    total_weight,
 )
 from rotknot.exactnum import Cyc, Turn, cyc_root, enumerate_unit_elements
-from rotknot.geom import ORIGIN, area_approx, point_xy, rotate
-from rotknot.quandle import ROT, RotElem, cocycle_phi
+from rotknot.geom import ORIGIN, point_xy, rotate
+from rotknot.quandle import ROT, RotElem
 from rotknot.render import render_trochoid_svg
 from rotknot.trochoid import (
     LatticeSpec,
@@ -42,7 +47,6 @@ from rotknot.verify import (
     coloring_orbit,
     enumerate_colorings_finite,
     orbit_bfs,
-    verify_qc1,
 )
 
 from conftest import grid_cells, run
@@ -264,7 +268,7 @@ def test_criterion_11_determinism():
     t0 = perf_counter()
     script = (
         "import hashlib\n"
-        "from rotknot.cli import _json_pieces\n"
+        "from rotknot.writer import _json_pieces\n"
         "from rotknot.families import cmd_enumerate\n"
         "from rotknot.render import render_trochoid_svg\n"
         "from rotknot.trochoid import TrochoidSpec\n"

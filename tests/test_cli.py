@@ -19,31 +19,30 @@ from hypothesis import strategies as st
 
 from rotknot.cli import (
     COMMANDS,
-    CSV_BATCH,
     EXIT_EQUIVALENT,
     EXIT_NOT_EQUIVALENT,
     EXIT_UNDETERMINED,
     HelpRequested,
-    MAX_EXPONENT,
     UsageError,
-    _EXPONENT,
-    _batches,
-    _encode_str,
-    _json_pieces,
-    _spec_from_args,
     _write_output,
     cmd_classify,
     main,
-    parse_anchor,
     parse_args,
+)
+from rotknot import cocycle, trochoid, verify
+from rotknot.exactnum import Cyc, Turn, cyc_to_json
+from rotknot.families import _enumerate_csv, cmd_enumerate
+from rotknot.geom import point_xy
+from rotknot.trochoid import (
+    MAX_EXPONENT,
+    _EXPONENT,
+    _spec_from_args,
+    parse_anchor,
     parse_fraction,
     parse_ratio,
     parse_turn,
 )
-from rotknot import trochoid, verify
-from rotknot.exactnum import Cyc, Turn, cyc_to_json
-from rotknot.families import _enumerate_csv, cmd_enumerate
-from rotknot.geom import point_xy
+from rotknot.writer import CSV_BATCH, _batches, _encode_str, _json_pieces
 
 
 class TestParsing:
@@ -90,8 +89,8 @@ class TestParsing:
 
 
 def reference_parse(text: str) -> Fraction:
-    """The rational literal text read by `Fraction`, as `cli.parse_fraction`
-    read every literal before its integer path."""
+    """The rational literal text read by `Fraction`, as
+    `trochoid.parse_fraction` read every literal before its integer path."""
     exponent = ("e" in text or "E" in text) and re.search(_EXPONENT, text)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_EXPONENT}")
@@ -546,7 +545,7 @@ class TestVerify:
         assert out.endswith("suite orbit: 1/2 checks passed\n")
 
     def test_fail_line_names_first_case_and_count(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "cocycle_phi", lambda o, x, y: Cyc.one())
+        monkeypatch.setattr(cocycle, "cocycle_phi", lambda o, x, y: Cyc.one())
         assert main(["verify", "cocycle"]) == 1
         pairs, _ = cocycle_cases()
         assert f"FAIL cocycle.QC2: counterexample {pairs[0]} among 200 cases\n" in (
@@ -556,7 +555,7 @@ class TestVerify:
     def test_suites_keep_every_case(self, monkeypatch):
         """The cocycle and weights suites try every case, in order, against
         reference lists built here one case at a time."""
-        phi, derive = verify.cocycle_phi, trochoid.derive_coloring
+        phi, derive = cocycle.cocycle_phi, trochoid.derive_coloring
         calls = []
 
         def record_phi(o, x, y):
@@ -571,8 +570,8 @@ class TestVerify:
             calls.append((spec.p, spec.q, spec.k, spec.l))
             return derive(spec)
 
-        monkeypatch.setattr(verify, "cocycle_phi", record_phi)
-        monkeypatch.setattr(verify, "verify_qc1", record_qc1)
+        monkeypatch.setattr(cocycle, "cocycle_phi", record_phi)
+        monkeypatch.setattr(cocycle, "verify_qc1", record_qc1)
         monkeypatch.setattr(trochoid, "derive_coloring", record_derive)
         verify._suite_cocycle(SimpleNamespace())
         pairs, quads = cocycle_cases()

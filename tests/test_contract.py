@@ -39,12 +39,8 @@ from typing import NamedTuple
 import pytest
 
 import rotknot
-from rotknot.cli import (
-    EXIT_EQUIVALENT,
-    EXIT_NOT_EQUIVALENT,
-    EXIT_UNDETERMINED,
-    MAX_EXPONENT,
-)
+from rotknot.cli import EXIT_EQUIVALENT, EXIT_NOT_EQUIVALENT, EXIT_UNDETERMINED
+from rotknot.trochoid import MAX_EXPONENT
 
 from conftest import run
 
@@ -206,6 +202,9 @@ ROWS = [
     row("enumerate --p 3 --q 2", 0, dumps_text),
     row("render --p 3 --q 2", 0, svg),
     row("verify orbit", 0),
+    # the integer unit scan at depth: phi(210) = 48 coordinates
+    row("verify appendix --level 210", 0,
+        b"PASS appendix.N=210\nsuite appendix: 1/1 checks passed\n"),
     # criterion 10(d): the chirality flips at odd p'q' stay Undetermined
     row("classify --p 3 --q 5 --b-chirality=-1", EXIT_UNDETERMINED),
     row("classify --p 7 --q 5 --k 2 --l 3 --b-chirality=-1", EXIT_UNDETERMINED),
@@ -346,11 +345,11 @@ def test_row(r, launcher, module_runs):
 # (argparse brings gettext and locale with it), nor `json` and `csv`,
 # whose text the writers make themselves, nor `fractions` with the
 # `decimal` and `numbers` it loads: rationals travel as integer pairs, and
-# only a literal the integer reader does not take, such as 1.5, and the
-# unit scan of `verify appendix` build a Fraction.  A row of LOADS names every
-# watched module its command loads: a package module by its name in the
-# package, any other by its own.  Every module of the package is watched, so a new
-# one must stay unloaded until a row lists it.
+# only a literal the integer reader does not take, such as 1.5, builds a
+# Fraction.  A row of LOADS names every watched module its command loads:
+# a package module by its name in the package, any other by its own.
+# Every module of the package is watched, so a new one must stay unloaded
+# until a row lists it.
 WATCHED = (
     *sorted(f"rotknot.{info.name}" for info in pkgutil.iter_modules(rotknot.__path__)),
     "argparse", "ast", "copy", "csv", "dataclasses", "decimal", "fractions", "gettext",
@@ -363,24 +362,26 @@ LOAD_PROBE = (
     "code = main([*argv, '--out', os.devnull]) if argv else 0\n"
     f"print(code, *(m for m in {WATCHED!r} if m in sys.modules))\n"
 )
-CLI_MODULES = ("cli", "exactnum", "geom", "value")  # import rotknot.cli
-MOVES = ("diagram", "quandle", "trochoid")
+CLI_MODULES = ("cli", "exactnum", "value")  # import rotknot.cli
+MOVES = ("diagram", "geom", "quandle", "trochoid")
 FRACTIONS = ("decimal", "fractions", "numbers")  # what `import fractions` loads
+ENUMERATE = (*CLI_MODULES, "cocycle", "diagram", "families", "geom", "quandle", "writer")
+SUITES = (*CLI_MODULES, "geom", "quandle", "verify")  # what every verify suite loads
 LOADS = {
     "import rotknot.cli": CLI_MODULES,
-    "enumerate --p -7 --q 5": (*CLI_MODULES, "diagram", "families", "quandle"),
-    "enumerate --p 3 --q 2 --format csv": (*CLI_MODULES, "diagram", "families", "quandle"),
-    "classify --p 3 --q 2 --b-anchor 1,0": (*CLI_MODULES, *MOVES),
+    "enumerate --p -7 --q 5": ENUMERATE,
+    "enumerate --p 3 --q 2 --format csv": ENUMERATE,
+    "classify --p 3 --q 2 --b-anchor 1,0": (*CLI_MODULES, *MOVES, "writer"),
     # the literals of the benchmark's seeded classify jobs
     "classify --p 3 --q 2 --anchor 4/3,1 --direction 1/2 --side 1/2 --b-anchor 5/6,1 "
-    "--b-direction 1/3": (*CLI_MODULES, *MOVES),
-    "classify --p 3 --q 2 --anchor 1.5,0": (*CLI_MODULES, *MOVES, *FRACTIONS),
+    "--b-direction 1/3": (*CLI_MODULES, *MOVES, "writer"),
+    "classify --p 3 --q 2 --anchor 1.5,0": (*CLI_MODULES, *MOVES, "writer", *FRACTIONS),
     "render --p 3 --q 2": (*CLI_MODULES, *MOVES, "render"),
-    "verify axioms": (*CLI_MODULES, "quandle", "verify"),
-    "verify cocycle": (*CLI_MODULES, "quandle", "verify"),
-    "verify appendix": (*CLI_MODULES, "quandle", "units", "verify", *FRACTIONS),
-    "verify orbit": (*CLI_MODULES, *MOVES, "verify"),
-    "verify weights": (*CLI_MODULES, *MOVES, "verify"),
+    "verify axioms": SUITES,
+    "verify cocycle": (*SUITES, "cocycle"),
+    "verify appendix": (*SUITES, "units"),
+    "verify orbit": (*SUITES, *MOVES),
+    "verify weights": (*SUITES, *MOVES, "cocycle"),
 }
 
 
@@ -394,6 +395,15 @@ def test_loads(command):
     loaded = [m for m in WATCHED if m.removeprefix("rotknot.") in LOADS[command]]
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode().split() == ["0", *loaded]
+
+
+def test_every_module_is_loaded_by_a_row():
+    """Every module of the package but the program entry is in some row
+    of LOADS, which `test_loads` checks against what the command loads:
+    so a module that no command runs is noticed."""
+    package = {info.name for info in pkgutil.iter_modules(rotknot.__path__)}
+    listed = {name for modules in LOADS.values() for name in modules}
+    assert package - listed == {"__main__"}
 
 
 def test_cli_import_loads_no_command_modules():

@@ -11,19 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from rotknot import diagram, verify
+from rotknot import cocycle, verify
+from rotknot.cocycle import area_approx, closed_form_weight, cocycle_phi, total_weight
 from rotknot.diagram import (
     Coloring,
     build_diagram,
     check_coloring,
-    closed_form_weight,
     shift_generic,
     switch_generic,
-    total_weight,
 )
 from rotknot.exactnum import BudgetError, Cyc, Turn, cyc_root
-from rotknot.geom import ORIGIN, area_approx, point_xy
-from rotknot.quandle import ROT, RotElem, cocycle_phi
+from rotknot.geom import ORIGIN, point_xy
+from rotknot.quandle import ROT, RotElem
 from rotknot.trochoid import MoveSeq, TrochoidSpec, derive_coloring, replay
 from rotknot.verify import (
     FULL_GRID,
@@ -286,13 +285,13 @@ def test_total_weight_matches_crossing_sum(p, q):
 def test_pairs_are_built_once_for_every_base_point(monkeypatch, p, q):
     """The crossing pairs do not depend on o: three base points cost one
     `_phi_pair` call per crossing in all."""
-    phi_pair, calls = diagram._phi_pair, []
+    phi_pair, calls = cocycle._phi_pair, []
 
     def counting(x, y):
         calls.append((x, y))
         return phi_pair(x, y)
 
-    monkeypatch.setattr(diagram, "_phi_pair", counting)
+    monkeypatch.setattr(cocycle, "_phi_pair", counting)
     c = derive_coloring(TrochoidSpec(p, q, 1, 1))
     for o in BASE_POINTS:
         total_weight(c, o)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotknot import exactnum
+from rotknot.cocycle import _area_sum, _displacement
 from rotknot.exactnum import (
     ContradictionError,
     Cyc,
@@ -386,7 +387,7 @@ class TestFusedKernels:
     @example([(Cyc(3, [1]), Cyc(3, [1]))])
     @example([(Cyc(12, [Fraction(1, 3), 1]), Cyc(2, [Fraction(1, 5)]))] * 2)
     def test_area_sum_matches_lift_then_operate(self, pairs):
-        got = exactnum._area_sum(pairs)
+        got = _area_sum(pairs)
         assert coordinates(got) == coordinates(area_sum_reference(pairs))
 
     @settings(max_examples=200)
@@ -399,7 +400,7 @@ class TestFusedKernels:
              Cyc(24, [Fraction(1, 6)] * 8))
     def test_area_sum_with_base_point_matches_subtracting_it(self, pairs, o):
         # the reference subtracts o from every second member first
-        got = exactnum._area_sum(pairs, o)
+        got = _area_sum(pairs, o)
         ref = area_sum_reference([(v, lift_then(operator.sub, w, o)) for v, w in pairs])
         assert coordinates(got) == coordinates(ref)
 
@@ -411,7 +412,7 @@ class TestFusedKernels:
     @example(Cyc(3, [Fraction(1, 2)]), Cyc(12, [0, Fraction(1, 3)]), 0, 7)
     def test_displacement_is_the_rotation_minus_the_point(self, z, c, num, den):
         # compared as values: 0 - z keeps z's level where the image is 0
-        got = exactnum._displacement(z, c, num, den)
+        got = _displacement(z, c, num, den)
         assert got == exactnum._rotate(z, c, num, den) - z
         assert got.level == math.lcm(z.level, c.level, den)
 
@@ -532,6 +533,42 @@ def box_scan_units(level: int) -> list[Cyc]:
     return found
 
 
+def fraction_scan_units(level: int) -> list[Cyc]:
+    """The Fincke-Pohst scan of the trace-form ellipsoid with `Fraction`
+    arithmetic throughout: the LDL^T in place (Cohen 2.7.6) and every
+    centre and term as a Fraction.  The reference for the integer scan."""
+    n = level
+    d = exactnum._phi(n)
+    table = exactnum._power_table(n)
+    coprime = [j for j in range(1, n + 1) if math.gcd(j, n) == 1]
+    trace = [sum(table[j * k % n][0] for j in coprime) for k in range(n)]
+    q = [[Fraction(trace[(i - j) % n]) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            q[j][i] = q[i][j]
+            q[i][j] /= q[i][i]
+        for k in range(i + 1, d):
+            for m in range(k, d):
+                q[k][m] -= q[k][i] * q[i][m]
+    x = [0] * d
+    found = []
+
+    def descend(i: int, room: Fraction) -> None:
+        centre = -sum(q[i][j] * x[j] for j in range(i + 1, d) if x[j])
+        for v, step in ((math.floor(centre), -1), (math.floor(centre) + 1, 1)):
+            while (used := q[i][i] * (v - centre) ** 2) <= room:
+                x[i] = v
+                if i:
+                    descend(i - 1, room - used)
+                elif any(x):
+                    found.append(tuple(x))
+                v += step
+        x[i] = 0
+
+    descend(d - 1, Fraction(d))
+    return [Cyc._raw(level, tup, 1) for tup in sorted(found)]
+
+
 class TestEnumerateUnits:
     def test_counts_small_levels(self):
         assert len(enumerate_unit_elements(4)) == 4
@@ -553,6 +590,11 @@ class TestEnumerateUnits:
     @pytest.mark.parametrize("level", range(1, 9))
     def test_matches_box_scan(self, level):
         assert enumerate_unit_elements(level) == box_scan_units(level)
+
+    @pytest.mark.parametrize("level", [*range(1, 61), 72, 84, 90, 120])
+    def test_matches_fraction_scan(self, level):
+        got = [coordinates(u) for u in enumerate_unit_elements(level)]
+        assert got == [coordinates(u) for u in fraction_scan_units(level)]
 
     def test_deterministic_order(self):
         a = enumerate_unit_elements(4)

@@ -11,21 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotknot import geom
-from rotknot.diagram import total_weight
+from rotknot.cocycle import (
+    area_approx,
+    cocycle_phi,
+    polygon_area,
+    signed_area_polygon,
+    signed_area_tri,
+    total_weight,
+)
 from rotknot.exactnum import ContradictionError, Cyc, Turn, cyc_root, turn_to_root
 from rotknot.geom import (
     ORIGIN,
-    area_approx,
     point_from_json,
     point_to_json,
     point_xy,
-    polygon_area,
     polygon_vertices,
     rotate,
-    signed_area_polygon,
-    signed_area_tri,
 )
-from rotknot.quandle import cocycle_phi
 from rotknot.trochoid import TrochoidSpec, derive_coloring
 
 from conftest import grid_cells, rand_cyc, rand_rot

@@ -7,10 +7,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotknot.exactnum import Cyc, Turn, _area_sum
-from rotknot.geom import ORIGIN, point_xy, rotate, signed_area_tri
-from rotknot.quandle import ROT, RotElem, _phi_pair, cocycle_phi
-from rotknot.verify import DihedralQuandle, verify_qc1
+from rotknot.cocycle import _area_sum, _phi_pair, cocycle_phi, signed_area_tri, verify_qc1
+from rotknot.exactnum import Cyc, Turn
+from rotknot.geom import ORIGIN, point_xy, rotate
+from rotknot.quandle import ROT, RotElem
+from rotknot.verify import DihedralQuandle
 
 from conftest import rand_rot
 

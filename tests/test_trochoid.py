@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotknot import trochoid, verify
+from rotknot.cocycle import closed_form_weight, total_weight
 from rotknot.diagram import (
     breadth_first,
     check_coloring,
-    closed_form_weight,
     shift_generic,
     switch_generic,
-    total_weight,
 )
 from rotknot.exactnum import (
     BudgetError,
