@@ -339,7 +339,3 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -63,20 +63,15 @@ class TorusDiagram(Frozen):
         check_torus_type(p, q)
         ap, aq = abs(p), abs(q)
         arcs = tuple((i, j) for i in range(aq) for j in range(ap - 1))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "abs_p", ap)
-        object.__setattr__(self, "abs_q", aq)
-        object.__setattr__(self, "sign", 1 if p * q > 0 else -1)
-        object.__setattr__(self, "rep_arcs", arcs)
-        rep = self.rep
+        # `rep` of the arcs a_{i,t}, a_{i,0}, a_{i+1,t-1} of each crossing and
+        # of the shift sources a_{i+1,j}: only a_{i,|p|-1} becomes a_{i-1,0}
         crossings = tuple(
-            (rep(i, t), rep(i, 0), rep(i + 1, t - 1))
+            (((i - 1) % aq, 0) if t == ap - 1 else (i, t), (i, 0), ((i + 1) % aq, t - 1))
             for i in range(aq)
             for t in range(1, ap)
         )
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "shift_sources", tuple(rep(i + 1, j) for i, j in arcs))
+        sources = tuple(((i + 1) % aq, j) for i, j in arcs)
+        self._fill(p, q, ap, aq, 1 if p * q > 0 else -1, arcs, crossings, sources)
 
     def rep(self, i: int, j: int) -> Arc:
         """Representative label of the arc a_{ij}."""

@@ -20,8 +20,11 @@ class RotElem(Frozen):
     __slots__ = _fields = ("center", "angle")
 
     def __init__(self, center: Point, angle: Turn):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "angle", angle)
+        _set_center(self, center)
+        _set_angle(self, angle)
+
+
+_set_center, _set_angle = RotElem._stores
 
 
 class RotQuandle:

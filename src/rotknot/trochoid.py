@@ -40,7 +40,6 @@ from .exactnum import (
     Turn,
     _descend,
     _fraction,
-    _given_fraction,
     _ratio,
     _scale,
     brief_int,
@@ -79,45 +78,12 @@ def check_side(side: tuple[int, int]) -> tuple[int, int]:
     return side
 
 
-class _Sided:
-    """Mixin of a `Frozen` record with the positive rational field
-    `side`, kept as the integers `side_num` and `side_den` in lowest
-    terms.  `side` is that value as a Fraction: the one given, when a
-    Fraction was, else a new one, which equality, hashing, the repr and
-    copies read.  The last slot, `_side`, holds the Fraction given, or
-    None.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-    def _fill(self, *values) -> None:
-        """Store values into the slots, in slot order."""
-        for store, value in zip(self._stores, values):
-            store(self, value)
-
-    @classmethod
-    def _raw(cls, *values):
-        """An instance of the slot values before `_side`, stored without
-        the checks of the constructor: the moves' constructor, as
-        `Cyc._raw` is the arithmetic's."""
-        out = object.__new__(cls)
-        out._fill(*values, None)
-        return out
-
-    @property
-    def side(self):
-        """The side as a Fraction."""
-        f = self._side
-        return _fraction(self.side_num, self.side_den) if f is None else f
-
-
-class TrochoidSpec(_Sided, Frozen):
+class TrochoidSpec(Frozen):
     """Parameters of a trochoid: diagram indices, polygon types, and the
     anchored first edge of length `side`.
+
+    `side` is stored as the integers `side_num` and `side_den` in lowest
+    terms; the moves build their results with `Frozen._raw`.
 
     `chirality` +1 means the polygons walk off the stored edge as given;
     -1 selects the mirror pair through the same segment, which is the
@@ -126,10 +92,7 @@ class TrochoidSpec(_Sided, Frozen):
     geometric is built from the resolved anchor and direction.
     """
 
-    __slots__ = (
-        "p", "q", "k", "l", "anchor", "direction", "side_num", "side_den", "chirality",
-        "_side",
-    )
+    __slots__ = ("p", "q", "k", "l", "anchor", "direction", "side_num", "side_den", "chirality")
     _fields = ("p", "q", "k", "l", "anchor", "direction", "side", "chirality")
 
     def __init__(
@@ -149,7 +112,13 @@ class TrochoidSpec(_Sided, Frozen):
         n, d = check_side(_ratio(side))
         if chirality not in (1, -1):
             raise ValueError("chirality must be +1 or -1")
-        self._fill(p, q, k, l, anchor, direction, n, d, chirality, _given_fraction(side))
+        self._fill(p, q, k, l, anchor, direction, n, d, chirality)
+
+    @property
+    def side(self):
+        """The side as a new Fraction, which equality, hashing, the repr
+        and copies read."""
+        return _fraction(self.side_num, self.side_den)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -357,7 +326,7 @@ class MoveSeq(Frozen):
         for m in moves:
             if m not in ("shift", "switch"):
                 raise ValueError(f"unknown move {m!r}")
-        object.__setattr__(self, "moves", moves)
+        self._fill(moves)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -392,18 +361,19 @@ def replay(moves: MoveSeq, c: Coloring) -> Coloring:
 # the anchor lattice and direction sets
 
 
-class LatticeSpec(_Sided, Frozen):
+class LatticeSpec(Frozen):
     """The integer span of the 2*alpha unit directions at the anchor.
 
     Reachable anchors of a trochoid under the moves all lie in
     base_point + side * Z[zeta_{2 alpha}] * u(base_direction).
     """
 
-    __slots__ = ("alpha", "base_point", "base_direction", "side_num", "side_den", "_side")
+    __slots__ = ("alpha", "base_point", "base_direction", "side_num", "side_den")
     _fields = ("alpha", "base_point", "base_direction", "side")
+    side = TrochoidSpec.side
 
     def __init__(self, alpha: int, base_point: Point, base_direction: Turn, side=1):
-        self._fill(alpha, base_point, base_direction, *_ratio(side), _given_fraction(side))
+        self._fill(alpha, base_point, base_direction, *_ratio(side))
 
     @property
     def level(self) -> int:
@@ -499,10 +469,7 @@ class ClassificationResult(Frozen):
         reason: str | None = None,
         note: str = "",
     ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "note", note)
+        self._fill(verdict, witness, reason, note)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict}

@@ -18,8 +18,10 @@ class Frozen:
     Assignment and deletion raise AttributeError; equality holds only
     between instances of the same class with equal fields; the hash is
     that of the field tuple; the repr lists the fields as keywords.
-    Subclasses declare `__slots__` and `_fields` and set the fields in
-    `__init__` through `object.__setattr__`.
+    Subclasses declare `__slots__` and `_fields`; `__init__` checks its
+    input, then stores the slot values through `_fill`.  `_stores` holds
+    the slots' own setters, in slot order, which bypass the raising
+    `__setattr__`; a hot constructor calls them directly.
     """
 
     __slots__ = ()
@@ -27,12 +29,26 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         get = attrgetter(*cls._fields)
         # attrgetter of a single name returns the value, not a 1-tuple
         if len(cls._fields) == 1:
             cls._astuple = lambda self: (get(self),)
         else:
             cls._astuple = lambda self: get(self)
+
+    def _fill(self, *values) -> None:
+        """Store values into the slots, in slot order."""
+        for store, value in zip(self._stores, values):
+            store(self, value)
+
+    @classmethod
+    def _raw(cls, *values):
+        """An instance of exactly the slot values, stored without the
+        checks of the constructor."""
+        out = object.__new__(cls)
+        out._fill(*values)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -208,15 +208,21 @@ ROWS = [
     # criterion 10(d): the chirality flips at odd p'q' stay Undetermined
     row("classify --p 3 --q 5 --b-chirality=-1", EXIT_UNDETERMINED),
     row("classify --p 7 --q 5 --k 2 --l 3 --b-chirality=-1", EXIT_UNDETERMINED),
-    # output bytes do not depend on the hash seed
+    # output bytes do not depend on the hash seed; classify is the one
+    # command that searches: the 12-move odd search, whose note is built
+    # from sorted sets, and the 66-move group word
     *(
-        row(argv, 0, sha256(digest), env={"PYTHONHASHSEED": seed})
-        for argv, digest, seeds in [
-            ("enumerate --p 4 --q 3",
+        row(argv, code, sha256(digest), env={"PYTHONHASHSEED": seed})
+        for argv, code, digest, seeds in [
+            ("enumerate --p 4 --q 3", 0,
              "a1229d805b41f5a753a149e39d776054ba606f175e6e899bb4ee0cccd1115eb3", ("1", "31337")),
-            ("render --p 4 --q 3 --k 1 --l 2",
+            ("render --p 4 --q 3 --k 1 --l 2", 0,
              "a5f1fe549fe75bad0a89bf8fbbd18ea8e50cc2659dfda0fef18d803c90ec577b", ("2", "99")),
-            ("verify axioms", GOLDEN["verify axioms"], ("5", "6")),
+            ("verify axioms", 0, GOLDEN["verify axioms"], ("5", "6")),
+            ("classify --p 5 --q 3 --k 2 --b-anchor 1,0", EXIT_UNDETERMINED,
+             GOLDEN["classify --p 5 --q 3 --k 2 --b-anchor 1,0"], ("3", "4242")),
+            ("classify --p 4 --q 3 --b-anchor 2,0", EXIT_EQUIVALENT,
+             "465c723595b481483f0636797b294d80d636f9795a4b62394947ec66c9b546d3", ("7", "65535")),
         ]
         for seed in seeds
     ),

@@ -708,13 +708,15 @@ class TestTurn:
         assert type(t.fraction) is Fraction
 
     def test_keeps_a_fraction_in_range(self):
-        f = Fraction(1, 3)
-        assert Turn(f).fraction is f
+        # the value is kept, not the object: `fraction` builds a new one
+        f = Turn(Fraction(1, 3)).fraction
+        assert type(f) is Fraction and f == Fraction(1, 3)
 
         class Sub(Fraction):
             pass
 
-        assert type(Turn(Sub(1, 3)).fraction) is Fraction
+        f = Turn(Sub(1, 3)).fraction
+        assert type(f) is Fraction and f == Fraction(1, 3)
 
     @pytest.mark.parametrize("n, d", [(0, 1), (1, 2), (2, 4), (5, 3), (-1, 3), (3, -4), (-6, 4)])
     def test_two_argument_form(self, n, d):

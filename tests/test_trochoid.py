@@ -106,10 +106,13 @@ class TestSpecBasics:
             TrochoidSpec(3, 2, 1, 1, chirality=2)
 
     def test_side_is_a_fraction(self):
-        side = Fraction(3, 2)
-        assert TrochoidSpec(3, 2, 1, 1, side=side).side is side
-        s = TrochoidSpec(3, 2, 1, 1, side=2)
-        assert type(s.side) is Fraction and s.side == 2
+        # the value is kept, not the object: `side` builds a new one
+        class Sub(Fraction):
+            pass
+
+        for given in (Fraction(3, 2), Sub(3, 2), 2):
+            side = TrochoidSpec(3, 2, 1, 1, side=given).side
+            assert type(side) is Fraction and side == given
 
     def test_primed_parameters(self):
         s = TrochoidSpec(4, 3, 2, 2)

@@ -32,6 +32,7 @@ from rotknot.trochoid import (
     MoveSeq,
     TrochoidSpec,
 )
+from rotknot.value import Frozen
 from rotknot.verify import DihedralQuandle
 
 from conftest import run
@@ -86,6 +87,19 @@ class TestValueClasses:
 
 def round_trip(obj):
     return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [cls(**kwargs) for cls, kwargs in CASES] + [cyc_root(12, 5) * Fraction(2, 3)],
+    ids=IDS + ["Cyc"],
+)
+def test_one_frozen_base(obj):
+    """Every value class stores its slots one way, and `_raw` of exactly
+    the slot values rebuilds an equal value."""
+    cls = type(obj)
+    assert issubclass(cls, Frozen)
+    assert cls._raw(*(getattr(obj, name) for name in cls.__slots__)) == obj
 
 
 @pytest.mark.parametrize(
@@ -185,6 +199,26 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_value_module_sets_slots():
+    """No module but `value` calls `object.__setattr__` or defines a
+    `__setattr__`: a value class stores its slots through `Frozen`."""
+    found = []
+    for path in sorted(Path(rotknot.__file__).parent.glob("*.py")):
+        if path.name == "value.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__setattr__":
+                found.append(f"{path.name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
